@@ -14,7 +14,7 @@
 //!   device round-trips.
 //! * `recover/buffered` — cold-start recovery: `Store::open` over a
 //!   directory holding journal tails only (no snapshot), i.e. full replay
-//!   with checksum verification plus pipeline rebuild.
+//!   with checksum verification plus shard rebuild.
 //!
 //! Recovery correctness is asserted (replayed item count matches the
 //! ingested stream) before any number is trusted. All ids feed
@@ -91,7 +91,7 @@ fn bench_journal(c: &mut Criterion) {
     }
 
     // Recovery: replay the full journal tail (no snapshot) into fresh
-    // pipelines. The directory is written once; every timed open replays
+    // summaries. The directory is written once; every timed open replays
     // the same records.
     let recover_dir = fresh_dir("recover", 0);
     {

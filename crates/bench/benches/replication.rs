@@ -4,10 +4,10 @@
 //! Three ids over the same synthetic stream, split half into the leader's
 //! snapshot and half into the journal tail the follower has to ship:
 //!
-//! * `bootstrap/snapshot` — `Store::follow`: restore the snapshot pipelines
+//! * `bootstrap/snapshot` — `Store::follow`: restore the snapshot summaries
 //!   and stamp the replication cursors (no journal replay).
 //! * `ship/full_tail` — one `Follower::sync` shipping the entire journal
-//!   tail: scan, checksum-verify, apply, flush, advance cursors.
+//!   tail: scan, checksum-verify, apply, advance cursors.
 //! * `lag/probe` — `Follower::replication_lag` over an already-synced
 //!   follower: the steady-state monitoring cost (scan without applying).
 //!

@@ -7,7 +7,7 @@
 //! * `offline/2_to_4` — `Store::open_resharded`: read every history
 //!   generation, refold at the new width, commit the snapshot, arm writers.
 //! * `offline/4_to_2` — the narrowing direction (same history, fewer
-//!   target pipelines).
+//!   target summaries).
 //! * `online/2_to_4` — `ShardedHiggs::reshard` on a live service: fence the
 //!   fleet, refold, commit, swap the writer set.
 //!

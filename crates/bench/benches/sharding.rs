@@ -9,8 +9,8 @@
 //!   this is the full synchronous insert (leaf insertion + inline
 //!   aggregation); for `ParallelHiggs` it is insertion with aggregation
 //!   handed to workers; for `ShardedHiggs` it is routing + enqueueing, with
-//!   both insertion and aggregation handed to the per-shard writers — the
-//!   Section IV-C idea applied twice. This is the sustainable service ingest
+//!   both insertion and (inline) aggregation handed to the per-shard
+//!   writers. This is the sustainable service ingest
 //!   rate when writer cores are available; instances are torn down with
 //!   [`ShardedHiggs::discard_pending`] outside the timed region so backlog
 //!   processing never pollutes the measurement.

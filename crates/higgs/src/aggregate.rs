@@ -8,6 +8,14 @@
 //! if they were already indistinguishable), and aggregation introduces no
 //! additional error. Timestamps are dropped: aggregated matrices are purely
 //! topological (Section IV-A).
+//!
+//! Two entry points build the same content. [`aggregate_matrices`] is the
+//! paper's stepwise rule — one lift per child entry — and is what
+//! [`HiggsSummary`](crate::HiggsSummary) and every service shard run inline,
+//! since inline insertion materialises children before their parent.
+//! [`aggregate_leaves_to_layer`] lifts leaf entries through every layer at
+//! once; only [`ParallelHiggs`](crate::ParallelHiggs) ships jobs built that
+//! way, because a pool job must not wait on its sibling jobs.
 
 use crate::config::HiggsConfig;
 use crate::matrix::CompressedMatrix;
@@ -21,6 +29,9 @@ use higgs_common::hashing::FingerprintLayout;
 /// pair give back the base address, the top `R` fingerprint bits move into
 /// the address, and the entry is re-inserted into the (4^R-times larger)
 /// parent matrix. Entries with zero weight (fully deleted) are skipped.
+/// A child's spill list (aggregated entries that found every candidate
+/// bucket full) is lifted the same way: spills keep their base address, so
+/// they re-enter the parent exactly like bucket entries.
 ///
 /// [`CompressedMatrix::entries`] yields unpacked [`Entry`](crate::matrix::Entry)
 /// values straight off the child's contiguous slab, so the per-child walk is
@@ -57,6 +68,22 @@ pub fn aggregate_matrices(
                 entry.weight,
             );
         }
+        for spill in child.spill_entries() {
+            if spill.weight == 0 {
+                continue;
+            }
+            let (fp_src, addr_src) =
+                layout.lift(u64::from(spill.fp_src), spill.addr_src, child_layer);
+            let (fp_dst, addr_dst) =
+                layout.lift(u64::from(spill.fp_dst), spill.addr_dst, child_layer);
+            parent.insert_aggregated(
+                addr_src,
+                addr_dst,
+                fp_src as u32,
+                fp_dst as u32,
+                spill.weight,
+            );
+        }
     }
     parent
 }
@@ -64,9 +91,11 @@ pub fn aggregate_matrices(
 /// Aggregates leaf-layer matrices directly into a matrix at `target_layer`,
 /// applying the Algorithm-2 lift repeatedly (layer 1 → 2 → … → target).
 ///
-/// Used by deferred/parallel aggregation, where a node's children may not
-/// have materialised their own aggregates yet: any ancestor can always be
-/// rebuilt from the leaf matrices it covers, independent of other jobs.
+/// Used by [`ParallelHiggs`](crate::ParallelHiggs) jobs and by the fallback
+/// of [`HiggsSummary::compute_aggregation`](crate::HiggsSummary::compute_aggregation)
+/// when a child has not materialised yet: any ancestor can always be rebuilt
+/// from the leaf matrices it covers, independent of other jobs. Leaf
+/// matrices and overflow blocks never spill, so only slab entries are read.
 pub fn aggregate_leaves_to_layer(
     layout: &FingerprintLayout,
     config: &HiggsConfig,

@@ -73,7 +73,7 @@ pub enum ConfigError {
         mapping_addresses: u32,
     },
     /// `shards` must lie in `[1, MAX_SHARDS]`: every shard owns a writer
-    /// thread plus aggregation workers, so the count is bounded.
+    /// thread, so the count is bounded.
     InvalidShardCount {
         /// The rejected shard count.
         shards: usize,
@@ -224,9 +224,8 @@ pub struct HiggsConfig {
     /// [`HiggsSummary`](crate::HiggsSummary) construction ignores the field.
     pub ingest_queue_cap: Option<usize>,
     /// Whether a [`ShardedHiggs`](crate::ShardedHiggs) pins each shard's
-    /// worker threads (the writer thread plus that shard's aggregation
-    /// workers) to one core (`shard_index % available_cores`), keeping each
-    /// shard's matrix slabs resident in a single core's private cache. A
+    /// writer thread to one core (`shard_index % available_cores`), keeping
+    /// each shard's matrix slabs resident in a single core's private cache. A
     /// standalone [`ParallelHiggs`](crate::ParallelHiggs) pins its workers
     /// to core 0 when set. Pinning is best-effort (a no-op on platforms
     /// without affinity syscalls — see [`higgs_common::affinity`]) and is
@@ -345,6 +344,14 @@ impl HiggsConfig {
     /// The fingerprint/address bit layout shared by all layers.
     pub fn layout(&self) -> FingerprintLayout {
         FingerprintLayout::new(self.f1_bits, self.d1, self.r_bits)
+    }
+
+    /// The core shard `shard_index`'s threads pin to under
+    /// [`pin_workers`](Self::pin_workers): shards round-robin over the cores
+    /// the process may run on, and `None` disables pinning.
+    pub(crate) fn pin_core(&self, shard_index: usize) -> Option<usize> {
+        self.pin_workers
+            .then(|| shard_index % higgs_common::affinity::available_cores())
     }
 
     /// Validates the configuration, returning the first violated constraint.
@@ -476,8 +483,8 @@ impl HiggsConfigBuilder {
         self
     }
 
-    /// Pins each shard's worker threads (writer plus aggregation workers) to
-    /// one core; see [`HiggsConfig::pin_workers`]. Best-effort, defaults to
+    /// Pins each shard's writer thread to one core; see
+    /// [`HiggsConfig::pin_workers`]. Best-effort, defaults to
     /// off, and never persisted in snapshots.
     pub fn pin_workers(mut self, pin: bool) -> Self {
         self.config.pin_workers = pin;

@@ -68,9 +68,9 @@
 //! double-apply: recovery sees the stale stamp and discards the journal.
 
 use crate::config::JournalMode;
-use crate::parallel::ParallelHiggs;
+use crate::tree::HiggsSummary;
 use higgs_common::codec::{CodecError, Decoder, Encoder};
-use higgs_common::{StreamEdge, TemporalGraphSummary};
+use higgs_common::StreamEdge;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -672,20 +672,19 @@ pub(crate) fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std:
     Ok(true)
 }
 
-/// Applies replayed records to a shard pipeline in append order — the second
-/// half of `snapshot + journal tail replay` recovery. Mutations are enqueued
-/// through the pipeline's normal ingest surface; the caller flushes afterwards
-/// (recovery flushes once per shard, not once per record).
-pub(crate) fn apply_records(pipeline: &mut ParallelHiggs, records: Vec<JournalRecord>) {
+/// Applies replayed records to a shard summary in append order — the second
+/// half of `snapshot + journal tail replay` recovery. Mutations go through
+/// the summary's normal insert/delete path, aggregating as they land.
+pub(crate) fn apply_records(summary: &mut HiggsSummary, records: Vec<JournalRecord>) {
     for record in records {
         match record {
-            JournalRecord::Insert(edge) => pipeline.insert(&edge),
+            JournalRecord::Insert(edge) => summary.insert_edge(&edge),
             JournalRecord::InsertBatch(edges) => {
                 for edge in &edges {
-                    pipeline.insert(edge);
+                    summary.insert_edge(edge);
                 }
             }
-            JournalRecord::Delete(edge) => pipeline.delete(&edge),
+            JournalRecord::Delete(edge) => summary.delete_edge(&edge),
         }
     }
 }

@@ -19,7 +19,7 @@
 //!   edge/vertex primitives,
 //! * [`overflow`] — overflow blocks absorbing same-timestamp bursts,
 //! * [`parallel`] — the per-layer parallel insertion pipeline
-//!   ([`ParallelHiggs`]),
+//!   ([`ParallelHiggs`], Section IV-C),
 //! * [`shard`] — the source-sharded concurrent service layer
 //!   ([`ShardedHiggs`]),
 //! * [`snapshot`] — versioned, checksummed snapshot / restore persistence
@@ -150,8 +150,8 @@
 //!   destination-column sweep prefetches a few row-strides ahead. Prefetch
 //!   is a pure hint: bounds-checked, no-op off x86-64, never affects
 //!   results.
-//! * **Core-pinned shard workers.** [`HiggsConfigBuilder::pin_workers`]
-//!   pins each shard's thread group (writer + aggregation workers) to core
+//! * **Core-pinned shard writers.** [`HiggsConfigBuilder::pin_workers`]
+//!   pins each shard's writer thread to core
 //!   `shard_index % available_cores` via raw `sched_setaffinity` syscalls
 //!   ([`higgs_common::affinity`]), keeping every shard's slabs resident in
 //!   one core's private cache. Pinning is best-effort (no-op off Linux
@@ -213,9 +213,13 @@
 //! regime, still one-sided under collisions).
 //!
 //! Ingest routes each edge to a dedicated per-shard writer thread over a
-//! FIFO channel, and each writer feeds a [`ParallelHiggs`] pipeline — so
-//! leaf insertion and group-close aggregation both stay off the ingest
-//! thread, which only hashes and enqueues. Queries are read-your-writes
+//! FIFO channel. Each writer inserts into its shard's [`HiggsSummary`] and
+//! aggregates inline, building each new node bottom-up from its θ children
+//! (Algorithm 2) — so leaf insertion and group-close aggregation both stay
+//! off the ingest thread, which only hashes and enqueues, with one thread
+//! per shard. (Nesting a [`ParallelHiggs`] pool behind each writer was
+//! measured slower: its jobs must rebuild every node from the leaves.)
+//! Queries are read-your-writes
 //! (each trait query first waits for previously enqueued mutations to land)
 //! and run under per-shard read locks, so any number of threads can serve
 //! while an [`shard::IngestHandle`] streams new edges in.
@@ -436,16 +440,21 @@
 //! **Migrating to the [`Store`] API.** The constructor pairs that
 //! accumulated around durability are subsumed by one typed entry point —
 //! [`Store::open`] on a [`StoreOptions`] value with an explicit
-//! [`OpenMode`]. The old constructors remain as deprecated thin delegates:
+//! [`OpenMode`]. The old constructors have been removed, and so has the
+//! per-shard aggregation-worker count (writers aggregate inline):
 //!
-//! | before (deprecated)                               | after ([`Store`])                                              |
-//! |---------------------------------------------------|----------------------------------------------------------------|
-//! | `ShardedHiggs::new_durable(cfg, dir)`             | `Store::open(StoreOptions::durable(cfg, dir))`                 |
-//! | `ShardedHiggs::new_durable_with_workers(c, d, w)` | `Store::open(StoreOptions::durable(c, d).workers(w))`          |
-//! | `ShardedHiggs::restore_from_dir(dir)`             | `Store::open(StoreOptions::restore(dir))`                      |
-//! | `ShardedHiggs::restore_from_dir_with_workers(d, w)` | `Store::open(StoreOptions::restore(d).workers(w))`           |
-//! | —                                                 | `Store::open_resharded(StoreOptions::restore(d), m)`           |
-//! | —                                                 | `Store::follow(StoreOptions::restore(d))`                      |
+//! | removed                                                 | use instead                                    |
+//! |---------------------------------------------------------|------------------------------------------------|
+//! | `ShardedHiggs::new_durable(cfg, dir)`                   | `Store::open(StoreOptions::durable(cfg, dir))` |
+//! | `ShardedHiggs::new_durable_with_workers(c, d, w)`       | `Store::open(StoreOptions::durable(c, d))`     |
+//! | `ShardedHiggs::restore_from_dir(dir)`                   | `Store::open(StoreOptions::restore(dir))`      |
+//! | `ShardedHiggs::restore_from_dir_with_workers(d, w)`     | `Store::open(StoreOptions::restore(d))`        |
+//! | `ShardedHiggs::try_with_workers(cfg, w)`                | `ShardedHiggs::try_new(cfg)`                   |
+//! | `ShardedHiggs::restore_resharded_with_workers(d, m, w)` | `ShardedHiggs::restore_resharded(d, m)`        |
+//! | `StoreOptions::workers(w)`                              | — (drop the call)                              |
+//!
+//! [`Store::open_resharded`] and [`Store::follow`] take the same
+//! [`StoreOptions`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -481,7 +490,7 @@ pub use reshard::ReshardError;
 pub use serving::{
     BatchTicket, HealthReport, HiggsService, ReplicaService, ServiceClient, ServiceError, Ticket,
 };
-pub use shard::{IngestError, IngestHandle, ShardHealth, ShardedHiggs};
+pub use shard::{IngestError, IngestHandle, ShardHealth, ShardedHiggs, WriterCensus};
 pub use snapshot::{SnapshotError, SnapshotManifest};
 pub use store::{OpenMode, Store, StoreOptions};
 pub use tree::HiggsSummary;

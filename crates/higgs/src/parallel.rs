@@ -9,11 +9,19 @@
 //! the ingest critical path, which is what produces the throughput gain of
 //! Fig. 20a.
 //!
+//! A job must stand alone while its sibling jobs are still in flight, so
+//! each one clones the leaf matrices its node covers and lifts every leaf
+//! entry straight to the node's layer
+//! ([`aggregate_leaves_to_layer`](crate::aggregate::aggregate_leaves_to_layer)).
+//! This pipeline is the only place that happens: the sharded service's
+//! writers aggregate inline, bottom-up from the θ children, which lifts
+//! each entry once and measured faster than shipping jobs on the same cores.
+//!
 //! Queries remain correct while aggregations are in flight because the
 //! boundary search only uses aggregates that have materialised and otherwise
 //! descends to the leaves (see [`boundary`](crate::boundary)). Calling
 //! [`ParallelHiggs::flush`] blocks until every outstanding aggregate is
-//! installed, after which the structure is bit-for-bit equivalent to a
+//! installed, after which the structure answers every query exactly like a
 //! sequentially built [`HiggsSummary`].
 
 use crate::config::HiggsConfig;
@@ -56,37 +64,13 @@ pub struct ParallelHiggs {
 }
 
 impl ParallelHiggs {
-    /// The core a shard's worker threads pin to under
-    /// [`HiggsConfig::pin_workers`]: shards round-robin over the cores the
-    /// process may run on, and `None` disables pinning.
-    pub(crate) fn pin_core_for(config: &HiggsConfig, shard_index: usize) -> Option<usize> {
-        config
-            .pin_workers
-            .then(|| shard_index % higgs_common::affinity::available_cores())
-    }
-
     /// Creates a parallel summary with `workers` aggregation threads
     /// (the paper uses one per layer; 2–4 is plenty for laptop-scale runs).
     ///
     /// When [`HiggsConfig::pin_workers`] is set, the aggregation workers pin
-    /// to core 0 (a standalone pipeline is shard 0 of a one-shard service).
+    /// to core 0.
     pub fn new(config: HiggsConfig, workers: usize) -> Self {
         Self::from_summary(HiggsSummary::with_deferred_aggregation(config), workers)
-    }
-
-    /// [`new`](Self::new) with an explicit pinning target: `Some(core)` pins
-    /// every aggregation worker of this pipeline to that core (the sharded
-    /// service passes each shard its own core).
-    pub(crate) fn new_on_core(
-        config: HiggsConfig,
-        workers: usize,
-        pin_core: Option<usize>,
-    ) -> Self {
-        Self::from_summary_on_core(
-            HiggsSummary::with_deferred_aggregation(config),
-            workers,
-            pin_core,
-        )
     }
 
     /// Wraps an existing summary (typically one restored from a snapshot,
@@ -98,17 +82,8 @@ impl ParallelHiggs {
     /// Pinning follows the summary's own configuration (core 0 when
     /// `pin_workers` is set); note that restored configurations always carry
     /// `pin_workers: false` because pinning is never persisted.
-    pub fn from_summary(summary: HiggsSummary, workers: usize) -> Self {
-        let pin_core = Self::pin_core_for(summary.config(), 0);
-        Self::from_summary_on_core(summary, workers, pin_core)
-    }
-
-    /// [`from_summary`](Self::from_summary) with an explicit pinning target.
-    pub(crate) fn from_summary_on_core(
-        mut summary: HiggsSummary,
-        workers: usize,
-        pin_core: Option<usize>,
-    ) -> Self {
+    pub fn from_summary(mut summary: HiggsSummary, workers: usize) -> Self {
+        let pin_core = summary.config().pin_core(0);
         summary.defer_aggregation = true;
         let workers = workers.max(1);
         let (job_tx, job_rx) = unbounded::<Job>();

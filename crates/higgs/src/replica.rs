@@ -32,7 +32,7 @@
 //! ## Promotion
 //!
 //! [`promote`](Follower::promote) performs a final sync and assembles a full
-//! [`ShardedHiggs`] leader around the replica's pipelines. Every mutation
+//! [`ShardedHiggs`] leader around the replica's summaries. Every mutation
 //! the old leader acknowledged was journaled before it was applied, so after
 //! a leader crash the promoted follower serves the complete acknowledged
 //! history (chaos-tested under the `failpoints` feature). The promoted
@@ -42,9 +42,9 @@
 
 use crate::config::{ConfigError, HiggsConfig};
 use crate::journal::{self, JournalError, HEADER_LEN};
-use crate::parallel::ParallelHiggs;
 use crate::shard::ShardedHiggs;
 use crate::snapshot::SnapshotError;
+use crate::tree::HiggsSummary;
 use higgs_common::{Query, ShardPlan, TemporalGraphSummary, Weight};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -129,7 +129,7 @@ pub struct ReplicaProgress {
     pub bytes_shipped: u64,
 }
 
-/// A warm read replica: restored snapshot pipelines plus per-shard journal
+/// A warm read replica: restored snapshot summaries plus per-shard journal
 /// cursors. See the [module docs](self) for the shipping protocol and
 /// guarantees.
 ///
@@ -141,7 +141,7 @@ pub struct ReplicaProgress {
 pub struct Follower {
     config: HiggsConfig,
     dir: PathBuf,
-    shards: Vec<Arc<RwLock<ParallelHiggs>>>,
+    shards: Vec<Arc<RwLock<HiggsSummary>>>,
     /// Per-shard byte offset into the journal file: everything before it has
     /// been applied here.
     cursors: Vec<u64>,
@@ -161,19 +161,18 @@ impl fmt::Debug for Follower {
 }
 
 impl Follower {
-    /// Bootstraps a follower from a leader directory: pipelines restore from
+    /// Bootstraps a follower from a leader directory: summaries restore from
     /// the snapshot (shard checksums verified against the manifest), and
     /// every journal cursor starts at the segment header — the first
     /// [`sync`](Self::sync) ships the full tails. Journal tails are **not**
     /// replayed here; that is what distinguishes a follower bootstrap from a
     /// crash-recovery restore.
-    pub(crate) fn bootstrap(dir: &Path, workers_per_shard: usize) -> Result<Self, ReplicaError> {
-        let (config, pipelines) =
-            crate::snapshot::restore_snapshot_pipelines(dir, workers_per_shard)?;
+    pub(crate) fn bootstrap(dir: &Path) -> Result<Self, ReplicaError> {
+        let (config, summaries) = crate::snapshot::restore_snapshot_summaries(dir)?;
         let covering = crate::snapshot::manifest_tail_checksum(dir)?;
-        let shards: Vec<Arc<RwLock<ParallelHiggs>>> = pipelines
+        let shards: Vec<Arc<RwLock<HiggsSummary>>> = summaries
             .into_iter()
-            .map(|p| Arc::new(RwLock::new(p)))
+            .map(|s| Arc::new(RwLock::new(s)))
             .collect();
         let cursors = vec![HEADER_LEN; shards.len()];
         Ok(Follower {
@@ -186,8 +185,7 @@ impl Follower {
     }
 
     /// Ships every journal record past the cursors: reads each shard's
-    /// verified tail, applies it, flushes the pipeline, and advances the
-    /// cursor. Returns what was shipped. A shard with no new bytes costs one
+    /// verified tail, applies it, and advances the cursor. Returns what was shipped. A shard with no new bytes costs one
     /// metadata read. Idempotent between leader appends.
     pub fn sync(&mut self) -> Result<ReplicaProgress, ReplicaError> {
         let mut progress = ReplicaProgress::default();
@@ -203,11 +201,10 @@ impl Follower {
             }
             progress.records_applied += tail.records.len() as u64;
             progress.bytes_shipped += tail.clean_end.saturating_sub(self.cursors[shard]);
-            {
-                let mut pipeline = self.shards[shard].write().expect("shard lock poisoned");
-                journal::apply_records(&mut pipeline, tail.records);
-                pipeline.flush();
-            }
+            journal::apply_records(
+                &mut self.shards[shard].write().expect("shard lock poisoned"),
+                tail.records,
+            );
             self.cursors[shard] = tail.clean_end;
         }
         Ok(progress)
@@ -241,9 +238,9 @@ impl Follower {
         &self.config
     }
 
-    /// The per-shard pipelines (crate-internal: the serving layer's replica
+    /// The per-shard summaries (crate-internal: the serving layer's replica
     /// fan-out reads them from its shard workers).
-    pub(crate) fn shard_pipelines(&self) -> &[Arc<RwLock<ParallelHiggs>>] {
+    pub(crate) fn shard_summaries(&self) -> &[Arc<RwLock<HiggsSummary>>] {
         &self.shards
     }
 
@@ -266,8 +263,8 @@ impl Follower {
                 } else {
                     // LINT-ALLOW(durability-io-panic): RwLock::read, not file
                     // I/O — poisoning means a query worker already panicked.
-                    let pipeline = self.shards[s].read().expect("shard lock poisoned");
-                    pipeline.query_batch(sub)
+                    let summary = self.shards[s].read().expect("shard lock poisoned");
+                    summary.query_batch(sub)
                 }
             })
             .collect();
@@ -277,7 +274,7 @@ impl Follower {
     /// Promotes this follower to a serving leader: performs a final
     /// [`sync`](Self::sync) (shipping everything the crashed leader's
     /// journals hold — every record in them was acknowledged), then
-    /// assembles a [`ShardedHiggs`] around the replica's pipelines.
+    /// assembles a [`ShardedHiggs`] around the replica's summaries.
     ///
     /// The promoted service is **non-durable** (the old leader still owns
     /// the directory, and two journal writers on one directory would corrupt
@@ -287,6 +284,6 @@ impl Follower {
         self.sync()?;
         let mut config = self.config;
         config.shards = self.shards.len();
-        ShardedHiggs::from_arc_pipelines(config, self.shards).map_err(ReplicaError::Config)
+        ShardedHiggs::from_arc_summaries(config, self.shards).map_err(ReplicaError::Config)
     }
 }

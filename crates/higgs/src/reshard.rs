@@ -15,7 +15,7 @@
 //!
 //! [`read_history`](crate::history::read_history) merges every shard's
 //! history files of every generation into one globally ordered operation
-//! stream. The fold then plays that stream into `M` fresh pipelines,
+//! stream. The fold then plays that stream into `M` fresh summaries,
 //! routing each operation by `shard_of(src, M)`. Because every insert and
 //! delete is replayed in its original global order, the folded service
 //! answers queries **bit-identically** to a service built fresh at `M`
@@ -37,11 +37,10 @@
 use crate::config::HiggsConfig;
 use crate::history::{self, HistoryOp, HistoryOpKind};
 use crate::journal::{Journal, JournalError};
-use crate::parallel::ParallelHiggs;
 use crate::shard::{DurableState, ShardedHiggs, MAX_SHARDS};
 use crate::snapshot::SnapshotError;
+use crate::tree::HiggsSummary;
 use higgs_common::hashing::shard_of;
-use higgs_common::TemporalGraphSummary;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
@@ -144,34 +143,20 @@ impl From<SnapshotError> for ReshardError {
 }
 
 /// Folds a globally ordered mutation history into `config.shards` fresh
-/// pipelines, routing each operation through [`shard_of`] at the new width
-/// and replaying it in order. Pipelines come back flushed (all aggregation
-/// visible).
-pub(crate) fn fold_history(
-    ops: &[HistoryOp],
-    config: &HiggsConfig,
-    workers_per_shard: usize,
-) -> Vec<ParallelHiggs> {
-    let mut pipelines: Vec<ParallelHiggs> = (0..config.shards)
-        .map(|s| {
-            ParallelHiggs::new_on_core(
-                *config,
-                workers_per_shard,
-                ParallelHiggs::pin_core_for(config, s),
-            )
-        })
+/// summaries, routing each operation through [`shard_of`] at the new width
+/// and replaying it in order (aggregating inline, like the shard writers).
+pub(crate) fn fold_history(ops: &[HistoryOp], config: &HiggsConfig) -> Vec<HiggsSummary> {
+    let mut summaries: Vec<HiggsSummary> = (0..config.shards)
+        .map(|_| HiggsSummary::new(*config))
         .collect();
     for op in ops {
-        let pipeline = &mut pipelines[shard_of(op.edge.src, config.shards)];
+        let summary = &mut summaries[shard_of(op.edge.src, config.shards)];
         match op.kind {
-            HistoryOpKind::Insert => pipeline.insert(&op.edge),
-            HistoryOpKind::Delete => pipeline.delete(&op.edge),
+            HistoryOpKind::Insert => summary.insert_edge(&op.edge),
+            HistoryOpKind::Delete => summary.delete_edge(&op.edge),
         }
     }
-    for pipeline in &mut pipelines {
-        pipeline.flush();
-    }
-    pipelines
+    summaries
 }
 
 /// The offline reshard: refolds `dir`'s elastic history at `new_shards`,
@@ -182,7 +167,6 @@ pub(crate) fn fold_history(
 pub(crate) fn open_resharded(
     dir: &Path,
     new_shards: usize,
-    workers_per_shard: usize,
     mode: crate::config::JournalMode,
 ) -> Result<ShardedHiggs, ReshardError> {
     if new_shards == 0 || new_shards > MAX_SHARDS {
@@ -233,9 +217,9 @@ pub(crate) fn open_resharded(
     let mut config = stored;
     config.shards = new_shards;
     config.journal_mode = mode;
-    let shards: Vec<Arc<RwLock<ParallelHiggs>>> = fold_history(&ops, &config, workers_per_shard)
+    let shards: Vec<Arc<RwLock<HiggsSummary>>> = fold_history(&ops, &config)
         .into_iter()
-        .map(|p| Arc::new(RwLock::new(p)))
+        .map(|s| Arc::new(RwLock::new(s)))
         .collect();
     // Commit point: manifest written last. From here the directory is at the
     // new width; journals stamped for the old manifest are reset on open.
@@ -264,11 +248,10 @@ pub(crate) fn open_resharded(
     let durable = Arc::new(DurableState {
         dir: dir.to_path_buf(),
         mode,
-        workers_per_shard,
         history_gen: Some(old_gen + 1),
     });
     let service =
-        ShardedHiggs::from_arc_pipelines_with(config, shards, Some(durable), journals, histories)
+        ShardedHiggs::from_arc_summaries_with(config, shards, Some(durable), journals, histories)
             .map_err(|e| ReshardError::Snapshot(SnapshotError::Config(e)))?;
     service.resume_seq(next_seq);
     Ok(service)
@@ -293,20 +276,9 @@ impl ShardedHiggs {
         dir: impl AsRef<Path>,
         new_shards: usize,
     ) -> Result<Self, ReshardError> {
-        Self::restore_resharded_with_workers(dir, new_shards, 1)
-    }
-
-    /// [`restore_resharded`](Self::restore_resharded) with
-    /// `workers_per_shard` aggregation workers behind each shard's writer.
-    pub fn restore_resharded_with_workers(
-        dir: impl AsRef<Path>,
-        new_shards: usize,
-        workers_per_shard: usize,
-    ) -> Result<Self, ReshardError> {
         open_resharded(
             dir.as_ref(),
             new_shards,
-            workers_per_shard,
             crate::config::JournalMode::Buffered,
         )
     }

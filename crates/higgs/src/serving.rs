@@ -516,13 +516,13 @@ impl ServiceClient {
 ///
 /// Dropping the service shuts it down: queued submissions complete with
 /// [`ServiceError::Shutdown`], the admission and worker threads join, and
-/// the inner [`ShardedHiggs`]'s writer threads join after them (so
-/// [`live_writer_threads`](crate::shard::live_writer_threads) returns to zero).
+/// the inner [`ShardedHiggs`]'s writer threads join after them (so its
+/// [`writer_census`](ShardedHiggs::writer_census) returns to zero).
 /// Surviving [`ServiceClient`] clones stay safe to use and report typed
 /// shutdown errors.
 pub struct HiggsService {
     /// Held only for its drop: declared before `inner` so the
-    /// admission/worker threads (which hold pipeline references and an
+    /// admission/worker threads (which hold shard references and an
     /// ingest handle) are joined before the shard writers are.
     _executor: reactor::Executor,
     submit_tx: Sender<Request>,
@@ -563,12 +563,10 @@ impl HiggsService {
         };
         let mut executor = reactor::Executor::new("higgs-serve");
         let mut job_txs = Vec::with_capacity(inner.num_shards());
-        for (s, pipeline) in inner.shard_pipelines().iter().enumerate() {
+        for (s, summary) in inner.shard_summaries().iter().enumerate() {
             let (tx, rx) = unbounded::<ShardJob>();
-            let pipeline = pipeline.clone();
-            executor.spawn(&format!("shard{s}"), move || {
-                shard_worker_loop(pipeline, rx)
-            });
+            let summary = summary.clone();
+            executor.spawn(&format!("shard{s}"), move || shard_worker_loop(summary, rx));
             job_txs.push(tx);
         }
         let admission = AdmissionLoop {
@@ -711,7 +709,7 @@ fn replica_sync_loop(mut follower: Follower, gauge: Arc<ReplicaGauge>, interval:
 
 /// Read-replica fan-out: the serving front-end over a [`Follower`].
 ///
-/// Wraps the follower's pipelines in the same per-shard evaluation workers
+/// Wraps the follower's summaries in the same per-shard evaluation workers
 /// and admission loop as a [`HiggsService`] — coalesced plans, priorities,
 /// deadlines, backpressure — while a dedicated sync thread keeps shipping
 /// the leader's journal segments in the background. Clients
@@ -720,7 +718,7 @@ fn replica_sync_loop(mut follower: Follower, gauge: Arc<ReplicaGauge>, interval:
 /// [`Consistency::ReadYourWrites`] degrades to reading the last completed
 /// sync (there are no local writes to wait for).
 ///
-/// Promotion is not served from here: a followed replica's pipelines are
+/// Promotion is not served from here: a followed replica's summaries are
 /// shared with live query workers, so promote a bare [`Follower`]
 /// ([`Follower::promote`]) instead — typically a fresh one bootstrapped
 /// after the leader's crash.
@@ -773,12 +771,10 @@ impl ReplicaService {
         };
         let mut executor = reactor::Executor::new("higgs-replica");
         let mut job_txs = Vec::with_capacity(shards);
-        for (s, pipeline) in follower.shard_pipelines().iter().enumerate() {
+        for (s, summary) in follower.shard_summaries().iter().enumerate() {
             let (tx, rx) = unbounded::<ShardJob>();
-            let pipeline = pipeline.clone();
-            executor.spawn(&format!("shard{s}"), move || {
-                shard_worker_loop(pipeline, rx)
-            });
+            let summary = summary.clone();
+            executor.spawn(&format!("shard{s}"), move || shard_worker_loop(summary, rx));
             job_txs.push(tx);
         }
         let admission = AdmissionLoop {
@@ -1059,11 +1055,11 @@ impl AdmissionLoop {
 /// shard read lock. Exits when the admission loop (the only sender) drops
 /// the queue.
 fn shard_worker_loop(
-    pipeline: std::sync::Arc<std::sync::RwLock<crate::parallel::ParallelHiggs>>,
+    summary: std::sync::Arc<std::sync::RwLock<crate::tree::HiggsSummary>>,
     rx: Receiver<ShardJob>,
 ) {
     while let Ok(job) = rx.recv() {
-        let results = pipeline
+        let results = summary
             .read()
             .expect("shard lock poisoned")
             .query_batch(&job.sub);
@@ -1074,7 +1070,6 @@ fn shard_worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::live_writer_threads;
     use higgs_common::{TemporalGraphSummary, TimeRange};
 
     fn service(shards: usize) -> HiggsService {
@@ -1247,8 +1242,9 @@ mod tests {
 
     #[test]
     fn shutdown_resolves_in_flight_tickets_and_joins_writers() {
-        let before = live_writer_threads();
         let service = service(2);
+        let census = service.summary().writer_census();
+        assert_eq!(census.live(), 2, "one writer per shard");
         let client = service.client();
         client.insert_all(&edges(2_000)).expect("live service");
         let in_flight: Vec<BatchTicket> = (0..64)
@@ -1266,8 +1262,8 @@ mod tests {
             }
         }
         assert_eq!(
-            live_writer_threads(),
-            before,
+            census.live(),
+            0,
             "service teardown must join the shard writer threads"
         );
         // Orphaned clients fail fast with typed errors on every surface.
@@ -1405,8 +1401,9 @@ mod tests {
     fn invalid_config_is_rejected_before_any_thread_spawns() {
         let mut bad = HiggsConfig::paper_default();
         bad.shards = 0;
+        // That the failed construction spawned no writer is checked in the
+        // single-test `writer_thread_leak` binary, where the process-wide
+        // census is not moved by sibling tests.
         assert!(HiggsService::try_new(bad).is_err());
-        let before = live_writer_threads();
-        assert_eq!(live_writer_threads(), before);
     }
 }

@@ -1,17 +1,17 @@
 //! Sharded, concurrently-served HIGGS: the scale-out service layer.
 //!
 //! [`ShardedHiggs`] partitions one logical summary into a fixed number of
-//! [`HiggsSummary`](crate::HiggsSummary) shards by **hash of the source
-//! vertex**
+//! [`HiggsSummary`] shards by **hash of the source vertex**
 //! ([`higgs_common::hashing::shard_of`]). Every component routes with that
 //! one function, which yields the invariants the whole layer rests on:
 //!
 //! * **Ingest** — each shard owns a dedicated writer thread fed over a
 //!   `crossbeam` channel. The ingest caller only hashes and enqueues; the
-//!   writer applies the edge to its shard's [`ParallelHiggs`], so group-close
-//!   aggregation stays off the ingest path *twice removed* (first onto the
-//!   writer, then onto the shard's aggregation workers). Per-source ordering
-//!   is preserved because a source always routes to the same FIFO channel.
+//!   writer applies the edge to its shard's [`HiggsSummary`] and runs any
+//!   group-close aggregation inline, bottom-up from the θ children
+//!   (Algorithm 2), so aggregation stays off the ingest caller's path
+//!   without a second thread layer per shard. Per-source ordering is
+//!   preserved because a source always routes to the same FIFO channel.
 //! * **Query serving** — `query`/`query_batch` decompose a batch with
 //!   [`ShardPlan`]: edge queries and out-direction vertex queries go to the
 //!   owning source shard, path/subgraph queries split into per-hop edge
@@ -21,7 +21,7 @@
 //!   most one Algorithm-3 boundary search per distinct [`TimeRange`] *per
 //!   shard*.
 //! * **Visibility** — the service is read-your-writes: every trait query
-//!   first waits for all previously enqueued mutations (and the background
+//!   first waits for all previously enqueued mutations (and the
 //!   aggregations they triggered) to land, tracked by a cheap atomic clock,
 //!   so the [`TemporalGraphSummary`] contract — including one-sided error —
 //!   holds exactly as for an unsharded summary. Reads that arrive while
@@ -67,9 +67,9 @@
 use crate::config::{ConfigError, HiggsConfig, JournalMode};
 use crate::history::HistoryLog;
 use crate::journal::{failpoint, Journal, JournalError};
-use crate::parallel::ParallelHiggs;
 use crate::reshard::{fold_history, ReshardError};
 use crate::snapshot::SnapshotError;
+use crate::tree::HiggsSummary;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use higgs_common::hashing::shard_of;
 use higgs_common::{
@@ -83,8 +83,8 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Upper bound on the shard count: each shard owns a writer thread plus
-/// aggregation workers, so the fan-out is validated by
+/// Upper bound on the shard count: each shard owns a writer thread, so the
+/// fan-out is validated by
 /// [`HiggsConfig::validate`].
 pub const MAX_SHARDS: usize = 64;
 
@@ -116,30 +116,52 @@ const RESPAWN_BACKOFF_CAP_MS: u64 = 640;
 static LIVE_WRITERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of shard writer threads currently alive in this process, across
-/// every [`ShardedHiggs`] instance. Drop joins a service's writers, so after
-/// the last service is gone this returns to zero — the regression hook the
-/// snapshot/restore tests use to prove repeated restore cycles never leak
-/// writer threads.
+/// every [`ShardedHiggs`] instance. Other tests in the same binary move this
+/// count concurrently, so it is only meaningful in a binary that runs a
+/// single test — the hook that proves a *failed* open spawns nothing, where
+/// no service (and so no [`WriterCensus`]) exists. Everywhere else use the
+/// per-service [`ShardedHiggs::writer_census`].
 pub fn live_writer_threads() -> usize {
     LIVE_WRITERS.load(Ordering::SeqCst)
 }
 
-/// RAII increment of [`LIVE_WRITERS`]. Created on the **spawning** side
-/// (before the thread runs) and moved into the writer thread, so the count
-/// covers the writer's whole lifetime deterministically: it reads `shards`
-/// the instant construction returns and `0` the instant drop's join
-/// returns. Decrements on any exit path, panic included.
-struct WriterGuard;
+/// The live writer threads of one service: its original fleet, respawned
+/// recovery writers, and every fleet a reshard installs. A handle outlives
+/// the service it came from, and drop joins every writer, so a handle read
+/// after the drop reports zero — the deterministic way to prove teardown
+/// joined its writers while other services run in the same process.
+#[derive(Clone, Debug, Default)]
+pub struct WriterCensus(Arc<AtomicUsize>);
 
-impl WriterGuard {
-    fn enter() -> Self {
+impl WriterCensus {
+    /// Number of this service's writer threads currently alive.
+    pub fn live(&self) -> usize {
+        // ORDERING: SeqCst, like the process-wide census: a diagnostic count
+        // read after joins, where the strongest ordering costs nothing.
+        self.0.load(Ordering::SeqCst)
+    }
+
+    /// Counts one writer in, here and in the process-wide census.
+    fn enter(&self) -> WriterGuard {
+        // ORDERING: SeqCst — see `live`.
+        self.0.fetch_add(1, Ordering::SeqCst);
         LIVE_WRITERS.fetch_add(1, Ordering::SeqCst);
-        WriterGuard
+        WriterGuard(self.clone())
     }
 }
 
+/// RAII registration of one writer in its [`WriterCensus`]. Created on the
+/// **spawning** side (before the thread runs) and moved into the writer
+/// thread, so the count covers the writer's whole lifetime
+/// deterministically: it reads `shards` the instant construction returns
+/// and `0` the instant drop's join returns. Decrements on any exit path,
+/// panic included.
+struct WriterGuard(WriterCensus);
+
 impl Drop for WriterGuard {
     fn drop(&mut self) {
+        // ORDERING: SeqCst — see `WriterCensus::live`.
+        self.0 .0.fetch_sub(1, Ordering::SeqCst);
         LIVE_WRITERS.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -154,17 +176,17 @@ enum ShardCommand {
     Insert(StreamEdge, u64),
     InsertBatch(Vec<StreamEdge>, Vec<u64>),
     Delete(StreamEdge, u64),
-    /// Flush the shard's aggregation pipeline, then acknowledge. Because the
-    /// channel is FIFO, the acknowledgement also proves every earlier
-    /// mutation on this shard has been applied.
+    /// Acknowledge. Because the channel is FIFO and writers aggregate
+    /// inline, the acknowledgement proves every earlier mutation on this
+    /// shard has been applied and aggregated.
     Flush(Sender<()>),
     /// Terminate the writer thread. Sent by `ShardedHiggs::drop` so teardown
     /// does not depend on every [`IngestHandle`] clone being gone (a live
     /// clone keeps the channel open, and a writer blocked in `recv` would
     /// otherwise never join). Commands enqueued after it are dropped.
     Shutdown,
-    /// Park the writer at a snapshot fence: flush the shard pipeline, sync
-    /// the journal, acknowledge on `ready`, then block until `resume`
+    /// Park the writer at a snapshot fence: finish any pending aggregation,
+    /// sync the journal, acknowledge on `ready`, then block until `resume`
     /// delivers the verdict. `Some(checksum)` means the snapshot that
     /// motivated the fence covers every journaled mutation: the journal is
     /// truncated and stamped with the new manifest's checksum.
@@ -181,7 +203,7 @@ enum ShardCommand {
 ///
 /// A shard degrades when its writer fails — an apply panic, a journal append
 /// error, or a failed journal rotation. Durable services
-/// ([`ShardedHiggs::new_durable`]) respawn the writer from snapshot + journal
+/// ([`Store::open`](crate::Store::open)) respawn the writer from snapshot + journal
 /// replay and return to `Healthy`; non-durable services have no recovery
 /// source, so the shard stays `Degraded` (its writer keeps draining commands
 /// to acknowledge flushes and honour shutdown, but mutations are dropped).
@@ -210,7 +232,7 @@ impl HealthBoard {
     pub(crate) fn is_degraded(&self, shard: usize) -> bool {
         // ORDERING: Acquire pairs with the Release stores in
         // `mark_degraded` / `recover_and_serve`: observing a health
-        // transition also observes the pipeline state it published.
+        // transition also observes the shard state it published.
         self.slots[shard].load(Ordering::Acquire) == HEALTH_DEGRADED
     }
 }
@@ -221,9 +243,6 @@ impl HealthBoard {
 pub(crate) struct DurableState {
     pub(crate) dir: PathBuf,
     pub(crate) mode: JournalMode,
-    /// Aggregation workers per shard, needed to rebuild a pipeline during
-    /// writer recovery.
-    pub(crate) workers_per_shard: usize,
     /// `Some(generation)` when the store is *elastic*: every writer also
     /// appends to a [`HistoryLog`] of this generation, and the service can
     /// be resharded. A reshard retires the whole writer set and opens
@@ -238,7 +257,7 @@ pub(crate) struct DurableState {
 struct WriterContext {
     shard_index: usize,
     config: HiggsConfig,
-    shard: Arc<RwLock<ParallelHiggs>>,
+    shard: Arc<RwLock<HiggsSummary>>,
     rx: Receiver<ShardCommand>,
     discard: Arc<std::sync::atomic::AtomicBool>,
     health: Arc<Vec<AtomicU8>>,
@@ -257,6 +276,8 @@ struct WriterContext {
     /// [`ShardedHiggs::shard_recovery_errors`] so operators can tell journal
     /// corruption from transient I/O or a missing manifest.
     recovery_errors: Arc<Vec<Mutex<Option<String>>>>,
+    /// The service's writer census; respawned writers register in it too.
+    census: WriterCensus,
 }
 
 /// Monotone clock tracking ingest visibility: `sent` counts mutation
@@ -547,8 +568,7 @@ impl IngestHandle {
     }
 
     /// Blocks until every mutation enqueued before this call — by any clone
-    /// of this handle — has been applied and its background aggregations
-    /// installed.
+    /// of this handle — has been applied and aggregated.
     pub fn flush(&self) {
         // ORDERING: Acquire pairs with the Release fetch_add in `mark_sent`:
         // reading tick `target` guarantees the `target` enqueues that
@@ -588,10 +608,9 @@ impl IngestHandle {
     }
 }
 
-/// A source-sharded HIGGS service: `N` independent
-/// [`HiggsSummary`](crate::HiggsSummary) trees, each fed by its own writer
-/// thread and aggregation pipeline, queried as a single
-/// [`TemporalGraphSummary`].
+/// A source-sharded HIGGS service: `N` independent [`HiggsSummary`] trees,
+/// each fed by its own writer thread that aggregates inline, queried as a
+/// single [`TemporalGraphSummary`].
 ///
 /// See the [module docs](self) for the routing rules and consistency model,
 /// and the crate docs' *Scaling out* section for how this layer composes
@@ -615,7 +634,7 @@ impl IngestHandle {
 /// );
 /// ```
 pub struct ShardedHiggs {
-    shards: Vec<Arc<RwLock<ParallelHiggs>>>,
+    shards: Vec<Arc<RwLock<HiggsSummary>>>,
     handle: IngestHandle,
     writers: Vec<JoinHandle<()>>,
     /// When set, writers drop queued commands unapplied instead of applying
@@ -633,6 +652,9 @@ pub struct ShardedHiggs {
     /// Per-shard last recovery failure, exposed via
     /// [`Self::shard_recovery_errors`].
     recovery_errors: Arc<Vec<Mutex<Option<String>>>>,
+    /// Live writer threads of every fleet this service has run; see
+    /// [`Self::writer_census`].
+    census: WriterCensus,
     /// `Some` when this service journals mutations (durable mode).
     durable: Option<Arc<DurableState>>,
     config: HiggsConfig,
@@ -646,22 +668,21 @@ impl std::fmt::Debug for ShardedHiggs {
     }
 }
 
-/// Applies one mutation or flush to the shard pipeline. Runs under the shard
-/// write lock, wrapped in `catch_unwind` by the caller so a panic degrades
-/// the shard instead of tearing down the process (or poisoning the lock —
-/// the lock guard lives outside the unwind boundary).
-fn apply(pipeline: &mut ParallelHiggs, command: ShardCommand) {
+/// Applies one mutation or flush to the shard summary, aggregating inline.
+/// Runs under the shard write lock, wrapped in `catch_unwind` by the caller
+/// so a panic degrades the shard instead of tearing down the process (or
+/// poisoning the lock — the lock guard lives outside the unwind boundary).
+fn apply(summary: &mut HiggsSummary, command: ShardCommand) {
     failpoint!("shard::apply");
     match command {
-        ShardCommand::Insert(edge, _) => pipeline.insert(&edge),
+        ShardCommand::Insert(edge, _) => summary.insert_edge(&edge),
         ShardCommand::InsertBatch(edges, _) => {
             for edge in &edges {
-                pipeline.insert(edge);
+                summary.insert_edge(edge);
             }
         }
-        ShardCommand::Delete(edge, _) => pipeline.delete(&edge),
+        ShardCommand::Delete(edge, _) => summary.delete_edge(&edge),
         ShardCommand::Flush(ack) => {
-            pipeline.flush();
             let _ = ack.send(());
         }
         ShardCommand::Shutdown | ShardCommand::Fence { .. } => {
@@ -706,7 +727,7 @@ enum FenceOutcome {
     /// recovered without double-applying them — the caller must degrade
     /// permanently.
     RotationFailed,
-    /// The pipeline flush at the fence panicked. The shard was marked
+    /// The aggregation flush at the fence panicked. The shard was marked
     /// degraded *before* the ready ack (so the fence holder's post-fence
     /// health re-check aborts the snapshot) and the caller must route
     /// through supervision like an apply panic: every fenced mutation is
@@ -728,10 +749,10 @@ fn fence_writer(
         // The lock guard lives outside the unwind boundary, exactly like the
         // apply path: a panicking flush degrades the shard instead of
         // poisoning the lock and cascading into every later lock user.
-        let mut pipeline = ctx.shard.write().expect("shard lock poisoned");
+        let mut summary = ctx.shard.write().expect("shard lock poisoned");
         catch_unwind(AssertUnwindSafe(|| {
             failpoint!("shard::fence_flush");
-            pipeline.flush()
+            summary.finalize_aggregations()
         }))
         .is_ok()
     };
@@ -740,7 +761,7 @@ fn fence_writer(
         // parked, health stable) observes it and releases with "keep".
         mark_degraded(ctx);
         let _ = ready.send(());
-        // Ignore the verdict: this shard's pipeline is partial, so its
+        // Ignore the verdict: this shard's summary is partial, so its
         // journal must never rotate here (the fence holder aborts anyway).
         let _ = resume.recv();
         let _ = ready.send(());
@@ -806,8 +827,8 @@ fn record_recovery_error(ctx: &WriterContext, error: Option<String>) {
 /// times a shard fails.
 ///
 /// The replacement's census guard is created *before* the failing writer's
-/// guard drops, so [`live_writer_threads`] never dips below baseline during
-/// the handoff.
+/// guard drops, so the [`WriterCensus`] never dips below baseline during the
+/// handoff.
 fn supervise_failure(ctx: &WriterContext, carryover: Option<ShardCommand>) {
     mark_degraded(ctx);
     // ORDERING: Relaxed — only this shard's writer generations touch the
@@ -832,9 +853,9 @@ fn supervise_failure(ctx: &WriterContext, carryover: Option<ShardCommand>) {
             .unwrap_or(u64::MAX)
             .min(RESPAWN_BACKOFF_CAP_MS),
     );
-    let replacement_guard = WriterGuard::enter();
+    let replacement_guard = ctx.census.enter();
     let replacement_ctx = ctx.clone();
-    let pin_core = ParallelHiggs::pin_core_for(&ctx.config, ctx.shard_index);
+    let pin_core = ctx.config.pin_core(ctx.shard_index);
     let handle = std::thread::spawn(move || {
         if let Some(core) = pin_core {
             let _ = higgs_common::affinity::pin_to_core(core);
@@ -868,7 +889,7 @@ fn supervise_failure(ctx: &WriterContext, carryover: Option<ShardCommand>) {
 
 /// Entry point of a respawned writer: rebuild the shard from its durable
 /// record (snapshot, if any, plus full journal replay), swap the rebuilt
-/// pipeline in, report `Healthy`, and resume serving the same command queue.
+/// summary in, report `Healthy`, and resume serving the same command queue.
 /// Without a durable record (or when recovery itself fails) the shard stays
 /// degraded and the writer drains commands so nothing blocks on it.
 fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard: WriterGuard) {
@@ -877,7 +898,7 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
         match rebuild_shard(&durable, &ctx) {
             Ok((journal, history)) => {
                 record_recovery_error(&ctx, None);
-                // ORDERING: Release publishes the rebuilt pipeline (already
+                // ORDERING: Release publishes the rebuilt summary (already
                 // swapped in under the write lock) before readers that
                 // Acquire the Healthy flag can route queries here again.
                 ctx.health[ctx.shard_index].store(HEALTH_HEALTHY, Ordering::Release);
@@ -895,8 +916,8 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
     degraded_drain(&ctx);
 }
 
-/// Rebuilds one shard's pipeline from snapshot + journal replay and reopens
-/// its journal for appending. The rebuilt pipeline replaces the (possibly
+/// Rebuilds one shard's summary from snapshot + journal replay and reopens
+/// its journal for appending. The rebuilt summary replaces the (possibly
 /// partially-mutated) live one, so a half-applied batch from the failed
 /// writer is wiped and re-applied exactly once via the journal. A failure
 /// propagates the typed [`SnapshotError`] (journal errors wrapped as
@@ -906,17 +927,12 @@ fn rebuild_shard(
     durable: &DurableState,
     ctx: &WriterContext,
 ) -> Result<(Journal, Option<HistoryLog>), SnapshotError> {
-    let mut pipeline = crate::snapshot::load_shard_pipeline(
-        &durable.dir,
-        ctx.shard_index,
-        &ctx.config,
-        durable.workers_per_shard,
-    )?;
+    let mut summary =
+        crate::snapshot::load_shard_summary(&durable.dir, ctx.shard_index, &ctx.config)?;
     let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)?;
     let records = crate::journal::replay(&durable.dir, ctx.shard_index, covering)
         .map_err(SnapshotError::Journal)?;
-    crate::journal::apply_records(&mut pipeline, records);
-    pipeline.flush();
+    crate::journal::apply_records(&mut summary, records);
     let journal = Journal::open(&durable.dir, ctx.shard_index, durable.mode, covering)
         .map_err(SnapshotError::Journal)?;
     let history = match durable.history_gen {
@@ -926,7 +942,7 @@ fn rebuild_shard(
         ),
         None => None,
     };
-    *ctx.shard.write().expect("shard lock poisoned") = pipeline;
+    *ctx.shard.write().expect("shard lock poisoned") = summary;
     Ok((journal, history))
 }
 
@@ -1026,11 +1042,11 @@ fn writer_loop(
                         return;
                     }
                 }
-                let mut pipeline = ctx.shard.write().expect("shard lock poisoned");
-                if catch_unwind(AssertUnwindSafe(|| apply(&mut pipeline, command))).is_err() {
+                let mut summary = ctx.shard.write().expect("shard lock poisoned");
+                if catch_unwind(AssertUnwindSafe(|| apply(&mut summary, command))).is_err() {
                     // Already journaled: recovery replay re-applies it onto
-                    // a rebuilt pipeline, so no carryover.
-                    drop(pipeline);
+                    // a rebuilt summary, so no carryover.
+                    drop(summary);
                     supervise_failure(&ctx, None);
                     return;
                 }
@@ -1047,22 +1063,22 @@ fn writer_loop(
                         Ok(coalesced) => {
                             if let Some(h) = history.as_mut() {
                                 if history_command(h, &coalesced).is_err() {
-                                    drop(pipeline);
+                                    drop(summary);
                                     supervise_failure(&ctx, Some(coalesced));
                                     return;
                                 }
                             }
                             if let Some(j) = journal.as_mut() {
                                 if journal_command(j, &coalesced).is_err() {
-                                    drop(pipeline);
+                                    drop(summary);
                                     supervise_failure(&ctx, Some(coalesced));
                                     return;
                                 }
                             }
-                            if catch_unwind(AssertUnwindSafe(|| apply(&mut pipeline, coalesced)))
+                            if catch_unwind(AssertUnwindSafe(|| apply(&mut summary, coalesced)))
                                 .is_err()
                             {
-                                drop(pipeline);
+                                drop(summary);
                                 supervise_failure(&ctx, None);
                                 return;
                             }
@@ -1096,11 +1112,12 @@ struct WriterSet {
 /// allocated per fleet — a reshard starts the new fleet with a clean slate.
 fn spawn_writer_set(
     config: HiggsConfig,
-    shards: &[Arc<RwLock<ParallelHiggs>>],
+    shards: &[Arc<RwLock<HiggsSummary>>],
     durable: Option<Arc<DurableState>>,
     journals: Vec<Option<Journal>>,
     histories: Vec<Option<HistoryLog>>,
     discard: Arc<std::sync::atomic::AtomicBool>,
+    census: &WriterCensus,
 ) -> WriterSet {
     let num_shards = shards.len();
     let mut senders = Vec::with_capacity(num_shards);
@@ -1133,11 +1150,11 @@ fn spawn_writer_set(
             respawned: respawned.clone(),
             respawn_attempts: respawn_attempts.clone(),
             recovery_errors: recovery_errors.clone(),
+            census: census.clone(),
         };
-        let guard = WriterGuard::enter();
-        // Same core as this shard's aggregation workers (None when
-        // pinning is off); pinning is best-effort.
-        let pin_core = ParallelHiggs::pin_core_for(&config, shard_index);
+        let guard = census.enter();
+        // None when pinning is off; pinning is best-effort.
+        let pin_core = config.pin_core(shard_index);
         writers.push(std::thread::spawn(move || {
             let _guard = guard;
             if let Some(core) = pin_core {
@@ -1158,8 +1175,8 @@ fn spawn_writer_set(
 }
 
 impl ShardedHiggs {
-    /// Creates a sharded service with `config.shards` shards, one writer
-    /// thread per shard, and one aggregation worker per shard pipeline.
+    /// Creates a sharded service with `config.shards` shards and one writer
+    /// thread per shard.
     ///
     /// Panics on an invalid configuration; use [`Self::try_new`] for
     /// fallible construction.
@@ -1169,117 +1186,60 @@ impl ShardedHiggs {
 
     /// Creates a sharded service, returning the violated constraint instead
     /// of panicking when the configuration is invalid.
+    ///
+    /// When [`HiggsConfig::pin_workers`] is set, shard `s`'s writer pins to
+    /// core `s % available_cores`, keeping each shard's slabs resident in
+    /// one core's private cache.
     pub fn try_new(config: HiggsConfig) -> Result<Self, ConfigError> {
-        Self::try_with_workers(config, 1)
-    }
-
-    /// Creates a sharded service with `workers_per_shard` aggregation
-    /// workers behind each shard's writer.
-    ///
-    /// When [`HiggsConfig::pin_workers`] is set, shard `s`'s whole thread
-    /// group — its writer plus its aggregation workers — pins to core
-    /// `s % available_cores`, keeping each shard's slabs resident in one
-    /// core's private cache.
-    pub fn try_with_workers(
-        config: HiggsConfig,
-        workers_per_shard: usize,
-    ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let pipelines = (0..config.shards)
-            .map(|s| {
-                ParallelHiggs::new_on_core(
-                    config,
-                    workers_per_shard,
-                    ParallelHiggs::pin_core_for(&config, s),
-                )
-            })
+        let summaries = (0..config.shards)
+            .map(|_| HiggsSummary::new(config))
             .collect();
-        Self::from_pipelines(config, pipelines)
+        Self::from_summaries(config, summaries)
     }
 
-    /// Creates a **durable** sharded service: every mutation is appended to
-    /// a per-shard write-ahead journal in `dir` before it is applied, per
-    /// the configured [`JournalMode`]
-    /// ([`HiggsConfigBuilder::journal_mode`](crate::HiggsConfigBuilder::journal_mode)).
-    ///
-    /// `dir` is created if missing. When it already holds a snapshot
-    /// (written by [`snapshot_to_dir`](Self::snapshot_to_dir)) and/or
-    /// journals from an earlier — possibly crashed — instance, the service
-    /// recovers: pipelines are restored from the snapshot, each shard's
-    /// journal tail is replayed on top (tolerating a torn final record), and
-    /// journaling resumes in append mode. The caller's `config` stays
-    /// authoritative for runtime behaviour but must agree with a recovered
-    /// snapshot on the shard count (journals are per-shard).
-    ///
-    /// With [`JournalMode::Off`] this behaves like [`try_new`](Self::try_new)
-    /// plus recovery: existing state in `dir` is loaded, but no journal is
-    /// written.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::durable(config, dir))`"
-    )]
-    pub fn new_durable(config: HiggsConfig, dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(crate::store::StoreOptions::durable(config, dir))
-    }
-
-    /// [`new_durable`](Self::new_durable) with `workers_per_shard`
-    /// aggregation workers behind each shard's writer.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::durable(config, dir).workers(n))`"
-    )]
-    pub fn new_durable_with_workers(
+    /// Assembles a non-durable service around pre-built per-shard summaries
+    /// (fresh ones for [`try_new`](Self::try_new), restored ones for
+    /// snapshot restore).
+    pub(crate) fn from_summaries(
         config: HiggsConfig,
-        dir: impl AsRef<Path>,
-        workers_per_shard: usize,
-    ) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(
-            crate::store::StoreOptions::durable(config, dir).workers(workers_per_shard),
-        )
-    }
-
-    /// Assembles a non-durable service around pre-built per-shard pipelines
-    /// (fresh ones for [`try_with_workers`], restored ones for snapshot
-    /// restore).
-    pub(crate) fn from_pipelines(
-        config: HiggsConfig,
-        pipelines: Vec<ParallelHiggs>,
+        summaries: Vec<HiggsSummary>,
     ) -> Result<Self, ConfigError> {
-        let n = pipelines.len();
-        Self::from_pipelines_with(
+        let n = summaries.len();
+        Self::from_summaries_with(
             config,
-            pipelines,
+            summaries,
             None,
             (0..n).map(|_| None).collect(),
             (0..n).map(|_| None).collect(),
         )
     }
 
-    /// Assembles a service around pre-built pipelines, arming each shard's
+    /// Assembles a service around pre-built summaries, arming each shard's
     /// writer with its journal (durable mode) and elastic history log.
-    pub(crate) fn from_pipelines_with(
+    pub(crate) fn from_summaries_with(
         config: HiggsConfig,
-        pipelines: Vec<ParallelHiggs>,
+        summaries: Vec<HiggsSummary>,
         durable: Option<Arc<DurableState>>,
         journals: Vec<Option<Journal>>,
         histories: Vec<Option<HistoryLog>>,
     ) -> Result<Self, ConfigError> {
-        let shards: Vec<Arc<RwLock<ParallelHiggs>>> = pipelines
+        let shards = summaries
             .into_iter()
-            .map(|p| Arc::new(RwLock::new(p)))
+            .map(|s| Arc::new(RwLock::new(s)))
             .collect();
-        Self::from_arc_pipelines_with(config, shards, durable, journals, histories)
+        Self::from_arc_summaries_with(config, shards, durable, journals, histories)
     }
 
-    /// Assembles a non-durable service around **shared** pipelines — the
-    /// promotion path of a [`Follower`](crate::Follower), whose pipelines
+    /// Assembles a non-durable service around **shared** summaries — the
+    /// promotion path of a [`Follower`](crate::Follower), whose summaries
     /// are already Arc-wrapped from the replica apply loop.
-    pub(crate) fn from_arc_pipelines(
+    pub(crate) fn from_arc_summaries(
         config: HiggsConfig,
-        shards: Vec<Arc<RwLock<ParallelHiggs>>>,
+        shards: Vec<Arc<RwLock<HiggsSummary>>>,
     ) -> Result<Self, ConfigError> {
         let n = shards.len();
-        Self::from_arc_pipelines_with(
+        Self::from_arc_summaries_with(
             config,
             shards,
             None,
@@ -1290,9 +1250,9 @@ impl ShardedHiggs {
 
     /// Shared assembly core: spawns one writer thread per shard with an
     /// empty queue.
-    pub(crate) fn from_arc_pipelines_with(
+    pub(crate) fn from_arc_summaries_with(
         config: HiggsConfig,
-        shards: Vec<Arc<RwLock<ParallelHiggs>>>,
+        shards: Vec<Arc<RwLock<HiggsSummary>>>,
         durable: Option<Arc<DurableState>>,
         journals: Vec<Option<Journal>>,
         histories: Vec<Option<HistoryLog>>,
@@ -1304,6 +1264,7 @@ impl ShardedHiggs {
             });
         }
         let discard = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let census = WriterCensus::default();
         let set = spawn_writer_set(
             config,
             &shards,
@@ -1311,6 +1272,7 @@ impl ShardedHiggs {
             journals,
             histories,
             discard.clone(),
+            &census,
         );
         Ok(Self {
             shards,
@@ -1326,15 +1288,23 @@ impl ShardedHiggs {
             respawned: set.respawned,
             respawn_attempts: set.respawn_attempts,
             recovery_errors: set.recovery_errors,
+            census,
             durable,
             config,
         })
     }
 
-    /// The per-shard pipelines (crate-internal; the snapshot codec reads
-    /// each shard's summary under its lock).
-    pub(crate) fn shard_pipelines(&self) -> &[Arc<RwLock<ParallelHiggs>>] {
+    /// The per-shard summaries (crate-internal; the snapshot codec reads
+    /// each one under its lock).
+    pub(crate) fn shard_summaries(&self) -> &[Arc<RwLock<HiggsSummary>>] {
         &self.shards
+    }
+
+    /// A handle on this service's [`WriterCensus`]: the number of its writer
+    /// threads alive right now. The handle stays readable after the service
+    /// drops (and then reads zero, since drop joins every writer).
+    pub fn writer_census(&self) -> WriterCensus {
+        self.census.clone()
     }
 
     /// Per-shard writer health (diagnostic). A `Degraded` entry means the
@@ -1348,7 +1318,7 @@ impl ShardedHiggs {
             .map(|h| {
                 // ORDERING: Acquire pairs with the Release stores in
                 // `mark_degraded` / `recover_and_serve`: observing a health
-                // transition also observes the pipeline state it published.
+                // transition also observes the shard state it published.
                 if h.load(Ordering::Acquire) == HEALTH_DEGRADED {
                     ShardHealth::Degraded
                 } else {
@@ -1417,7 +1387,7 @@ impl ShardedHiggs {
     }
 
     /// Parks every writer at a snapshot fence and returns once all have
-    /// acknowledged: each writer has flushed its pipeline, synced its
+    /// acknowledged: each writer has finished its aggregations, synced its
     /// journal, and blocks until [`WriterFence::release`] delivers the
     /// snapshot verdict. Used by `snapshot_to_dir` to make journal rotation
     /// atomic with the snapshot (see the `journal` module docs).
@@ -1450,7 +1420,7 @@ impl ShardedHiggs {
         self.handle.flush();
     }
 
-    fn read_shard(&self, shard: usize) -> RwLockReadGuard<'_, ParallelHiggs> {
+    fn read_shard(&self, shard: usize) -> RwLockReadGuard<'_, HiggsSummary> {
         self.shards[shard].read().expect("shard lock poisoned")
     }
 
@@ -1461,7 +1431,7 @@ impl ShardedHiggs {
         self.shards
             .iter()
             .enumerate()
-            .map(|(s, _)| self.read_shard(s).summary().total_items())
+            .map(|(s, _)| self.read_shard(s).total_items())
             .sum()
     }
 
@@ -1472,14 +1442,14 @@ impl ShardedHiggs {
         self.shards
             .iter()
             .enumerate()
-            .map(|(s, _)| self.read_shard(s).summary().plans_built())
+            .map(|(s, _)| self.read_shard(s).plans_built())
             .sum()
     }
 
     /// Resets the plan counter on every shard (diagnostic hook).
     pub fn reset_plan_count(&self) {
         for s in 0..self.shards.len() {
-            self.read_shard(s).summary().reset_plan_count();
+            self.read_shard(s).reset_plan_count();
         }
     }
 
@@ -1503,7 +1473,7 @@ impl ShardedHiggs {
     pub fn shard_leaf_counts(&self) -> Vec<usize> {
         self.handle.ensure_visible();
         (0..self.shards.len())
-            .map(|s| self.read_shard(s).summary().leaf_count())
+            .map(|s| self.read_shard(s).leaf_count())
             .collect()
     }
 
@@ -1523,11 +1493,11 @@ impl ShardedHiggs {
     ///
     /// 1. New sends are blocked (the ingest router's write lock); commands
     ///    already queued are FIFO-ahead of the fence and therefore included.
-    /// 2. Every writer parks at the snapshot fence: pipelines flushed,
+    /// 2. Every writer parks at the snapshot fence: aggregations finished,
     ///    journals and history logs synced.
     /// 3. The full mutation history is re-read and folded through
-    ///    [`shard_of`] at the new width into fresh pipelines.
-    /// 4. A snapshot of the folded pipelines is committed (manifest written
+    ///    [`shard_of`] at the new width into fresh summaries.
+    /// 4. A snapshot of the folded summaries is committed (manifest written
     ///    last) — this is the atomic commit point. A crash before it leaves
     ///    the old layout intact; a crash after it recovers at the new width.
     /// 5. The old writer fleet is released and retired; a new fleet opens
@@ -1590,16 +1560,15 @@ impl ShardedHiggs {
         let folded = crate::history::read_history(&durable.dir)
             .map_err(ReshardError::from)
             .and_then(|ops| {
-                let pipelines = fold_history(&ops, &new_config, durable.workers_per_shard);
-                let shards: Vec<Arc<RwLock<ParallelHiggs>>> = pipelines
+                let shards: Vec<Arc<RwLock<HiggsSummary>>> = fold_history(&ops, &new_config)
                     .into_iter()
-                    .map(|p| Arc::new(RwLock::new(p)))
+                    .map(|s| Arc::new(RwLock::new(s)))
                     .collect();
                 crate::snapshot::write_snapshot_files(&durable.dir, &shards)
                     .map_err(ReshardError::Snapshot)?;
                 Ok(shards)
             });
-        let new_pipelines = match folded {
+        let new_summaries = match folded {
             Ok(shards) => shards,
             Err(e) => {
                 fence.release(None);
@@ -1675,19 +1644,19 @@ impl ShardedHiggs {
         let new_durable = Arc::new(DurableState {
             dir: durable.dir.clone(),
             mode: durable.mode,
-            workers_per_shard: durable.workers_per_shard,
             history_gen: Some(old_gen + 1),
         });
         let set = spawn_writer_set(
             new_config,
-            &new_pipelines,
+            &new_summaries,
             Some(new_durable.clone()),
             journals,
             histories,
             self.discard.clone(),
+            &self.census,
         );
         *senders_guard = set.senders;
-        self.shards = new_pipelines;
+        self.shards = new_summaries;
         self.writers = set.writers;
         self.health = set.health;
         self.respawned = set.respawned;
@@ -1786,8 +1755,7 @@ impl Drop for ShardedHiggs {
         // A Shutdown marker (FIFO: behind everything this service enqueued)
         // ends each writer loop even when surviving IngestHandle clones keep
         // the channels open — relying on channel disconnection alone would
-        // deadlock the join below in that case. Dropping the last shard
-        // reference then joins its aggregation workers.
+        // deadlock the join below in that case.
         {
             let mut senders = self.handle.router.write().expect("router lock poisoned");
             for sender in senders.iter() {

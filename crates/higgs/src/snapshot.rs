@@ -74,7 +74,6 @@ use crate::journal::{failpoint, JournalError};
 use crate::matrix::{CompressedMatrix, Slot, SpillEntry};
 use crate::node::{InternalNode, LeafNode};
 use crate::overflow::OverflowChain;
-use crate::parallel::ParallelHiggs;
 use crate::shard::ShardedHiggs;
 use crate::tree::{HiggsSummary, PendingAggregation};
 use higgs_common::codec::{CodecError, Decoder, Encoder};
@@ -576,10 +575,12 @@ impl HiggsSummary {
     ///
     /// Deferred-aggregation state is persisted faithfully: unmaterialised
     /// internal nodes are written without a matrix and the pending-job list
-    /// rides along, so snapshotting a [`ParallelHiggs`]-driven summary
-    /// mid-aggregation restores to exactly the same (still correct,
-    /// leaf-descending) query behaviour. Snapshot after a flush for fully
-    /// materialised files.
+    /// rides along, so snapshotting a
+    /// [`ParallelHiggs`](crate::ParallelHiggs)-driven summary mid-aggregation
+    /// restores to exactly the same (still correct, leaf-descending) query
+    /// behaviour. Snapshot after a flush for fully materialised files. A
+    /// sharded restore switches every shard to inline aggregation and
+    /// materialises such nodes, since service writers aggregate inline.
     pub fn write_snapshot<W: Write>(&self, sink: &mut W) -> Result<u64, SnapshotError> {
         let mut enc = Encoder::new(sink);
         enc.put_u64(SUMMARY_MAGIC)?;
@@ -867,68 +868,67 @@ pub(crate) fn manifest_tail_checksum(dir: &Path) -> Result<u64, SnapshotError> {
     Ok(u64::from_le_bytes(tail))
 }
 
-/// Loads one shard's pipeline for writer recovery: the shard's snapshot file
-/// when present (its own checksum verified), a fresh pipeline otherwise.
+/// Reads one shard snapshot file into a summary that aggregates inline, the
+/// mode every shard writer runs. A file written with deferred aggregation
+/// has its missing nodes materialised here, so no shard ever carries
+/// pending jobs.
+fn read_shard_summary(path: &Path) -> Result<(HiggsSummary, u64), SnapshotError> {
+    let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
+    let (mut summary, checksum) = HiggsSummary::read_snapshot_with_checksum(&mut file)?;
+    summary.defer_aggregation = false;
+    summary.materialize_missing_aggregations();
+    Ok((summary, checksum))
+}
+
+/// Loads one shard's summary for writer recovery: the shard's snapshot file
+/// when present (its own checksum verified), a fresh summary otherwise.
 /// Unlike full restore this deliberately skips the manifest cross-checks —
 /// recovery must work from whatever intact state survives.
-pub(crate) fn load_shard_pipeline(
+pub(crate) fn load_shard_summary(
     dir: &Path,
     shard: usize,
     config: &HiggsConfig,
-    workers: usize,
-) -> Result<ParallelHiggs, SnapshotError> {
-    let path = dir.join(shard_file_name(shard));
-    match std::fs::File::open(&path) {
-        Ok(f) => {
-            let mut file = std::io::BufReader::new(f);
-            let summary = HiggsSummary::read_snapshot(&mut file)?;
-            Ok(ParallelHiggs::from_summary(summary, workers))
+) -> Result<HiggsSummary, SnapshotError> {
+    match read_shard_summary(&dir.join(shard_file_name(shard))) {
+        Ok((summary, _)) => Ok(summary),
+        Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(HiggsSummary::new(*config))
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(ParallelHiggs::new_on_core(
-            *config,
-            workers,
-            ParallelHiggs::pin_core_for(config, shard),
-        )),
-        Err(e) => Err(e.into()),
+        Err(e) => Err(e),
     }
 }
 
-/// Restores per-shard pipelines from a snapshot directory and replays each
+/// Restores per-shard summaries from a snapshot directory and replays each
 /// shard's journal tail on top (the recovery half of the rotation fence: a
 /// mutation lives in exactly one of snapshot or journal, so snapshot +
 /// replay reconstructs the full history). Returns the manifest's config
-/// alongside the pipelines; nothing is spawned here.
-pub(crate) fn restore_pipelines(
+/// alongside the summaries; nothing is spawned here.
+pub(crate) fn restore_summaries(
     dir: &Path,
-    workers_per_shard: usize,
-) -> Result<(HiggsConfig, Vec<ParallelHiggs>), SnapshotError> {
-    let (config, mut pipelines) = restore_snapshot_pipelines(dir, workers_per_shard)?;
+) -> Result<(HiggsConfig, Vec<HiggsSummary>), SnapshotError> {
+    let (config, mut summaries) = restore_snapshot_summaries(dir)?;
     // Journal tail replay: mutations that were journaled after the snapshot
     // the directory holds (e.g. the process crashed before the next
     // rotation). A directory without journals replays nothing, and a
     // journal stamped for an older manifest (interrupted rotation) is
     // discarded rather than double-applied.
     let covering = manifest_tail_checksum(dir)?;
-    for (index, pipeline) in pipelines.iter_mut().enumerate() {
+    for (index, summary) in summaries.iter_mut().enumerate() {
         let records =
             crate::journal::replay(dir, index, covering).map_err(SnapshotError::Journal)?;
-        if !records.is_empty() {
-            crate::journal::apply_records(pipeline, records);
-            pipeline.flush();
-        }
+        crate::journal::apply_records(summary, records);
     }
-    Ok((config, pipelines))
+    Ok((config, summaries))
 }
 
-/// The snapshot-only half of [`restore_pipelines`]: restores per-shard
-/// pipelines from the directory's snapshot **without** replaying journal
+/// The snapshot-only half of [`restore_summaries`]: restores per-shard
+/// summaries from the directory's snapshot **without** replaying journal
 /// tails. This is the bootstrap of a [`Follower`](crate::Follower), which
 /// must apply the leader's journals through its own cursor instead — a
 /// replay here would double-apply every record the cursor then ships.
-pub(crate) fn restore_snapshot_pipelines(
+pub(crate) fn restore_snapshot_summaries(
     dir: &Path,
-    workers_per_shard: usize,
-) -> Result<(HiggsConfig, Vec<ParallelHiggs>), SnapshotError> {
+) -> Result<(HiggsConfig, Vec<HiggsSummary>), SnapshotError> {
     let manifest = SnapshotManifest::read_from_dir(dir)?;
     let declared = manifest.shard_count();
     // An extra shard file beyond the declared count means the manifest
@@ -947,14 +947,12 @@ pub(crate) fn restore_snapshot_pipelines(
     let mut summaries = Vec::with_capacity(declared);
     for index in 0..declared {
         let path = dir.join(shard_file_name(index));
-        let mut file = match std::fs::File::open(&path) {
-            Ok(f) => std::io::BufReader::new(f),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+        let (summary, checksum) = match read_shard_summary(&path) {
+            Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(SnapshotError::MissingShard { shard: index, path });
             }
-            Err(e) => return Err(e.into()),
+            other => other?,
         };
-        let (summary, checksum) = HiggsSummary::read_snapshot_with_checksum(&mut file)?;
         if checksum != manifest.shard_checksums[index] {
             return Err(SnapshotError::ShardChecksumMismatch {
                 shard: index,
@@ -964,11 +962,7 @@ pub(crate) fn restore_snapshot_pipelines(
         }
         summaries.push(summary);
     }
-    let pipelines: Vec<ParallelHiggs> = summaries
-        .into_iter()
-        .map(|s| ParallelHiggs::from_summary(s, workers_per_shard))
-        .collect();
-    Ok((manifest.config, pipelines))
+    Ok((manifest.config, summaries))
 }
 
 impl ShardedHiggs {
@@ -980,7 +974,7 @@ impl ShardedHiggs {
     /// The snapshot is **read-your-writes consistent**: the acked-`Flush`
     /// clock is driven first, exactly as for queries, so every mutation
     /// enqueued before this call — through the trait surface or any
-    /// [`IngestHandle`](crate::IngestHandle) clone — is included, background
+    /// [`IngestHandle`](crate::IngestHandle) clone — is included, its
     /// aggregations materialised. See the [module docs](self) for the
     /// concurrent-ingest caveat.
     ///
@@ -1011,7 +1005,7 @@ impl ShardedHiggs {
             // Park every writer for the duration of the file writes, then
             // deliver the verdict: rotation (journal truncation, stamped
             // with the new manifest's checksum) only on success. The fence
-            // also re-flushes each pipeline, covering mutations that slipped
+            // also re-flushes each shard, covering mutations that slipped
             // in between `flush()` above and the fence commands landing, and
             // release blocks until every writer has committed its rotation —
             // when this returns, the journals really are rotated.
@@ -1019,7 +1013,7 @@ impl ShardedHiggs {
             // Re-check health now that every writer is parked. A writer that
             // degraded between the check above and the fence acks (its
             // degraded replacement answers the fence) would otherwise have
-            // its partially-applied pipeline captured and stamped into a new
+            // its partially-applied summary captured and stamped into a new
             // manifest while its journal keeps the old covering stamp — a
             // restart would dismiss that journal as stale and lose its
             // acknowledged mutations. Parked writers apply nothing, so this
@@ -1047,19 +1041,19 @@ impl ShardedHiggs {
     /// manifest together with its document checksum (the journal covering
     /// stamp).
     fn write_snapshot_files(&self, dir: &Path) -> Result<(SnapshotManifest, u64), SnapshotError> {
-        write_snapshot_files(dir, self.shard_pipelines())
+        write_snapshot_files(dir, self.shard_summaries())
     }
 }
 
 /// Writes per-shard snapshot files and the manifest for `shards` into `dir`
 /// (manifest **last**, so a crash mid-write never leaves a directory that
 /// passes restore validation), returning the manifest and its document
-/// checksum. The caller is responsible for quiescence: pipelines must not
+/// checksum. The caller is responsible for quiescence: summaries must not
 /// mutate while this reads them (a fence, or exclusive ownership as in the
 /// reshard fold).
 pub(crate) fn write_snapshot_files(
     dir: &Path,
-    shards: &[Arc<RwLock<ParallelHiggs>>],
+    shards: &[Arc<RwLock<HiggsSummary>>],
 ) -> Result<(SnapshotManifest, u64), SnapshotError> {
     let mut shard_checksums = Vec::with_capacity(shards.len());
     let mut shard_items = Vec::with_capacity(shards.len());
@@ -1068,8 +1062,7 @@ pub(crate) fn write_snapshot_files(
         failpoint!("snapshot::write_shard", |msg: String| SnapshotError::Io(
             std::io::Error::other(msg)
         ));
-        let pipeline = shard.read().expect("shard lock poisoned");
-        let summary = pipeline.summary();
+        let summary = shard.read().expect("shard lock poisoned");
         let path = dir.join(shard_file_name(index));
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
         let checksum = summary.write_snapshot(&mut file)?;
@@ -1118,55 +1111,6 @@ pub(crate) fn write_snapshot_files(
     let checksum = manifest.write_to(&mut file)?;
     file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     Ok((manifest, checksum))
-}
-
-impl ShardedHiggs {
-    /// Rebuilds a warm service from a directory written by
-    /// [`snapshot_to_dir`](Self::snapshot_to_dir), with one aggregation
-    /// worker per shard. Writer threads restart with empty queues; the
-    /// restored service immediately serves queries bit-identically to the
-    /// snapshotted one and keeps accepting inserts/deletes.
-    ///
-    /// When the directory also holds per-shard write-ahead journals (it was
-    /// the live directory of a durable service, see
-    /// [`ShardedHiggs::new_durable`]), each journal's tail is replayed on
-    /// top of the restored shard — this is the crash-recovery path: snapshot
-    /// plus journal reconstructs every acknowledged mutation. A torn final
-    /// record (the crash hit mid-append) is tolerated as a clean end of the
-    /// journal; interior corruption is a typed
-    /// [`JournalError`]. The restored service is
-    /// **not** durable itself — use
-    /// [`StoreOptions::durable`](crate::StoreOptions::durable) to both
-    /// recover and keep journaling.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::restore(dir))`"
-    )]
-    pub fn restore_from_dir(dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(crate::store::StoreOptions::restore(dir))
-    }
-
-    /// [`restore_from_dir`](Self::restore_from_dir) with `workers_per_shard`
-    /// aggregation workers behind each shard's writer.
-    ///
-    /// Validation order: manifest (magic, version, checksum, internal
-    /// consistency), directory shard-file census against the manifest's
-    /// count, then each shard file's own checksum and its manifest-recorded
-    /// checksum, then journal tail replay. Nothing is spawned until every
-    /// shard decoded cleanly, so a failed restore never leaks writer
-    /// threads.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::restore(dir).workers(n))`"
-    )]
-    pub fn restore_from_dir_with_workers(
-        dir: impl AsRef<Path>,
-        workers_per_shard: usize,
-    ) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(
-            crate::store::StoreOptions::restore(dir).workers(workers_per_shard),
-        )
-    }
 }
 
 /// Whether two paths name the same directory (canonicalised when possible,
@@ -1460,6 +1404,61 @@ mod tests {
             }
             other => panic!("out-of-range pending job must be Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_deferred_shard_file_restores_into_inline_aggregation() {
+        // A shard file written mid-aggregation (deferred mode, pending nodes)
+        // restores into a shard that aggregates inline: every node
+        // materialised, answers unchanged, later group closes built inline.
+        let config = HiggsConfig::builder()
+            .d1(4)
+            .bucket_entries(2)
+            .build()
+            .expect("valid config");
+        let stream: Vec<StreamEdge> = (0..3_000u64)
+            .map(|i| StreamEdge::new(i % 60, (i * 7) % 60, 1, i))
+            .collect();
+        let mut deferred = HiggsSummary::with_deferred_aggregation(config);
+        let mut inline = HiggsSummary::new(config);
+        for e in &stream[..2_000] {
+            deferred.insert(e);
+            inline.insert(e);
+        }
+        assert!(deferred
+            .internals
+            .iter()
+            .flatten()
+            .any(|n| n.matrix.is_none()));
+        let dir = std::env::temp_dir().join(format!(
+            "higgs-deferred-restore-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create dir");
+        write_snapshot_files(&dir, &[Arc::new(RwLock::new(deferred))]).expect("write");
+
+        let (_, summaries) = restore_snapshot_summaries(&dir).expect("restore");
+        let mut restored = summaries.into_iter().next().expect("one shard");
+        let materialised =
+            |s: &HiggsSummary| s.internals.iter().flatten().all(|n| n.matrix.is_some());
+        assert!(!restored.defers_aggregation());
+        assert!(materialised(&restored));
+        for e in &stream[2_000..] {
+            restored.insert(e);
+            inline.insert(e);
+        }
+        assert!(materialised(&restored) && restored.pending.is_empty());
+        for v in 0..60u64 {
+            for range in [TimeRange::all(), TimeRange::new(500, 2_500)] {
+                assert_eq!(
+                    restored.edge_query(v, (v * 7) % 60, range),
+                    inline.edge_query(v, (v * 7) % 60, range)
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

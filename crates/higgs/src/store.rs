@@ -1,11 +1,8 @@
 //! The unified persistence entry point: [`Store::open`] with
 //! [`StoreOptions`].
 //!
-//! Durable construction used to be spread over four constructors
-//! (`new_durable`, `new_durable_with_workers`, `restore_from_dir`,
-//! `restore_from_dir_with_workers`) whose names encoded *how* the directory
-//! was expected to look. [`Store`] replaces them with one typed options
-//! surface: say what you want ([`OpenMode`]), not which constructor matches
+//! [`Store`] is the one typed options surface for every persistent
+//! service: say what you want ([`OpenMode`]), not which constructor matches
 //! the directory's current state. Resharding and follower construction hang
 //! off the same options type ([`Store::open_resharded`], [`Store::follow`]),
 //! so the whole persistence lifecycle — create, recover, reshard, replicate
@@ -25,27 +22,25 @@
 //! )
 //! .expect("open");
 //! drop(service);
-//! // Reopen strictly (fail if the directory vanished), two workers/shard.
+//! // Reopen strictly: fail if the directory vanished.
 //! let service = Store::open(
-//!     StoreOptions::durable(config, "/var/lib/higgs")
-//!         .mode(OpenMode::OpenExisting)
-//!         .workers(2),
+//!     StoreOptions::durable(config, "/var/lib/higgs").mode(OpenMode::OpenExisting),
 //! )
 //! .expect("reopen");
 //! # drop(service);
 //! ```
 //!
 //! See the crate docs' *Elastic scaling & replication* section for the
-//! migration table from the deprecated constructors.
+//! migration table from the removed constructors.
 
 use crate::config::{HiggsConfig, JournalMode};
 use crate::history::{self, HistoryLog};
 use crate::journal::Journal;
-use crate::parallel::ParallelHiggs;
 use crate::replica::{Follower, ReplicaError};
 use crate::reshard::ReshardError;
 use crate::shard::{DurableState, ShardedHiggs};
 use crate::snapshot::SnapshotError;
+use crate::tree::HiggsSummary;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -66,8 +61,7 @@ pub enum OpenMode {
 }
 
 /// Typed options for [`Store::open`]: the directory, how to treat its
-/// current state, and the runtime knobs the old constructor zoo used to
-/// encode positionally.
+/// current state, and whether to keep an elastic history.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// The caller's configuration. `Some` makes it authoritative (the
@@ -77,7 +71,6 @@ pub struct StoreOptions {
     config: Option<HiggsConfig>,
     dir: PathBuf,
     mode: OpenMode,
-    workers: usize,
     elastic: bool,
 }
 
@@ -91,7 +84,6 @@ impl StoreOptions {
             config: Some(config),
             dir: dir.as_ref().to_path_buf(),
             mode: OpenMode::OpenOrCreate,
-            workers: 1,
             elastic: false,
         }
     }
@@ -104,7 +96,6 @@ impl StoreOptions {
             config: None,
             dir: dir.as_ref().to_path_buf(),
             mode: OpenMode::OpenExisting,
-            workers: 1,
             elastic: false,
         }
     }
@@ -112,12 +103,6 @@ impl StoreOptions {
     /// Overrides the [`OpenMode`].
     pub fn mode(mut self, mode: OpenMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Aggregation workers behind each shard's writer (default 1).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -152,21 +137,23 @@ impl Store {
     ///   durability.
     /// * Without one ([`StoreOptions::restore`]): the manifest's stored
     ///   config is used. Since a manifest never records a journal mode, the
-    ///   result is a warm **non-durable** copy (the `restore_from_dir`
-    ///   semantics).
+    ///   result is a warm **non-durable** copy.
     ///
     /// Elastic history ([`StoreOptions::elastic`]) additionally arms
     /// per-shard history logs and resumes the global mutation sequence above
     /// everything already recorded.
     ///
-    /// Nothing is spawned until every file validated, so a failed open never
-    /// leaks writer threads.
+    /// Validation runs in order: the manifest (magic, version, checksum,
+    /// internal consistency), the directory's shard-file census against the
+    /// manifest's count, each shard file's own checksum and its
+    /// manifest-recorded one, then journal tail replay. Nothing is spawned
+    /// until every file validated, so a failed open never leaks writer
+    /// threads.
     pub fn open(options: StoreOptions) -> Result<ShardedHiggs, SnapshotError> {
         let StoreOptions {
             config,
             dir,
             mode,
-            workers,
             elastic,
         } = options;
         match mode {
@@ -186,7 +173,7 @@ impl Store {
             OpenMode::OpenOrCreate => {}
         }
         match config {
-            Some(config) => open_durable(config, &dir, workers, elastic),
+            Some(config) => open_durable(config, &dir, elastic),
             None => {
                 if elastic {
                     return Err(SnapshotError::ElasticUnavailable {
@@ -196,8 +183,8 @@ impl Store {
                             .into(),
                     });
                 }
-                let (stored, pipelines) = crate::snapshot::restore_pipelines(&dir, workers)?;
-                Ok(ShardedHiggs::from_pipelines(stored, pipelines)?)
+                let (stored, summaries) = crate::snapshot::restore_summaries(&dir)?;
+                Ok(ShardedHiggs::from_summaries(stored, summaries)?)
             }
         }
     }
@@ -218,15 +205,15 @@ impl Store {
         let mode = options
             .config
             .map_or(JournalMode::Buffered, |c| c.journal_mode);
-        crate::reshard::open_resharded(&options.dir, new_shards, options.workers, mode)
+        crate::reshard::open_resharded(&options.dir, new_shards, mode)
     }
 
     /// Bootstraps a warm **read-only follower** from `options.dir` (a
-    /// leader's live durable directory, or a shipped copy of it): pipelines
+    /// leader's live durable directory, or a shipped copy of it): summaries
     /// restore from the snapshot, and [`Follower::sync`] then replays
     /// journal segments as the leader appends them. See [`crate::replica`].
     pub fn follow(options: StoreOptions) -> Result<Follower, ReplicaError> {
-        Follower::bootstrap(&options.dir, options.workers)
+        Follower::bootstrap(&options.dir)
     }
 }
 
@@ -235,7 +222,6 @@ impl Store {
 fn open_durable(
     config: HiggsConfig,
     dir: &Path,
-    workers_per_shard: usize,
     elastic_requested: bool,
 ) -> Result<ShardedHiggs, SnapshotError> {
     config.validate().map_err(SnapshotError::Config)?;
@@ -261,42 +247,32 @@ fn open_durable(
             ),
         });
     }
-    let pipelines = if has_snapshot {
-        let (stored, pipelines) = crate::snapshot::restore_pipelines(dir, workers_per_shard)?;
+    let summaries = if has_snapshot {
+        let (stored, summaries) = crate::snapshot::restore_summaries(dir)?;
         if stored.shards != config.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "shard count mismatch: directory holds {} shards, config asks for {}",
                 stored.shards, config.shards
             )));
         }
-        pipelines
+        summaries
     } else {
         // No snapshot yet (fresh directory, or a crash before the first
-        // snapshot): fresh pipelines, then journal tails on top.
-        let mut pipelines: Vec<ParallelHiggs> = (0..config.shards)
-            .map(|s| {
-                ParallelHiggs::new_on_core(
-                    config,
-                    workers_per_shard,
-                    ParallelHiggs::pin_core_for(&config, s),
-                )
-            })
+        // snapshot): fresh summaries, then journal tails on top.
+        let mut summaries: Vec<HiggsSummary> = (0..config.shards)
+            .map(|_| HiggsSummary::new(config))
             .collect();
         // No manifest, so journals (if any) must carry the zero stamp.
-        for (s, pipeline) in pipelines.iter_mut().enumerate() {
+        for (s, summary) in summaries.iter_mut().enumerate() {
             let records = crate::journal::replay(dir, s, 0).map_err(SnapshotError::Journal)?;
-            if !records.is_empty() {
-                crate::journal::apply_records(pipeline, records);
-                pipeline.flush();
-            }
+            crate::journal::apply_records(summary, records);
         }
-        pipelines
+        summaries
     };
     let durable = (config.journal_mode != JournalMode::Off).then(|| {
         Arc::new(DurableState {
             dir: dir.to_path_buf(),
             mode: config.journal_mode,
-            workers_per_shard,
             // Reopening appends to the current generation (its torn tail,
             // if any, is trimmed on open); only a reshard advances it.
             history_gen: elastic.then(|| history_gen.unwrap_or(0)),
@@ -336,7 +312,7 @@ fn open_durable(
         0
     };
     let service =
-        ShardedHiggs::from_pipelines_with(config, pipelines, durable, journals, histories)
+        ShardedHiggs::from_summaries_with(config, summaries, durable, journals, histories)
             .map_err(SnapshotError::Config)?;
     service.resume_seq(next_seq);
     Ok(service)

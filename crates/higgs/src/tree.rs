@@ -3,13 +3,15 @@
 //!
 //! Leaves are created append-only as the current leaf fills up; every time a
 //! group of θ nodes at some layer completes, their matrices are aggregated
-//! into a parent node one layer up (Algorithm 2). Aggregation can run inline
-//! (the default) or be deferred to background workers (see
-//! [`ParallelHiggs`](crate::ParallelHiggs)); queries fall back to a node's
-//! children whenever its aggregate has not materialised yet, so results are
-//! identical either way.
+//! into a parent node one layer up (Algorithm 2). Aggregation runs inline by
+//! default — the mode every service shard uses — and builds each node from
+//! its θ children, which inline insertion always materialises first. It can
+//! instead be deferred to background workers (see
+//! [`ParallelHiggs`](crate::ParallelHiggs)), whose jobs rebuild a node from
+//! the leaves it covers; queries fall back to a node's children whenever its
+//! aggregate has not materialised yet, so results are identical either way.
 
-use crate::aggregate::aggregate_leaves_to_layer;
+use crate::aggregate::{aggregate_leaves_to_layer, aggregate_matrices};
 use crate::config::{ConfigError, HiggsConfig};
 use crate::matrix::CompressedMatrix;
 use crate::node::{InternalNode, LeafNode};
@@ -388,8 +390,24 @@ impl HiggsSummary {
     }
 
     /// Computes the aggregated matrix of internal node `(level, group_idx)`
-    /// directly from the leaf matrices (and overflow blocks) it covers.
+    /// bottom-up from its θ children (Algorithm 2): the child aggregates one
+    /// level down, or for level 0 the leaf matrices and overflow blocks, so
+    /// every stored entry is lifted once.
+    ///
+    /// Falls back to lifting the covered leaves through every layer when a
+    /// child aggregate has not materialised yet (deferred aggregation, or a
+    /// restored snapshot with pending nodes). Both routes yield the same
+    /// entries.
     pub fn compute_aggregation(&self, level: usize, group_idx: usize) -> CompressedMatrix {
+        if level > 0 {
+            let theta = self.config.theta();
+            let children: Option<Vec<&CompressedMatrix>> = self.internals[level - 1]
+                .get(group_idx * theta..(group_idx + 1) * theta)
+                .and_then(|nodes| nodes.iter().map(|n| n.matrix.as_ref()).collect());
+            if let Some(children) = children {
+                return aggregate_matrices(&self.layout, &self.config, &children, level as u32 + 1);
+            }
+        }
         let (first, last) = self.leaf_span(level, group_idx);
         let mut sources: Vec<&CompressedMatrix> = Vec::new();
         for leaf in &self.leaves[first..=last] {
@@ -433,13 +451,13 @@ impl HiggsSummary {
 
     /// Recomputes and installs the aggregate of every internal node whose
     /// matrix has not materialised, regardless of whether a pending job was
-    /// recorded for it.
+    /// recorded for it. Levels are visited bottom-up, so each node is built
+    /// from its (by then materialised) children.
     ///
     /// This is the recovery path of
     /// [`ParallelHiggs::flush`](crate::ParallelHiggs::flush): if the worker
     /// pool disappears with results still in flight, the in-flight jobs can
-    /// no longer be received, so the missing aggregates are rebuilt inline
-    /// from the leaves.
+    /// no longer be received, so the missing aggregates are rebuilt inline.
     pub fn materialize_missing_aggregations(&mut self) {
         let missing: Vec<(usize, usize)> = self
             .internals
@@ -754,5 +772,135 @@ mod tests {
             );
         }
         assert!(s.plans_built() > 0);
+    }
+
+    /// Collision-heavy geometry: one entry per bucket in tiny leaves, so
+    /// aggregates run out of candidate buckets and spill.
+    fn spill_heavy_config(d1: u64, mapping_addresses: u32) -> HiggsConfig {
+        HiggsConfig {
+            d1,
+            f1_bits: 10,
+            bucket_entries: 1,
+            mapping_addresses,
+            ..tiny_config()
+        }
+    }
+
+    /// A stream with overflow-block bursts and interleaved deletes. Each op
+    /// `(src, dst, weight, kind)` deletes the edge inserted `src + 1` steps
+    /// earlier (`kind == 0`), inserts at the current timestamp (`kind` 1–3,
+    /// which bursts into overflow blocks once the leaf is full), or advances
+    /// time and inserts.
+    fn apply_ops(s: &mut HiggsSummary, ops: &[(u64, u64, u64, u8)]) {
+        let mut inserted: Vec<StreamEdge> = Vec::new();
+        let mut t = 0u64;
+        for &(src, dst, weight, kind) in ops {
+            if kind == 0 {
+                if let Some(i) = inserted.len().checked_sub(src as usize + 1) {
+                    s.delete_edge(&inserted.remove(i));
+                }
+                continue;
+            }
+            if kind > 3 {
+                t += 1;
+            }
+            let edge = StreamEdge::new(src, dst, weight, t);
+            s.insert_edge(&edge);
+            inserted.push(edge);
+        }
+    }
+
+    /// A matrix's canonical content: `(base src, base dst, fp src, fp dst)`
+    /// with summed weight, over slab entries and spills, zero weights
+    /// dropped. Equal content answers every query identically, wherever the
+    /// entries sit in the slab.
+    fn canonical(m: &CompressedMatrix) -> Vec<((u64, u64, u32, u32), i64)> {
+        let seq = m.address_sequence();
+        let mut content = std::collections::BTreeMap::new();
+        for (row, col, e) in m.entries() {
+            let key = (
+                seq.base_of(row, u32::from(e.idx_src)),
+                seq.base_of(col, u32::from(e.idx_dst)),
+                e.fp_src,
+                e.fp_dst,
+            );
+            *content.entry(key).or_insert(0) += e.weight;
+        }
+        for e in m.spill_entries() {
+            *content
+                .entry((e.addr_src, e.addr_dst, e.fp_src, e.fp_dst))
+                .or_insert(0) += e.weight;
+        }
+        content.into_iter().filter(|&(_, w)| w != 0).collect()
+    }
+
+    /// The leaf matrices and overflow blocks under internal node `(level, index)`.
+    fn leaf_sources(s: &HiggsSummary, level: usize, index: usize) -> Vec<&CompressedMatrix> {
+        let (first, last) = s.leaf_span(level, index);
+        s.leaves[first..=last]
+            .iter()
+            .flat_map(|leaf| std::iter::once(&leaf.matrix).chain(leaf.overflow.blocks()))
+            .collect()
+    }
+
+    /// Checks every internal node of `s`: the stepwise aggregate, the one
+    /// lifted straight from the leaves, and the installed (inline-built,
+    /// delete-decremented) matrix hold the same content. Returns the number
+    /// of spilled entries below the top level, which the stepwise rule must
+    /// have lifted.
+    fn check_every_node(s: &HiggsSummary) -> Result<usize, String> {
+        let mut lifted_spills = 0;
+        for (level, nodes) in s.internals.iter().enumerate() {
+            for (index, node) in nodes.iter().enumerate() {
+                let stepwise = canonical(&s.compute_aggregation(level, index));
+                let direct = canonical(&aggregate_leaves_to_layer(
+                    &s.layout,
+                    &s.config,
+                    &leaf_sources(s, level, index),
+                    level as u32 + 2,
+                ));
+                if stepwise != direct {
+                    return Err(format!("node ({level}, {index}): stepwise != direct"));
+                }
+                let installed = node.matrix.as_ref().ok_or("inline node unmaterialised")?;
+                if canonical(installed) != direct {
+                    return Err(format!("node ({level}, {index}): installed != direct"));
+                }
+                if level + 1 < s.internals.len() {
+                    lifted_spills += installed.spill_len();
+                }
+            }
+        }
+        Ok(lifted_spills)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn stepwise_aggregation_matches_aggregation_from_the_leaves(
+            ops in proptest::collection::vec((0u64..48, 0u64..48, 1u64..4, 0u8..10), 300..2_500),
+            d1 in 1u32..3,
+            mapping in 1u32..3,
+        ) {
+            let mut s = HiggsSummary::new(spill_heavy_config(1 << d1, mapping));
+            apply_ops(&mut s, &ops);
+            let checked = check_every_node(&s);
+            proptest::prop_assert!(checked.is_ok(), "{checked:?}");
+        }
+    }
+
+    #[test]
+    fn stepwise_aggregation_lifts_child_spills() {
+        // A fixed spill-heavy stream whose lower aggregates spill, so the
+        // property above exercises spill lifting and not only slab entries.
+        let ops: Vec<(u64, u64, u64, u8)> = (0..4_000u64)
+            .map(|i| ((i * 7) % 48, (i * 13) % 48, 1 + i % 3, (i % 10) as u8))
+            .collect();
+        let mut s = HiggsSummary::new(spill_heavy_config(2, 1));
+        apply_ops(&mut s, &ops);
+        let lifted = check_every_node(&s).expect("every node agrees");
+        assert!(s.height() > 3, "stream too small: height {}", s.height());
+        assert!(lifted > 0, "no spill below the top level to lift");
     }
 }

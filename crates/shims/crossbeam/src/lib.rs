@@ -5,15 +5,16 @@
 //! channel built on `Mutex<VecDeque>` + two `Condvar`s. Semantics match
 //! crossbeam for the operations exposed: cloneable endpoints, `recv` blocks
 //! until a message arrives or every sender is dropped, `send` fails once
-//! every receiver is dropped, and on a [`bounded`](channel::bounded) channel
+//! every receiver is dropped (and messages still queued then are dropped,
+//! not kept alive by the remaining senders), and on a
+//! [`bounded`](channel::bounded) channel
 //! `send` **blocks** while the queue is at capacity — the backpressure
 //! primitive the sharded ingest path builds on. The non-blocking /
 //! time-bounded variants ([`Sender::try_send`](channel::Sender::try_send),
 //! [`Receiver::recv_timeout`](channel::Receiver::recv_timeout)) mirror real
 //! crossbeam's signatures; the serving front-end's admission loop is built
 //! on them. Lock-based rather than lock-free, which is irrelevant at the
-//! message rates of the aggregation pipeline (a handful of jobs per
-//! leaf-group close).
+//! message rates here (one command per routed batch or submission).
 
 /// Multi-producer multi-consumer FIFO channels.
 pub mod channel {
@@ -261,10 +262,19 @@ pub mod channel {
             let mut state = self.0.state.lock().expect("channel poisoned");
             state.receivers -= 1;
             if state.receivers == 0 {
+                // Nothing can receive the queued messages any more. Drop
+                // them, as crossbeam does on disconnect, so what they own
+                // (a reply sender a caller is waiting on, say) is released
+                // now rather than when the last sender goes. Sends fail from
+                // here on, so the queue stays empty.
+                let orphaned = std::mem::take(&mut state.queue);
                 drop(state);
                 // Wake senders blocked on a full bounded queue so they
                 // observe the disconnect instead of waiting forever.
                 self.0.space.notify_all();
+                // Outside the lock: a message may own an endpoint of this
+                // very channel, whose drop takes the lock again.
+                drop(orphaned);
             }
         }
     }
@@ -352,6 +362,28 @@ mod tests {
         let (tx, rx) = unbounded::<u32>();
         drop(rx);
         assert!(tx.send(1).is_err());
+    }
+
+    #[test]
+    fn messages_queued_when_the_last_receiver_drops_are_dropped() {
+        // A queued message owning a reply sender: once nobody can receive
+        // it, the reply channel must disconnect even though a sender of the
+        // request channel is still alive.
+        let (tx, rx) = unbounded::<super::channel::Sender<u32>>();
+        let (reply_tx, reply_rx) = unbounded::<u32>();
+        tx.send(reply_tx).unwrap();
+        drop(rx);
+        assert_eq!(
+            reply_rx.recv_timeout(std::time::Duration::from_secs(5)),
+            Err(super::channel::RecvTimeoutError::Disconnected)
+        );
+        // A message owning an endpoint of its own channel drops cleanly.
+        let (tx, rx) = unbounded::<super::channel::Sender<u32>>();
+        let (inner_tx, inner_rx) = unbounded::<u32>();
+        tx.send(inner_tx).unwrap();
+        drop(inner_rx);
+        drop(rx);
+        assert!(tx.send(unbounded().0).is_err());
     }
 
     #[test]

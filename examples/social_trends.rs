@@ -25,7 +25,7 @@ fn main() {
     );
 
     // Users are sharded by hash, so the message firehose is split over four
-    // independent writer pipelines and trend queries fan across the shards.
+    // independent shard writers and trend queries fan across the shards.
     // The service front-end owns the shards; this analysis is one of its
     // clients (a dashboard and an ingest bridge would simply clone more).
     let config = HiggsConfig::builder()

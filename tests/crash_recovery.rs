@@ -18,7 +18,7 @@
 
 #![cfg(feature = "failpoints")]
 
-use higgs::shard::{live_writer_threads, MAX_WRITER_RESPAWNS};
+use higgs::shard::{WriterCensus, MAX_WRITER_RESPAWNS};
 use higgs::{
     HiggsConfig, HiggsService, JournalMode, ReshardError, ServiceError, ShardHealth, ShardedHiggs,
     SnapshotError, Store, StoreOptions,
@@ -105,13 +105,13 @@ fn await_all_healthy(service: &ShardedHiggs) {
 
 /// Polls until the writer census settles at `expected` (the dying writer's
 /// counter guard drops shortly after its replacement is registered).
-fn await_census(expected: usize) {
+fn await_census(census: &WriterCensus, expected: usize) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while live_writer_threads() != expected {
+    while census.live() != expected {
         assert!(
             Instant::now() < deadline,
             "writer census stuck at {} (expected {expected})",
-            live_writer_threads()
+            census.live()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -142,7 +142,7 @@ fn apply_panic_recovers_bit_identical_to_control() {
             "the instrumented apply path was never reached"
         );
         await_all_healthy(&service);
-        await_census(shards);
+        await_census(&service.writer_census(), shards);
         assert_eq!(
             service.query_batch(&probes()),
             expected,
@@ -151,8 +151,9 @@ fn apply_panic_recovers_bit_identical_to_control() {
 
         // Cold restart from the same directory: the journal alone (no
         // snapshot was ever taken) rebuilds the identical state.
+        let census = service.writer_census();
         drop(service);
-        assert_eq!(live_writer_threads(), 0, "drop joins respawned writers");
+        assert_eq!(census.live(), 0, "drop joins respawned writers");
         let reborn =
             Store::open(StoreOptions::durable(durable_config(shards), &dir)).expect("cold restart");
         assert_eq!(
@@ -287,7 +288,7 @@ fn failed_snapshot_keeps_journals_and_state() {
 /// A panic in the fence-path flush (the snapshot barrier) must not hang the
 /// snapshot holder or poison the shard lock: the writer degrades *before*
 /// acking the fence, the post-fence health re-check aborts the snapshot with
-/// `DegradedShard` (journals kept — the partial pipeline is never stamped
+/// `DegradedShard` (journals kept — the partial summary is never stamped
 /// into a manifest), supervision respawns the writer from the journal, and a
 /// retried snapshot rotates normally with bit-identical results.
 #[test]
@@ -321,7 +322,7 @@ fn fence_flush_panic_aborts_snapshot_then_recovers() {
 
         // Supervision recovers the writer from the (untouched) journal.
         await_all_healthy(&service);
-        await_census(shards);
+        await_census(&service.writer_census(), shards);
         assert_eq!(
             service.query_batch(&probes()),
             expected,
@@ -404,8 +405,9 @@ fn persistent_fault_exhausts_the_respawn_budget_and_parks_the_shard() {
     );
     // The drain keeps acknowledging flushes: nothing blocks on the shard.
     service.flush();
+    let census = service.writer_census();
     drop(service);
-    assert_eq!(live_writer_threads(), 0, "drop joins the parked drain");
+    assert_eq!(census.live(), 0, "drop joins the parked drain");
     std::fs::remove_dir_all(&dir).expect("cleanup");
     fail::reset();
 }
@@ -506,7 +508,11 @@ fn reshard_commit_fault_aborts_pre_commit_and_retries_cleanly() {
     );
     // Pre-commit abort: old width, old answers, live handles.
     assert_eq!(service.num_shards(), 2);
-    assert_eq!(live_writer_threads(), 2, "the old fleet must survive");
+    assert_eq!(
+        service.writer_census().live(),
+        2,
+        "the old fleet must survive"
+    );
     assert_eq!(
         service.query_batch(&probes()),
         expected_old,
@@ -518,7 +524,11 @@ fn reshard_commit_fault_aborts_pre_commit_and_retries_cleanly() {
     // The failpoint is single-shot and spent: the retry swaps the fleet.
     service.reshard(4).expect("retried reshard");
     assert_eq!(service.num_shards(), 4);
-    assert_eq!(live_writer_threads(), 4, "the swap joins the old fleet");
+    assert_eq!(
+        service.writer_census().live(),
+        4,
+        "the swap joins the old fleet"
+    );
     assert_eq!(
         service.query_batch(&probes()),
         expected_new,
@@ -583,8 +593,9 @@ fn follower_ships_across_a_leader_writer_crash_and_promotes_complete() {
     );
 
     // The leader process dies after acknowledging everything.
+    let census = leader.writer_census();
     drop(leader);
-    assert_eq!(live_writer_threads(), 0, "drop joins the recovered fleet");
+    assert_eq!(census.live(), 0, "drop joins the recovered fleet");
 
     let progress = follower.sync().expect("final ship");
     assert!(

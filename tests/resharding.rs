@@ -6,11 +6,13 @@
 //! answer queries **bit-identically** to a service built fresh at that count
 //! from the same single-producer workload — inserts *and* deletes, offline
 //! (`restore_resharded` / `Store::open_resharded`) and online
-//! (`ShardedHiggs::reshard`). Failure paths must be typed and spawn
-//! nothing: a corrupt history, a non-elastic directory, or an invalid count
-//! leaves the writer census untouched.
+//! (`ShardedHiggs::reshard`). Failure paths must be typed and leave the
+//! directory untouched: a corrupt history, a non-elastic directory, or an
+//! invalid count. (That a failed refold spawns no writer is checked in the
+//! single-test `writer_thread_leak` binary, whose process-wide census no
+//! sibling test moves.)
 
-use higgs::shard::live_writer_threads;
+use higgs::snapshot::MANIFEST_FILE;
 use higgs::{
     HiggsConfig, JournalMode, OpenMode, ReshardError, ShardedHiggs, SnapshotError, Store,
     StoreOptions,
@@ -242,7 +244,7 @@ fn online_reshard_preserves_acknowledged_mutations_and_handles() {
 }
 
 /// A corrupt history file fails the fold with the typed
-/// `ReshardError::Corrupt` — before anything is spawned.
+/// `ReshardError::Corrupt` — before anything is committed.
 #[test]
 fn corrupt_history_reports_typed_error_and_spawns_nothing() {
     let (inserts, deletes) = workload(400);
@@ -259,16 +261,16 @@ fn corrupt_history_reports_typed_error_and_spawns_nothing() {
     }
     std::fs::write(&victim, &bytes).expect("rewrite history");
 
-    let census = live_writer_threads();
+    let manifest = std::fs::read(dir.join(MANIFEST_FILE)).expect("manifest exists");
     let err = ShardedHiggs::restore_resharded(&dir, 3).expect_err("corrupt fold must fail");
     assert!(
         matches!(err, ReshardError::Corrupt { .. } | ReshardError::Journal(_)),
         "expected Corrupt (or an I/O-level Journal error), got: {err}"
     );
     assert_eq!(
-        live_writer_threads(),
-        census,
-        "a failed reshard must not leak writer threads"
+        std::fs::read(dir.join(MANIFEST_FILE)).expect("manifest still exists"),
+        manifest,
+        "a failed reshard must not commit a refolded snapshot"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -405,34 +407,5 @@ fn store_open_modes_and_elastic_rules_are_typed() {
     drop(Store::open(StoreOptions::restore(&plain_dir)).expect("plain restore"));
     drop(Store::open(StoreOptions::durable(elastic_config(2), &dir)).expect("auto re-arm"));
     std::fs::remove_dir_all(&plain_dir).expect("cleanup");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-/// The deprecated constructor quartet still works as thin delegates onto
-/// `Store::open`, so pre-PR call sites keep compiling and behaving.
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructors_delegate_to_store_open() {
-    let dir = temp_dir("deprecated");
-    let mut service =
-        ShardedHiggs::new_durable(elastic_config(2), &dir).expect("deprecated durable");
-    service.insert(&StreamEdge::new(1, 2, 5, 10));
-    service.flush();
-    service.snapshot_to_dir(&dir).expect("snapshot");
-    drop(service);
-
-    let restored = ShardedHiggs::restore_from_dir(&dir).expect("deprecated restore");
-    assert_eq!(
-        restored.query(&Query::edge(1, 2, TimeRange::all())),
-        5,
-        "delegates must behave exactly like Store::open"
-    );
-    drop(restored);
-
-    let with_workers =
-        ShardedHiggs::new_durable_with_workers(elastic_config(2), &dir, 2).expect("durable");
-    drop(with_workers);
-    let with_workers = ShardedHiggs::restore_from_dir_with_workers(&dir, 2).expect("restore");
-    drop(with_workers);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -6,13 +6,12 @@
 //! tick), and a shutdown-while-in-flight stress test (every ticket
 //! resolves, no hang, and the writer threads join).
 
-use higgs::shard::live_writer_threads;
 use higgs::{HiggsConfig, HiggsService, ServiceError, ShardedHiggs, Ticket};
 use higgs_common::{
     Query, QueryOptions, StreamEdge, TemporalGraphSummary, TimeRange, VertexDirection,
 };
 use proptest::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const MAX_T: u64 = 2_000;
 
@@ -164,7 +163,6 @@ fn warm_tick_with_128_clients_and_16_windows_builds_at_most_16_plans() {
 
 #[test]
 fn shutdown_while_in_flight_resolves_every_ticket_and_joins_writers() {
-    let before = live_writer_threads();
     let service = HiggsService::new(
         HiggsConfig::builder()
             .shards(2)
@@ -172,6 +170,7 @@ fn shutdown_while_in_flight_resolves_every_ticket_and_joins_writers() {
             .build()
             .expect("valid configuration"),
     );
+    let census = service.summary().writer_census();
     let ingest = service.client();
     let edges: Vec<StreamEdge> = (0..4_000u64)
         .map(|i| StreamEdge::new(i % 120, (i * 17) % 120, 1 + i % 3, i / 2))
@@ -219,17 +218,12 @@ fn shutdown_while_in_flight_resolves_every_ticket_and_joins_writers() {
         }
     }
 
-    // Teardown must join the serving threads and then the shard writers.
-    // Other tests in this binary spawn services of their own, so poll until
-    // the global census returns to this test's baseline.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while live_writer_threads() != before && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // Teardown joins the serving threads and then the shard writers, so
+    // this service's census reads zero as soon as the drop returns.
     assert_eq!(
-        live_writer_threads(),
-        before,
-        "service teardown must return the writer-thread census to its baseline"
+        census.live(),
+        0,
+        "service teardown must join every shard writer"
     );
 
     // Orphaned clients keep failing fast with typed errors.

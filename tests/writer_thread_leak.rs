@@ -2,14 +2,19 @@
 //!
 //! Restoring a snapshot into a dropped-then-rebuilt service must not leak
 //! writer threads: every `ShardedHiggs` teardown joins its writers, and
-//! every restore spawns exactly one fresh writer per shard. This test lives
-//! in its **own integration-test binary** so the process-wide
-//! [`higgs::shard::live_writer_threads`] counter is not perturbed by
+//! every restore spawns exactly one fresh writer per shard. Failed opens —
+//! a corrupt snapshot, a corrupt elastic history, an invalid configuration —
+//! must spawn nothing. No service exists to hand out a per-service
+//! `WriterCensus` there, so this test reads the process-wide
+//! [`higgs::shard::live_writer_threads`] counter instead, and lives in its
+//! **own integration-test binary** so that counter is not perturbed by
 //! unrelated tests creating services concurrently — keep it the only test
 //! here.
 
 use higgs::shard::live_writer_threads;
-use higgs::{HiggsConfig, ShardedHiggs, SnapshotError, Store, StoreOptions};
+use higgs::{
+    HiggsConfig, HiggsService, ReshardError, ShardedHiggs, SnapshotError, Store, StoreOptions,
+};
 use higgs_common::{Query, StreamEdge, TemporalGraphSummary, TimeRange};
 use std::path::PathBuf;
 
@@ -28,6 +33,11 @@ fn restore_cycles_never_leak_writer_threads() {
         .expect("valid configuration");
     let mut service = ShardedHiggs::new(config);
     assert_eq!(live_writer_threads(), SHARDS, "one writer per shard");
+    assert_eq!(
+        service.writer_census().live(),
+        SHARDS,
+        "the per-service census agrees"
+    );
 
     let edges: Vec<StreamEdge> = (0..3_000u64)
         .map(|i| StreamEdge::new(i % 100, (i * 11) % 100, 1 + i % 3, i))
@@ -65,7 +75,7 @@ fn restore_cycles_never_leak_writer_threads() {
     }
 
     // Durable services follow the same accounting: journaled writers are
-    // plain writers to the census, and crash-recovery (`new_durable` over a
+    // plain writers to the census, and crash-recovery (`Store::open` over a
     // directory with live journal tails) spawns exactly one per shard.
     let durable_dir: PathBuf =
         std::env::temp_dir().join(format!("higgs-writer-leak-durable-{}", std::process::id()));
@@ -128,4 +138,44 @@ fn restore_cycles_never_leak_writer_threads() {
     );
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    // A failed offline refold spawns nothing: corrupt the elastic history
+    // of a snapshotted directory and reshard it.
+    let elastic = Store::open(StoreOptions::durable(durable_config, &durable_dir).elastic(true))
+        .expect("elastic durable service");
+    let handle = elastic.ingest_handle();
+    for e in &edges {
+        handle.insert(e).expect("live ingest");
+    }
+    elastic
+        .snapshot_to_dir(&durable_dir)
+        .expect("elastic snapshot");
+    drop(elastic);
+    let history = durable_dir.join("history-000-000.higgs");
+    let mut bytes = std::fs::read(&history).expect("history file exists");
+    let mid = bytes.len() / 2;
+    for b in &mut bytes[mid..mid + 8] {
+        *b ^= 0xFF;
+    }
+    std::fs::write(&history, &bytes).expect("corrupt history");
+    match ShardedHiggs::restore_resharded(&durable_dir, 3) {
+        Err(ReshardError::Corrupt { .. } | ReshardError::Journal(_)) => {}
+        other => panic!("a corrupt history must fail the refold, got {other:?}"),
+    }
+    assert_eq!(
+        live_writer_threads(),
+        0,
+        "a failed reshard must not spawn (let alone leak) writer threads"
+    );
+    std::fs::remove_dir_all(&durable_dir).expect("elastic cleanup");
+
+    // An invalid configuration is rejected before any thread spawns.
+    let mut bad = HiggsConfig::paper_default();
+    bad.shards = 0;
+    assert!(HiggsService::try_new(bad).is_err());
+    assert_eq!(
+        live_writer_threads(),
+        0,
+        "a rejected configuration must not spawn writer threads"
+    );
 }
