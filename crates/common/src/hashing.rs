@@ -141,7 +141,9 @@ impl FingerprintLayout {
         } else {
             hash & ((1u64 << fp_bits) - 1)
         };
-        let address = (hash >> fp_bits) % side;
+        // `side` is a power of two (validated in `new`), so masking is the
+        // modulo without a 64-bit division.
+        let address = (hash >> fp_bits) & (side - 1);
         HashedVertex {
             hash,
             fingerprint,
@@ -169,7 +171,7 @@ impl FingerprintLayout {
         } else {
             fingerprint & ((1u64 << keep) - 1)
         };
-        let new_addr = ((address << shift) | high) % self.matrix_side(from_layer + 1);
+        let new_addr = ((address << shift) | high) & (self.matrix_side(from_layer + 1) - 1);
         (new_fp, new_addr)
     }
 }
@@ -181,11 +183,15 @@ impl FingerprintLayout {
 /// With modulus `m = 2^k`, multiplier `a ≡ 1 (mod 4)` and odd increment `c`,
 /// the LCG has full period and is invertible, so index pairs recorded in
 /// entries can be mapped back to base addresses.
+///
+/// Every reduction modulo the side is a mask with `side − 1` (the side is a
+/// validated power of two), and the inverse multiplier of
+/// [`step_back`](Self::step_back) is a compile-time constant, so no method
+/// divides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AddressSequence {
-    side: u64,
-    multiplier: u64,
-    increment: u64,
+    /// `side − 1`: reducing modulo the power-of-two side is `& mask`.
+    mask: u64,
 }
 
 impl AddressSequence {
@@ -194,15 +200,14 @@ impl AddressSequence {
     const A: u64 = 6_364_136_223_846_793_005; // ≡ 1 (mod 4)
     /// Increment (odd).
     const C: u64 = 1_442_695_040_888_963_407;
+    /// Inverse of [`Self::A`] modulo 2^64, hence modulo every power-of-two
+    /// side.
+    const A_INV: u64 = mod_inverse_pow2(Self::A);
 
     /// Creates a sequence over matrix side `side` (power of two).
     pub fn new(side: u64) -> Self {
         assert!(side.is_power_of_two(), "side must be a power of two");
-        Self {
-            side,
-            multiplier: Self::A,
-            increment: Self::C,
-        }
+        Self { mask: side - 1 }
     }
 
     /// The `i`-th address (0-based) in the sequence starting from `base`.
@@ -213,7 +218,7 @@ impl AddressSequence {
     /// or [`iter`](Self::iter), which walk the LCG iteratively (O(r) total
     /// instead of O(r²)).
     pub fn address(&self, base: u64, index: u32) -> u64 {
-        let mut x = base % self.side;
+        let mut x = base & self.mask;
         for _ in 0..index {
             x = self.step(x);
         }
@@ -227,7 +232,7 @@ impl AddressSequence {
     /// [`address`](Self::address) calls.
     #[inline]
     pub fn fill_sequence(&self, base: u64, out: &mut [u64]) {
-        let mut x = base % self.side;
+        let mut x = base & self.mask;
         for slot in out.iter_mut() {
             *slot = x;
             x = self.step(x);
@@ -239,28 +244,26 @@ impl AddressSequence {
     pub fn iter(&self, base: u64) -> AddressIter {
         AddressIter {
             seq: *self,
-            next: base % self.side,
+            next: base & self.mask,
         }
     }
 
     /// One LCG step modulo the side.
     #[inline]
     pub fn step(&self, x: u64) -> u64 {
-        (x.wrapping_mul(self.multiplier).wrapping_add(self.increment)) % self.side
+        x.wrapping_mul(Self::A).wrapping_add(Self::C) & self.mask
     }
 
     /// Inverse of [`step`](Self::step) modulo the power-of-two side.
+    #[inline]
     pub fn step_back(&self, y: u64) -> u64 {
-        // Modular inverse of an odd multiplier modulo 2^64 via Newton
-        // iteration, then reduce modulo side.
-        let inv = mod_inverse_pow2(self.multiplier);
-        (y.wrapping_sub(self.increment).wrapping_mul(inv)) % self.side
+        y.wrapping_sub(Self::C).wrapping_mul(Self::A_INV) & self.mask
     }
 
     /// Recovers the base address given the stored address and the recorded
     /// sequence index (inverts `index` steps).
     pub fn base_of(&self, stored: u64, index: u32) -> u64 {
-        let mut x = stored % self.side;
+        let mut x = stored & self.mask;
         for _ in 0..index {
             x = self.step_back(x);
         }
@@ -301,11 +304,14 @@ pub fn lcg_sequence(base: u64, side: u64, count: u32) -> Vec<u64> {
 }
 
 /// Modular inverse of an odd `a` modulo 2^64 (Newton / Hensel lifting).
-fn mod_inverse_pow2(a: u64) -> u64 {
+/// `const` so [`AddressSequence`] evaluates it once, at compile time.
+const fn mod_inverse_pow2(a: u64) -> u64 {
     debug_assert!(a % 2 == 1);
     let mut x: u64 = a; // correct to 3 bits
-    for _ in 0..5 {
+    let mut round = 0;
+    while round < 5 {
         x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+        round += 1;
     }
     x
 }
@@ -487,6 +493,88 @@ mod tests {
         for a in [1u64, 3, 5, 6_364_136_223_846_793_005, u64::MAX] {
             if a % 2 == 1 {
                 assert_eq!(a.wrapping_mul(mod_inverse_pow2(a)), 1);
+            }
+        }
+    }
+
+    /// `%`-based reference implementations of the masked arithmetic: the
+    /// definitions the division-free code must reproduce.
+    mod reference {
+        use super::super::{mod_inverse_pow2, AddressSequence};
+
+        pub fn step(x: u64, side: u64) -> u64 {
+            x.wrapping_mul(AddressSequence::A)
+                .wrapping_add(AddressSequence::C)
+                % side
+        }
+
+        pub fn step_back(y: u64, side: u64) -> u64 {
+            y.wrapping_sub(AddressSequence::C)
+                .wrapping_mul(mod_inverse_pow2(AddressSequence::A))
+                % side
+        }
+
+        pub fn address(base: u64, index: u32, side: u64) -> u64 {
+            (0..index).fold(base % side, |x, _| step(x, side))
+        }
+
+        pub fn base_of(stored: u64, index: u32, side: u64) -> u64 {
+            (0..index).fold(stored % side, |x, _| step_back(x, side))
+        }
+
+        pub fn split_address(hash: u64, fp_bits: u32, side: u64) -> u64 {
+            (hash >> fp_bits) % side
+        }
+
+        pub fn lift_address(address: u64, high: u64, shift: u32, side: u64) -> u64 {
+            ((address << shift) | high) % side
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn masked_arithmetic_matches_the_modulo_reference(
+            x in 0u64..=u64::MAX,
+            y in 0u64..=u64::MAX,
+            index in 0u32..16,
+        ) {
+            // Every power-of-two side from 2 to 2^20.
+            for k in 1..=20u32 {
+                let side = 1u64 << k;
+                let seq = AddressSequence::new(side);
+                proptest::prop_assert_eq!(seq.step(x), reference::step(x, side));
+                proptest::prop_assert_eq!(seq.step_back(y), reference::step_back(y, side));
+                proptest::prop_assert_eq!(seq.address(x, index), reference::address(x, index, side));
+                proptest::prop_assert_eq!(seq.base_of(y, index), reference::base_of(y, index, side));
+                let mut filled = [0u64; 16];
+                seq.fill_sequence(x, &mut filled);
+                for (i, (&a, b)) in filled.iter().zip(seq.iter(x)).enumerate() {
+                    let want = reference::address(x, i as u32, side);
+                    proptest::prop_assert_eq!(a, want);
+                    proptest::prop_assert_eq!(b, want);
+                }
+                // A layout whose leaf side is `side`: the split address and
+                // the lift at layers 1–4 (sides stay below 2^53).
+                let layout = FingerprintLayout::new(1 + (x % 47) as u32, side, 1 + (y % 8) as u32);
+                for layer in 1..=4u32 {
+                    let fp_bits = layout.fingerprint_bits(layer);
+                    let layer_side = layout.matrix_side(layer);
+                    let split = layout.split(y, layer);
+                    proptest::prop_assert_eq!(
+                        split.address,
+                        reference::split_address(y, fp_bits, layer_side)
+                    );
+                    let up_side = layout.matrix_side(layer + 1);
+                    let shift = layout.r_bits.min(fp_bits);
+                    let high = if shift == 0 { 0 } else { split.fingerprint >> (fp_bits - shift) };
+                    let (_, lifted) = layout.lift(split.fingerprint, x, layer);
+                    proptest::prop_assert_eq!(
+                        lifted,
+                        reference::lift_address(x, high, shift, up_side)
+                    );
+                }
             }
         }
     }

@@ -13,12 +13,11 @@
 //!   offset in its low 32 bits,
 //! * `weights[i]` holds the accumulated signed weight.
 //!
-//! Empty slots are all-zero, so they can match a zero pattern — but their
-//! weight is zero, so they contribute nothing. That invariant lets callers
-//! sweep *fixed-length* slot ranges (whole buckets, whole rows) without
-//! consulting per-bucket occupancy counts: every slot is subjected to the
-//! identical predicate, which is exactly the shape the explicit kernels
-//! need.
+//! Callers pass contiguous slot ranges — one bucket, or one whole matrix
+//! row — and every slot in range is subjected to the identical predicate,
+//! which is exactly the shape the explicit kernels need. A range may include
+//! empty slots as long as they are all-zero: they can match a zero pattern,
+//! but their weight is zero, so they contribute nothing.
 //!
 //! # Key-first evaluation
 //!
@@ -28,8 +27,7 @@
 //! unconditionally — 8 bytes per slot instead of the full 24 — and the
 //! `tags`/`weights` columns are loaded only for the rare slots whose masked
 //! key matches. Sweep cost is therefore bounded by the bandwidth of one
-//! column, not three, which is what lets the wide fixed-length sweeps beat
-//! the occupancy-guided scans they replaced.
+//! column, not three.
 //!
 //! # Kernels and dispatch
 //!
@@ -179,23 +177,6 @@ pub fn kernel_name() -> &'static str {
     dispatch::kernel_name()
 }
 
-/// True when a [`sum_matching`] call over a long slice will dispatch to an
-/// explicit vector kernel (the `simd` feature is compiled in, the CPU has
-/// one, and [`force_scalar`] is off).
-///
-/// Callers that can choose their sweep granularity use this to pick the
-/// kernel's preferred shape: with a vector kernel active, one wide
-/// fixed-length sweep per candidate row beats bucket-by-bucket scanning
-/// (the kernel streams only the keys column); without one, occupancy-guided
-/// per-bucket scans read less memory and win. Either shape produces
-/// bit-identical sums — never-occupied slots contribute exactly zero — so
-/// this is purely a performance hint, re-evaluated per probe (two relaxed
-/// atomic loads).
-#[inline]
-pub fn wide_kernel_active() -> bool {
-    dispatch::wide_kernel_active()
-}
-
 /// Minimum slice length worth routing to an explicit SIMD kernel: shorter
 /// sweeps (single buckets of `b ≈ 3` slots) are dominated by setup and
 /// horizontal reduction, so they take the scalar path regardless of
@@ -248,13 +229,6 @@ mod dispatch {
             KERNEL_SSE2 => "sse2",
             _ => "scalar",
         }
-    }
-
-    #[inline]
-    pub(super) fn wide_kernel_active() -> bool {
-        // ORDERING: Relaxed — purely a performance hint; a stale read at
-        // worst picks a differently shaped (but bit-identical) sweep.
-        !FORCE_SCALAR.load(Ordering::Relaxed) && matches!(detect(), KERNEL_AVX2 | KERNEL_SSE2)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -479,11 +453,6 @@ mod dispatch {
 
     pub(super) fn kernel_name() -> &'static str {
         "scalar"
-    }
-
-    #[inline]
-    pub(super) fn wide_kernel_active() -> bool {
-        false
     }
 
     #[allow(clippy::too_many_arguments)]

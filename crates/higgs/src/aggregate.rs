@@ -34,8 +34,11 @@ use higgs_common::hashing::FingerprintLayout;
 /// they re-enter the parent exactly like bucket entries.
 ///
 /// [`CompressedMatrix::entries`] yields unpacked [`Entry`](crate::matrix::Entry)
-/// values straight off the child's contiguous slab, so the per-child walk is
-/// a linear sweep rather than a bucket-by-bucket pointer chase.
+/// values straight off the child's contiguous columns, so the per-child walk
+/// is a linear sweep rather than a bucket-by-bucket pointer chase.
+///
+/// The parent is built writable and returned sealed: nothing inserts into an
+/// aggregate once it is complete.
 pub fn aggregate_matrices(
     layout: &FingerprintLayout,
     config: &HiggsConfig,
@@ -85,6 +88,7 @@ pub fn aggregate_matrices(
             );
         }
     }
+    parent.seal();
     parent
 }
 
@@ -95,7 +99,8 @@ pub fn aggregate_matrices(
 /// of [`HiggsSummary::compute_aggregation`](crate::HiggsSummary::compute_aggregation)
 /// when a child has not materialised yet: any ancestor can always be rebuilt
 /// from the leaf matrices it covers, independent of other jobs. Leaf
-/// matrices and overflow blocks never spill, so only slab entries are read.
+/// matrices and overflow blocks never spill, so only bucket entries are
+/// read. Like [`aggregate_matrices`], the result comes back sealed.
 pub fn aggregate_leaves_to_layer(
     layout: &FingerprintLayout,
     config: &HiggsConfig,
@@ -144,6 +149,7 @@ pub fn aggregate_leaves_to_layer(
             );
         }
     }
+    parent.seal();
     parent
 }
 

@@ -80,25 +80,26 @@
 //! compressed matrix, so [`matrix`] is written for the cache, not the
 //! allocator:
 //!
-//! * **Flat columnar slab storage.** A `d × d` matrix with `b`-entry
-//!   buckets is one contiguous structure-of-arrays slab of `b · d²`
-//!   fixed-stride slots — parallel columns of packed keys, packed tags, and
-//!   weights, plus a `Vec<u8>` of per-bucket lengths — no per-bucket heap
-//!   allocations, no pointer chases. A source-vertex query sweeps each
-//!   candidate row as a single contiguous range; cloning a matrix (parallel
-//!   aggregation snapshots) is three memcpys.
+//! * **Flat columnar storage, sealed when closed.** A `d × d` matrix with
+//!   `b`-entry buckets is structure-of-arrays — parallel columns of packed
+//!   keys, packed tags, and weights — with no per-bucket heap allocations
+//!   and no pointer chases. While something can still insert into it (the
+//!   open leaf and its overflow chain, an aggregate under construction) it
+//!   is a writable slab of `b · d²` fixed-stride slots plus a `Vec<u8>` of
+//!   per-bucket lengths. Every closed matrix is **sealed**: its columns keep
+//!   only the occupied slots, in bucket order, plus one `u32` start offset
+//!   per bucket. Leaves run about 14 % full at paper parameters, so the
+//!   tree holds about a tenth of the memory a dense layout would.
 //! * **Packed match keys.** The fingerprint pair is packed into one `u64`
 //!   and the MMB index pair plus time offset into one tag `u64` per slot, so
 //!   candidate scans are two masked integer compares per entry instead of
 //!   four field compares.
-//! * **Key-first sweeps with adaptive granularity.** Entries are never
-//!   physically removed and never-occupied slots stay all-zero (weight 0),
-//!   so a fixed-length sweep over whole slot ranges is bit-identical to an
-//!   occupancy-bounded scan — granularity is purely a performance choice.
-//!   Probes funnel through [`higgs_common::sum_matching`], which streams the
-//!   keys column and touches tags/weights only on (rare) key hits; wide
-//!   contiguous row sweeps are used when a vector kernel is active,
-//!   occupancy-guided scans otherwise.
+//! * **Key-first contiguous sweeps.** Every probe sweeps contiguous slot
+//!   ranges through [`higgs_common::sum_matching`], which streams the keys
+//!   column and touches tags/weights only on (rare) key hits: one bucket per
+//!   edge-probe candidate and per column step, one range per candidate row.
+//!   A writable matrix's never-occupied slots stay all-zero (weight 0), so
+//!   its row sweeps may cover the whole zero-padded row.
 //! * **Single-pass probing.** The `r` candidate rows and columns of an
 //!   operation are computed once per operation with an iterative LCG walk
 //!   ([`higgs_common::hashing::AddressSequence::fill_sequence`]) into stack
@@ -314,9 +315,10 @@
 //! [`higgs_common::codec`]:
 //!
 //! * [`HiggsSummary::write_snapshot`] / [`HiggsSummary::read_snapshot`]
-//!   persist one summary to any `Write`/`Read` stream. Slab matrices are
-//!   written raw (occupancy array + occupied slots + spill list), so restore
-//!   rebuilds byte-identical slabs and every query answers bit-identically.
+//!   persist one summary to any `Write`/`Read` stream. Matrices are
+//!   written raw (occupancy array + occupied slots + spill list) and decode
+//!   straight into their sealed form, so every query answers
+//!   bit-identically after a restore.
 //! * [`ShardedHiggs::snapshot_to_dir`] writes one file per shard plus a
 //!   manifest (format version, full config — the shard count is the only
 //!   routing state, since [`higgs_common::hashing::shard_of`] is a pure

@@ -4,14 +4,29 @@
 //!
 //! # Storage layout
 //!
-//! Bucket storage is a single contiguous slab of `b · d²` fixed-stride slots
-//! (bucket `(row, col)` owns slots `[(row·d + col)·b, (row·d + col + 1)·b)`)
-//! plus one `Vec<u8>` of per-bucket occupancy counts. The slab is stored
-//! **structure-of-arrays**: three parallel columns — packed match keys
-//! (`u64`), packed tags (`u64`), and weights (`i64`) — instead of one array
-//! of structs. A probe compares keys and tags and accumulates weights; SoA
-//! lets each of those streams load as dense, lane-aligned runs, which is
-//! what the SIMD sweep kernels ([`higgs_common::simd`]) need.
+//! Slots are stored **structure-of-arrays**: three parallel columns —
+//! packed match keys (`u64`), packed tags (`u64`), and weights (`i64`) —
+//! instead of one array of structs. A probe compares keys and tags and
+//! accumulates weights; SoA lets each of those streams load as dense,
+//! lane-aligned runs, which is what the SIMD sweep kernels
+//! ([`higgs_common::simd`]) need. Buckets sit in row-major order
+//! (`row · d + col`) in both of the matrix's two forms:
+//!
+//! * **Writable** — the form a matrix is created in, and the only one that
+//!   accepts inserts. The columns are a fixed-stride slab of `b · d²` slots
+//!   (bucket `k` owns slots `[k·b, (k+1)·b)`) plus one `u8` occupancy count
+//!   per bucket. Only matrices something can still insert into stay
+//!   writable: the open leaf, its overflow chain, and an aggregate under
+//!   construction.
+//! * **Sealed** — what every closed matrix becomes ([`CompressedMatrix::seal`]):
+//!   the tree seals a leaf and its overflow blocks when the leaf closes, and
+//!   every aggregate as it is installed. The columns keep only the occupied
+//!   slots, in the same bucket order and the same order within each bucket,
+//!   plus one `u32` start offset per bucket and an end marker: bucket `k`'s
+//!   entries are `starts[k]..starts[k+1]`. Leaves run about 14 % full at
+//!   paper parameters, so sealing cuts a leaf matrix to about a fifth of its
+//!   writable size. Deletes still work on a sealed matrix (they only change
+//!   weights); an insert into one first turns it writable again.
 //!
 //! Per slot, the match key packs the fingerprint pair into one `u64`
 //! (`fp_src` in the high half, `fp_dst` in the low half — exact, since
@@ -20,28 +35,34 @@
 //! candidate scan therefore compares one `u64` and one masked `u64` per
 //! slot.
 //!
-//! # The empty-slots-are-zero invariant
+//! # The empty-slots-are-zero invariant (writable matrices)
 //!
-//! Never-occupied slots hold all-zero key, tag, and **weight**. Entries are
-//! never physically removed (deletion only decrements weights), so every
-//! slot outside a bucket's occupancy count is all-zero forever. An empty
-//! slot can at worst match an all-zero pattern and then contributes zero
-//! weight, so a *fixed-length* sweep over a whole `b`-slot bucket or a whole
-//! `d · b`-slot row is bit-identical to an occupancy-bounded scan — sweep
-//! granularity is purely a performance choice. Query paths pick per shape:
-//! bucket-granular probes (edge, destination-column strides) bound each scan
-//! by the occupancy count, while the source-row sweep asks
-//! [`wide_kernel_active`] whether an explicit vector kernel will dispatch
-//! and chooses one contiguous fixed-length row sweep (the kernel streams
-//! only the keys column) or a fused occupancy-guided scan accordingly.
-//! Mutating scans (insert, delete) still honour the counts semantically:
+//! In a writable matrix, never-occupied slots hold all-zero key, tag, and
+//! **weight**. Entries are never physically removed (deletion only
+//! decrements weights), so every slot past a bucket's occupancy count stays
+//! all-zero until the matrix is sealed. An empty slot can at worst match an
+//! all-zero pattern and then contributes zero weight, so a sweep over a
+//! whole `d · b`-slot row answers exactly like an occupancy-bounded scan.
+//! Sealed matrices store no empty slots, so the invariant has nothing left
+//! to cover there. Mutating scans (insert, delete) always honour occupancy:
 //! they must find *real* entries, not zero-weight ghosts.
 //!
 //! # Probing
 //!
 //! Every operation precomputes its `r` candidate rows and columns once with
 //! an iterative LCG walk ([`AddressSequence::fill_sequence`]) into small
-//! stack arrays; the `r × r` candidate loops then index those arrays.
+//! stack arrays; the `r × r` candidate loops then index those arrays. Every
+//! matrix side is a power of two, so reducing an address modulo the side is
+//! a mask.
+//!
+//! Query kernels ask one accessor for the slots to sweep, so the same code
+//! serves both forms: an edge probe and each step of a destination-column
+//! walk sweep one bucket's occupied slots, and a source-vertex probe sweeps
+//! one contiguous range per candidate row — the row's occupied slots when
+//! sealed, the whole `d · b`-slot row when writable (exact by the invariant
+//! above). Each sweep is one [`sum_matching`] call, which picks the scalar
+//! or vector kernel itself.
+//!
 //! Query paths accept a reusable `ProbeScratch` that memoises the last
 //! `(side, base address)` candidate fill — the columnar batch evaluator
 //! sweeps address-sorted probe sets where consecutive probes share
@@ -55,7 +76,9 @@
 //! it to the correct base address.
 
 use higgs_common::hashing::AddressSequence;
-use higgs_common::simd::{prefetch_read_data, sum_matching, wide_kernel_active, TAG_OFFSET_MASK};
+use higgs_common::simd::{prefetch_read_data, sum_matching};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Maximum number of MMB mapping addresses per vertex: index pairs are
 /// stored as two 8-bit halves of a `u16` and candidate addresses live in
@@ -90,9 +113,9 @@ pub struct Entry {
 /// disables temporal filtering (non-leaf matrices).
 pub type OffsetFilter = Option<(u32, u32)>;
 
-/// One occupied slot of the slab, materialised from the three SoA columns:
-/// the packed match key plus payload. Crate-visible so the snapshot codec
-/// can persist the slab in the same on-disk shape as before the SoA split.
+/// One occupied slot, materialised from the three SoA columns: the packed
+/// match key plus payload. Crate-visible so the snapshot codec can persist
+/// the occupied slots in the same on-disk shape as before the SoA split.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Slot {
     /// `fp_src` in the high 32 bits, `fp_dst` in the low 32 bits.
@@ -186,7 +209,7 @@ impl CachedSeq {
     // matrix construction, so `cands[..mapping]` is always in bounds.
     #[inline]
     fn candidates(&mut self, seq: &AddressSequence, side: u64, mapping: u32, base: u64) -> &[u64] {
-        let base = base % side;
+        let base = base & (side - 1);
         if !(self.valid && self.side == side && self.mapping == mapping && self.base == base) {
             seq.fill_sequence(base, &mut self.cands[..mapping as usize]);
             self.side = side;
@@ -224,6 +247,19 @@ impl Default for ProbeScratch {
     }
 }
 
+/// Where each bucket's slots sit in the columns — the one thing that tells
+/// the two forms of a matrix apart (see the module docs).
+#[derive(Clone, Debug)]
+enum Occupancy {
+    /// Writable: bucket `k` owns the fixed-stride slots `[k·b, (k+1)·b)`,
+    /// of which the first `counts[k]` are occupied.
+    Counts(Vec<u8>),
+    /// Sealed: the columns hold only occupied slots, and bucket `k`'s are
+    /// `starts[k]..starts[k+1]` (`d² + 1` entries, the last one the end
+    /// marker). Each bucket spans at most `b` slots.
+    Starts(Vec<u32>),
+}
+
 /// The HIGGS compressed matrix.
 #[derive(Clone, Debug)]
 pub struct CompressedMatrix {
@@ -232,24 +268,24 @@ pub struct CompressedMatrix {
     bucket_entries: usize,
     mapping: u32,
     seq: AddressSequence,
-    /// Packed fingerprint pairs, one per slot; bucket `(r, c)` owns
-    /// `keys[(r·d + c)·b ..][..b]`, of which the first `lens[r·d + c]` are
-    /// occupied. Parallel to `tags` and `weights`.
+    /// Packed fingerprint pairs, one per slot, in bucket order; which slots
+    /// belong to which bucket is `occupancy`'s business. Parallel to `tags`
+    /// and `weights`.
     keys: Vec<u64>,
     /// Packed index pair (bits 32..48) and time offset (low 32 bits).
     tags: Vec<u64>,
-    /// Accumulated signed weights. Zero for every never-occupied slot — the
-    /// invariant that lets query sweeps ignore occupancy counts.
+    /// Accumulated signed weights. In a writable matrix, zero for every
+    /// never-occupied slot — the invariant that lets row sweeps ignore
+    /// occupancy counts.
     weights: Vec<i64>,
-    /// Per-bucket occupancy, indexed by `r·d + c`.
-    lens: Vec<u8>,
+    occupancy: Occupancy,
     spill: Vec<SpillEntry>,
     stored: usize,
 }
 
 impl CompressedMatrix {
-    /// Creates an empty matrix of `side × side` buckets at tree layer
-    /// `layer`, with `bucket_entries` entries per bucket and `mapping`
+    /// Creates an empty, writable matrix of `side × side` buckets at tree
+    /// layer `layer`, with `bucket_entries` entries per bucket and `mapping`
     /// candidate addresses per vertex.
     pub fn new(side: u64, layer: u32, bucket_entries: usize, mapping: u32) -> Self {
         assert!(side.is_power_of_two() && side >= 2);
@@ -272,7 +308,7 @@ impl CompressedMatrix {
             keys: vec![0u64; slots],
             tags: vec![0u64; slots],
             weights: vec![0i64; slots],
-            lens: vec![0u8; buckets],
+            occupancy: Occupancy::Counts(vec![0u8; buckets]),
             spill: Vec::new(),
             stored: 0,
         }
@@ -293,12 +329,14 @@ impl CompressedMatrix {
         self.stored
     }
 
-    /// Maximum number of entries (`b · d²`).
+    /// Nominal maximum number of entries (`b · d²`), in either form: a
+    /// sealed matrix stores fewer slots but keeps the paper's capacity.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.buckets() * self.bucket_entries
     }
 
-    /// Fraction of entry slots in use (the utilisation rate of Section V-A).
+    /// Fraction of entry slots in use (the utilisation rate of Section V-A),
+    /// always over the nominal `b · d²` capacity.
     pub fn utilization(&self) -> f64 {
         self.stored as f64 / self.capacity() as f64
     }
@@ -306,6 +344,12 @@ impl CompressedMatrix {
     /// Whether the matrix holds no entries.
     pub fn is_empty(&self) -> bool {
         self.stored == 0
+    }
+
+    /// Whether the matrix is sealed: compacted to its occupied slots (see
+    /// the module docs).
+    pub fn is_sealed(&self) -> bool {
+        matches!(self.occupancy, Occupancy::Starts(_))
     }
 
     /// Number of aggregation entries that spilled outside the bucket grid
@@ -317,9 +361,160 @@ impl CompressedMatrix {
 
     /// Total stored weight (bucket entries plus spilled entries).
     pub fn total_weight(&self) -> i64 {
-        // Occupied slots only would do, but the zero-empty-slot invariant
-        // makes the full columns equivalent.
+        // A writable matrix's empty slots weigh zero, so the whole columns
+        // sum to the occupied slots' weight in either form.
         self.weights.iter().sum::<i64>() + self.spill.iter().map(|e| e.weight).sum::<i64>()
+    }
+
+    /// Number of buckets, `d²`.
+    #[inline]
+    fn buckets(&self) -> usize {
+        (self.side * self.side) as usize
+    }
+
+    /// `addr` reduced modulo the power-of-two side.
+    #[inline]
+    fn wrap(&self, addr: u64) -> u64 {
+        addr & (self.side - 1)
+    }
+
+    /// Seals the matrix: keeps only the occupied slots, in bucket order, and
+    /// replaces the occupancy counts with per-bucket start offsets (see the
+    /// module docs). Answers, [`entries`](Self::entries) order and
+    /// [`capacity`](Self::capacity) are unchanged. A no-op on a sealed
+    /// matrix, and on one whose slot count does not fit the `u32` offsets.
+    // LINT-ALLOW(hot-path-panic): a writable bucket `k` has
+    // `counts[k] <= bucket_entries`, so `k·b .. k·b + counts[k]` lies inside
+    // the `b · d²`-slot columns.
+    pub fn seal(&mut self) {
+        let Occupancy::Counts(counts) = &self.occupancy else {
+            return;
+        };
+        let Ok(total) = u32::try_from(self.stored) else {
+            return;
+        };
+        let b = self.bucket_entries;
+        let mut keys = Vec::with_capacity(self.stored);
+        let mut tags = Vec::with_capacity(self.stored);
+        let mut weights = Vec::with_capacity(self.stored);
+        let mut starts = Vec::with_capacity(counts.len() + 1);
+        for (bucket, &len) in counts.iter().enumerate() {
+            // Fits: the running count never exceeds `total`.
+            starts.push(keys.len() as u32);
+            let slots = bucket * b..bucket * b + len as usize;
+            keys.extend_from_slice(&self.keys[slots.clone()]);
+            tags.extend_from_slice(&self.tags[slots.clone()]);
+            weights.extend_from_slice(&self.weights[slots]);
+        }
+        starts.push(total);
+        debug_assert_eq!(keys.len(), self.stored);
+        self.keys = keys;
+        self.tags = tags;
+        self.weights = weights;
+        self.occupancy = Occupancy::Starts(starts);
+        self.spill.shrink_to_fit();
+    }
+
+    /// Turns a sealed matrix writable again: scatters each bucket's slots
+    /// back to its fixed-stride position, zero-filling the rest. A no-op on
+    /// a writable matrix.
+    // LINT-ALLOW(hot-path-panic): a sealed matrix has `d² + 1` starts, each
+    // bucket spanning at most `bucket_entries` slots inside the columns, so
+    // both the source range and its `k·b` destination are in bounds.
+    pub(crate) fn unseal(&mut self) {
+        let Occupancy::Starts(starts) = &self.occupancy else {
+            return;
+        };
+        let b = self.bucket_entries;
+        let slots = self.capacity();
+        let mut keys = vec![0u64; slots];
+        let mut tags = vec![0u64; slots];
+        let mut weights = vec![0i64; slots];
+        let mut counts = vec![0u8; self.buckets()];
+        for (bucket, bounds) in starts.windows(2).enumerate() {
+            let (from, to) = (bounds[0] as usize, bounds[1] as usize);
+            let at = bucket * b;
+            keys[at..at + to - from].copy_from_slice(&self.keys[from..to]);
+            tags[at..at + to - from].copy_from_slice(&self.tags[from..to]);
+            weights[at..at + to - from].copy_from_slice(&self.weights[from..to]);
+            counts[bucket] = (to - from) as u8;
+        }
+        self.keys = keys;
+        self.tags = tags;
+        self.weights = weights;
+        self.occupancy = Occupancy::Counts(counts);
+    }
+
+    /// The occupied slots of bucket `bucket` (`< d²`), in either form.
+    ///
+    /// This and the other per-bucket helpers below are `inline(always)`:
+    /// every probe loop calls them once per bucket, and left to the
+    /// optimiser they cost edge probes about a fifth of their speed.
+    // LINT-ALLOW(hot-path-panic): callers pass `bucket < d²` (an LCG
+    // `(row, col)` pair or an enumeration of the buckets); writable matrices
+    // hold `d²` counts and sealed ones `d² + 1` starts.
+    #[inline(always)]
+    fn bucket_range(&self, bucket: usize) -> Range<usize> {
+        match &self.occupancy {
+            Occupancy::Counts(counts) => {
+                let start = bucket * self.bucket_entries;
+                start..start + counts[bucket] as usize
+            }
+            Occupancy::Starts(starts) => starts[bucket] as usize..starts[bucket + 1] as usize,
+        }
+    }
+
+    /// The contiguous slots covering row `row` (`< d`): the occupied ones
+    /// when sealed, the whole zero-padded `d · b`-slot row when writable.
+    // LINT-ALLOW(hot-path-panic): `row < side`, so `row·d + d <= d²` indexes
+    // the `d² + 1` sealed starts.
+    #[inline(always)]
+    fn row_range(&self, row: u64) -> Range<usize> {
+        let first = (row * self.side) as usize;
+        let last = first + self.side as usize;
+        match &self.occupancy {
+            Occupancy::Counts(_) => first * self.bucket_entries..last * self.bucket_entries,
+            Occupancy::Starts(starts) => starts[first] as usize..starts[last] as usize,
+        }
+    }
+
+    /// The first slot of bucket `bucket`, for prefetch hints only: buckets
+    /// past the grid map past the columns, where a prefetch does nothing.
+    #[inline(always)]
+    fn bucket_start(&self, bucket: usize) -> usize {
+        match &self.occupancy {
+            Occupancy::Counts(_) => bucket * self.bucket_entries,
+            Occupancy::Starts(starts) => starts.get(bucket).map_or(usize::MAX, |&s| s as usize),
+        }
+    }
+
+    /// Sums the weights of the slots in `slots` that match the patterns
+    /// (one [`sum_matching`] sweep over the three columns).
+    // LINT-ALLOW(hot-path-panic): `slots` comes from `bucket_range` or
+    // `row_range`, which stay inside the columns.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &self,
+        slots: Range<usize>,
+        key_mask: u64,
+        key_pat: u64,
+        tag_mask: u64,
+        tag_pat: u64,
+        lo: u32,
+        hi: u32,
+    ) -> i64 {
+        sum_matching(
+            &self.keys[slots.clone()],
+            &self.tags[slots.clone()],
+            &self.weights[slots],
+            key_mask,
+            key_pat,
+            tag_mask,
+            tag_pat,
+            lo,
+            hi,
+        )
     }
 
     /// The candidate rows/columns of `addr`: the first `mapping` LCG
@@ -336,17 +531,9 @@ impl CompressedMatrix {
         out
     }
 
-    /// Slab range of bucket `(row, col)`: `(bucket index, slot start)`.
-    #[inline]
-    fn bucket_slots(&self, row: u64, col: u64) -> (usize, usize) {
-        let bucket = (row * self.side + col) as usize;
-        (bucket, bucket * self.bucket_entries)
-    }
-
     /// Materialises the slot view of position `p`.
     // LINT-ALLOW(hot-path-panic): callers derive `p` from a bucket's
-    // occupied prefix (`start..start + lens[bucket]`), which lies inside the
-    // eagerly allocated `b * d * d` slab.
+    // occupied range (`bucket_range`), which lies inside the columns.
     #[inline]
     fn slot_at(&self, p: usize) -> Slot {
         Slot {
@@ -357,19 +544,10 @@ impl CompressedMatrix {
         }
     }
 
-    /// Scatters a slot view into the three columns at position `p`.
-    // LINT-ALLOW(hot-path-panic): callers derive `p` from a validated
-    // bucket occupancy prefix inside the eagerly allocated slab.
-    #[inline]
-    fn write_slot(&mut self, p: usize, slot: Slot) {
-        self.keys[p] = slot.key;
-        self.tags[p] = pack_tag(slot.idx, slot.time_offset);
-        self.weights[p] = slot.weight;
-    }
-
     /// Tries to insert (or accumulate) an entry. Returns `false` if every
     /// candidate bucket is full and no matching entry exists — the signal
-    /// that triggers leaf creation in Algorithm 1.
+    /// that triggers leaf creation in Algorithm 1. A sealed matrix is turned
+    /// writable first.
     ///
     /// `time_offset = Some(o)` (leaf matrices) requires matching entries to
     /// carry the same offset; `None` (aggregated matrices) matches on the
@@ -380,9 +558,9 @@ impl CompressedMatrix {
     /// earlier ones were full when it first arrived), the first free slot is
     /// recorded; if the scan finds no match, the entry is placed there.
     // LINT-ALLOW(hot-path-panic): `m <= MAX_MAPPING` bounds the candidate
-    // arrays; every slot position comes from `bucket_slots` of a
-    // `seq`-generated `(row, col) < (side, side)` pair, offset by
-    // `lens[bucket] <= bucket_entries`, all inside the slab.
+    // arrays; every slot position is `bucket·b + k` for a
+    // `seq`-generated `bucket = row·d + col < d²` and
+    // `k < counts[bucket] <= bucket_entries`, all inside the writable slab.
     pub fn try_insert(
         &mut self,
         addr_src: u64,
@@ -405,6 +583,14 @@ impl CompressedMatrix {
         let m = self.mapping as usize;
         let rows = self.candidates(addr_src);
         let cols = self.candidates(addr_dst);
+        let (side, b) = (self.side, self.bucket_entries);
+        let counts = match &mut self.occupancy {
+            Occupancy::Counts(counts) => counts,
+            Occupancy::Starts(_) => {
+                self.unseal();
+                return self.try_insert(addr_src, addr_dst, fp_src, fp_dst, time_offset, weight);
+            }
+        };
         // (bucket index, free slot position, packed index pair) of the first
         // candidate bucket with spare capacity, in (i, j) scan order.
         let mut free: Option<(usize, usize, u16)> = None;
@@ -412,15 +598,16 @@ impl CompressedMatrix {
             for (j, &col) in cols[..m].iter().enumerate() {
                 let idx = pack_idx(i, j);
                 let tag_pat = pack_tag(idx, offset) & tag_mask;
-                let (bucket, start) = self.bucket_slots(row, col);
-                let len = self.lens[bucket] as usize;
+                let bucket = (row * side + col) as usize;
+                let start = bucket * b;
+                let len = counts[bucket] as usize;
                 for p in start..start + len {
                     if self.keys[p] == key && self.tags[p] & tag_mask == tag_pat {
                         self.weights[p] += weight;
                         return true;
                     }
                 }
-                if free.is_none() && len < self.bucket_entries {
+                if free.is_none() && len < b {
                     free = Some((bucket, start + len, idx));
                 }
             }
@@ -429,7 +616,7 @@ impl CompressedMatrix {
             self.keys[pos] = key;
             self.tags[pos] = pack_tag(idx, offset);
             self.weights[pos] = weight;
-            self.lens[bucket] += 1;
+            counts[bucket] += 1;
             self.stored += 1;
             return true;
         }
@@ -451,8 +638,7 @@ impl CompressedMatrix {
         if self.try_insert(addr_src, addr_dst, fp_src, fp_dst, None, weight) {
             return;
         }
-        let addr_src = addr_src % self.side;
-        let addr_dst = addr_dst % self.side;
+        let (addr_src, addr_dst) = (self.wrap(addr_src), self.wrap(addr_dst));
         if let Some(existing) = self.spill.iter_mut().find(|e| {
             e.addr_src == addr_src
                 && e.addr_dst == addr_dst
@@ -474,10 +660,10 @@ impl CompressedMatrix {
     /// Decrements a previously inserted edge. Matching entries are searched
     /// across all candidate buckets; if `filter` is given, only entries whose
     /// offset lies inside it are decremented. Returns `true` if any entry was
-    /// found.
-    // LINT-ALLOW(hot-path-panic): same slab invariants as `try_insert` —
-    // candidate arrays bounded by `m <= MAX_MAPPING`, slot ranges bounded by
-    // `lens[bucket] <= bucket_entries` within the slab.
+    /// found. Works on either form: a delete only changes a weight.
+    // LINT-ALLOW(hot-path-panic): candidate arrays are bounded by
+    // `m <= MAX_MAPPING`; slot positions come from `bucket_range` of a
+    // `seq`-generated bucket `< d²`, which stays inside the columns.
     pub fn try_delete(
         &mut self,
         addr_src: u64,
@@ -494,9 +680,7 @@ impl CompressedMatrix {
         for (i, &row) in rows[..m].iter().enumerate() {
             for (j, &col) in cols[..m].iter().enumerate() {
                 let idx_pat = u64::from(pack_idx(i, j)) << 32;
-                let (bucket, start) = self.bucket_slots(row, col);
-                let len = self.lens[bucket] as usize;
-                for p in start..start + len {
+                for p in self.bucket_range((row * self.side + col) as usize) {
                     if self.keys[p] == key
                         && self.tags[p] & TAG_IDX_MASK == idx_pat
                         && offset_in(self.tags[p] as u32, filter)
@@ -507,7 +691,7 @@ impl CompressedMatrix {
                 }
             }
         }
-        let (addr_src, addr_dst) = (addr_src % self.side, addr_dst % self.side);
+        let (addr_src, addr_dst) = (self.wrap(addr_src), self.wrap(addr_dst));
         if let Some(entry) = self.spill.iter_mut().find(|e| {
             e.addr_src == addr_src
                 && e.addr_dst == addr_dst
@@ -536,10 +720,8 @@ impl CompressedMatrix {
 
     /// [`edge_weight`](Self::edge_weight) with a caller-provided
     /// [`ProbeScratch`], so repeated probes (columnar batch sweeps) reuse
-    /// cached candidate addresses.
-    // LINT-ALLOW(hot-path-panic): `(row, col) < (side, side)` from the LCG
-    // sequence and `lens[bucket] <= bucket_entries` keep every probed range
-    // inside the slab.
+    /// cached candidate addresses. Each candidate bucket is one sweep of its
+    /// occupied slots.
     pub(crate) fn edge_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -551,7 +733,6 @@ impl CompressedMatrix {
     ) -> u64 {
         let key = pack_key(fp_src, fp_dst);
         let (lo, hi) = filter_bounds(filter);
-        let b = self.bucket_entries;
         let rows = scratch
             .rows
             .candidates(&self.seq, self.side, self.mapping, addr_src);
@@ -561,17 +742,8 @@ impl CompressedMatrix {
         let mut total = 0i64;
         for (i, &row) in rows.iter().enumerate() {
             for (j, &col) in cols.iter().enumerate() {
-                // Bucket-granular probe: bound the scan by the occupied
-                // prefix. Slots past `lens` were never written, so this is
-                // exactly the full fixed-length sweep minus guaranteed-zero
-                // contributions — identical sums, a third of the loads.
-                let bucket = (row * self.side + col) as usize;
-                let start = bucket * b;
-                let len = self.lens[bucket] as usize;
-                total = total.wrapping_add(sum_matching(
-                    &self.keys[start..start + len],
-                    &self.tags[start..start + len],
-                    &self.weights[start..start + len],
+                total = total.wrapping_add(self.sweep(
+                    self.bucket_range((row * self.side + col) as usize),
                     !0,
                     key,
                     TAG_IDX_MASK,
@@ -581,7 +753,7 @@ impl CompressedMatrix {
                 ));
             }
         }
-        let (addr_src, addr_dst) = (addr_src % self.side, addr_dst % self.side);
+        let (addr_src, addr_dst) = (self.wrap(addr_src), self.wrap(addr_dst));
         total += self
             .spill
             .iter()
@@ -598,10 +770,8 @@ impl CompressedMatrix {
 
     /// Source-vertex query: sums entries in the candidate rows whose source
     /// fingerprint (and row index) match (Eq. (2) of the paper, extended to
-    /// MMB rows). When a vector kernel is active each candidate row is one
-    /// contiguous `d · b`-slot [`sum_matching`] sweep of the slab with no
-    /// per-bucket occupancy lookups; otherwise a fused occupancy-guided scan
-    /// covers the row (identical sums, fewer loads).
+    /// MMB rows). Each candidate row is one contiguous [`sum_matching`]
+    /// sweep with no per-bucket lookups.
     pub fn src_weight(&self, addr_src: u64, fp_src: u32, filter: OffsetFilter) -> u64 {
         let mut scratch = ProbeScratch::new();
         self.src_weight_scratch(&mut scratch, addr_src, fp_src, filter)
@@ -609,9 +779,6 @@ impl CompressedMatrix {
 
     /// [`src_weight`](Self::src_weight) with a caller-provided
     /// [`ProbeScratch`].
-    // LINT-ALLOW(hot-path-panic): `row < side` from the LCG sequence bounds
-    // the row slices (`row * d * b + d * b <= slab len`); the inner
-    // occupancy scan stays below each bucket's `len <= bucket_entries`.
     pub(crate) fn src_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -623,58 +790,20 @@ impl CompressedMatrix {
         let rows = scratch
             .rows
             .candidates(&self.seq, self.side, self.mapping, addr_src);
-        let b = self.bucket_entries;
-        let row_slots = self.side as usize * b;
         let key_pat = u64::from(fp_src) << 32;
         let mut total = 0i64;
         for (i, &row) in rows.iter().enumerate() {
-            let tag_pat = (i as u64) << 40;
-            let start = row as usize * row_slots;
-            if wide_kernel_active() {
-                // One contiguous `d · b`-slot sweep: the vector kernel
-                // streams only the keys column, so the wide fixed-length
-                // shape wins despite scanning never-occupied slots.
-                let end = start + row_slots;
-                total = total.wrapping_add(sum_matching(
-                    &self.keys[start..end],
-                    &self.tags[start..end],
-                    &self.weights[start..end],
-                    KEY_SRC_MASK,
-                    key_pat,
-                    TAG_SRC_MASK,
-                    tag_pat,
-                    lo,
-                    hi,
-                ));
-            } else {
-                // Scalar dispatch: a fused occupancy-guided scan reads only
-                // occupied prefixes — fewer loads than the wide sweep when
-                // no vector kernel is there to amortise them. Identical sums
-                // either way: skipped slots contribute exactly zero, and the
-                // per-slot predicate below is exactly [`sum_matching`]'s,
-                // applied in the same ascending slot order.
-                let keys = &self.keys[start..start + row_slots];
-                let tags = &self.tags[start..start + row_slots];
-                let weights = &self.weights[start..start + row_slots];
-                let first_bucket = (row * self.side) as usize;
-                let lens = &self.lens[first_bucket..first_bucket + self.side as usize];
-                let mut s = 0usize;
-                for &len in lens {
-                    for p in s..s + len as usize {
-                        if keys[p] & KEY_SRC_MASK == key_pat {
-                            let t = tags[p];
-                            let tag_eq = (t & TAG_SRC_MASK) == tag_pat;
-                            let off = t & TAG_OFFSET_MASK;
-                            let off_in = (off >= u64::from(lo)) & (off <= u64::from(hi));
-                            let lane = ((tag_eq & off_in) as i64).wrapping_neg();
-                            total = total.wrapping_add(weights[p] & lane);
-                        }
-                    }
-                    s += b;
-                }
-            }
+            total = total.wrapping_add(self.sweep(
+                self.row_range(row),
+                KEY_SRC_MASK,
+                key_pat,
+                TAG_SRC_MASK,
+                (i as u64) << 40,
+                lo,
+                hi,
+            ));
         }
-        let addr_src = addr_src % self.side;
+        let addr_src = self.wrap(addr_src);
         total += self
             .spill
             .iter()
@@ -685,9 +814,9 @@ impl CompressedMatrix {
     }
 
     /// Destination-vertex query: sums entries in the candidate columns whose
-    /// destination fingerprint (and column index) match. The column sweep is
-    /// strided (one `b`-slot bucket per row), so each bucket is a short
-    /// fixed-length scan with the next stride software-prefetched.
+    /// destination fingerprint (and column index) match. The column walk is
+    /// strided (one bucket per row), so each bucket is a short sweep with a
+    /// bucket a few rows ahead software-prefetched.
     pub fn dst_weight(&self, addr_dst: u64, fp_dst: u32, filter: OffsetFilter) -> u64 {
         let mut scratch = ProbeScratch::new();
         self.dst_weight_scratch(&mut scratch, addr_dst, fp_dst, filter)
@@ -695,10 +824,6 @@ impl CompressedMatrix {
 
     /// [`dst_weight`](Self::dst_weight) with a caller-provided
     /// [`ProbeScratch`].
-    // LINT-ALLOW(hot-path-panic): the strided walk starts at `col < side`
-    // and takes `side` steps of `side * b` slots, so every bucket range
-    // (bounded by `lens[bucket] <= b`) stays inside the slab;
-    // `prefetch_read_data` bounds-checks its own hint index internally.
     pub(crate) fn dst_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -707,26 +832,23 @@ impl CompressedMatrix {
         filter: OffsetFilter,
     ) -> u64 {
         let (lo, hi) = filter_bounds(filter);
-        let b = self.bucket_entries;
-        let stride = self.side as usize * b;
+        let side = self.side as usize;
         let cols = scratch
             .cols
             .candidates(&self.seq, self.side, self.mapping, addr_dst);
         let mut total = 0i64;
         for (j, &col) in cols.iter().enumerate() {
             let tag_pat = (j as u64) << 32;
-            let mut bucket = col as usize;
-            let mut start = col as usize * b;
-            for _row in 0..self.side {
-                // Hide the strided-miss latency of the next few buckets.
-                prefetch_read_data(&self.keys, start + 4 * stride);
-                // Occupied-prefix bound: identical sums (never-written slots
-                // are all-zero), a third of the loads per bucket.
-                let len = self.lens[bucket] as usize;
-                total = total.wrapping_add(sum_matching(
-                    &self.keys[start..start + len],
-                    &self.tags[start..start + len],
-                    &self.weights[start..start + len],
+            for bucket in (col as usize..self.buckets()).step_by(side) {
+                // Hide the strided-miss latency of the next few buckets. A
+                // sealed matrix finds a bucket's slots through its start
+                // offset, so that is fetched further ahead still.
+                prefetch_read_data(&self.keys, self.bucket_start(bucket + 4 * side));
+                if let Occupancy::Starts(starts) = &self.occupancy {
+                    prefetch_read_data(starts, bucket + 8 * side);
+                }
+                total = total.wrapping_add(self.sweep(
+                    self.bucket_range(bucket),
                     KEY_DST_MASK,
                     u64::from(fp_dst),
                     TAG_DST_MASK,
@@ -734,11 +856,9 @@ impl CompressedMatrix {
                     lo,
                     hi,
                 ));
-                bucket += self.side as usize;
-                start += stride;
             }
         }
-        let addr_dst = addr_dst % self.side;
+        let addr_dst = self.wrap(addr_dst);
         total += self
             .spill
             .iter()
@@ -754,9 +874,8 @@ impl CompressedMatrix {
     /// probes a few positions ahead of the sweep.
     #[inline]
     pub(crate) fn prefetch_edge_probe(&self, addr_src: u64, addr_dst: u64) {
-        let row = addr_src % self.side;
-        let col = addr_dst % self.side;
-        let start = (row * self.side + col) as usize * self.bucket_entries;
+        let bucket = (self.wrap(addr_src) * self.side + self.wrap(addr_dst)) as usize;
+        let start = self.bucket_start(bucket);
         prefetch_read_data(&self.keys, start);
         prefetch_read_data(&self.weights, start);
     }
@@ -765,8 +884,7 @@ impl CompressedMatrix {
     /// source-vertex probe for `addr_src` will sweep.
     #[inline]
     pub(crate) fn prefetch_row_probe(&self, addr_src: u64) {
-        let row = addr_src % self.side;
-        let start = (row * self.side) as usize * self.bucket_entries;
+        let start = self.bucket_start((self.wrap(addr_src) * self.side) as usize);
         prefetch_read_data(&self.keys, start);
         prefetch_read_data(&self.weights, start);
     }
@@ -775,29 +893,27 @@ impl CompressedMatrix {
     /// destination-vertex probe for `addr_dst` will sweep.
     #[inline]
     pub(crate) fn prefetch_col_probe(&self, addr_dst: u64) {
-        let col = addr_dst % self.side;
-        let start = col as usize * self.bucket_entries;
+        let start = self.bucket_start(self.wrap(addr_dst) as usize);
         prefetch_read_data(&self.keys, start);
         prefetch_read_data(&self.weights, start);
     }
 
-    /// Iterates over occupied slots together with their bucket index.
-    fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
-        self.lens
-            .iter()
-            .enumerate()
-            .flat_map(move |(bucket, &len)| {
-                let start = bucket * self.bucket_entries;
-                (start..start + len as usize).map(move |p| (bucket, self.slot_at(p)))
-            })
+    /// Iterates over occupied slots together with their bucket index, in
+    /// bucket order (the same sequence in either form).
+    pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
+        (0..self.buckets()).flat_map(move |bucket| {
+            self.bucket_range(bucket)
+                .map(move |p| (bucket, self.slot_at(p)))
+        })
     }
 
     /// Iterates over all stored entries together with the row/column of the
     /// bucket holding them (used by aggregation).
     pub fn entries(&self) -> impl Iterator<Item = (u64, u64, Entry)> + '_ {
+        let shift = self.side.trailing_zeros();
         self.occupied_slots().map(move |(bucket, slot)| {
-            let row = bucket as u64 / self.side;
-            let col = bucket as u64 % self.side;
+            let row = bucket as u64 >> shift;
+            let col = self.wrap(bucket as u64);
             let entry = Entry {
                 fp_src: (slot.key >> 32) as u32,
                 fp_dst: slot.key as u32,
@@ -816,25 +932,30 @@ impl CompressedMatrix {
         self.seq
     }
 
-    /// Memory footprint in bytes. The slab is allocated eagerly, so this is
-    /// independent of fill level (unlike the seed's per-bucket `Vec`s).
+    /// Memory footprint in bytes: every allocation the matrix holds, at its
+    /// capacity. A writable matrix pays for all `b · d²` slots and `d²`
+    /// occupancy counts whatever its fill level; a sealed one for its
+    /// occupied slots and `d² + 1` start offsets. Both add the spill list.
     pub fn space_bytes(&self) -> usize {
+        let occupancy = match &self.occupancy {
+            Occupancy::Counts(counts) => counts.capacity(),
+            Occupancy::Starts(starts) => starts.capacity() * std::mem::size_of::<u32>(),
+        };
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.tags.capacity() * std::mem::size_of::<u64>()
             + self.weights.capacity() * std::mem::size_of::<i64>()
-            + self.lens.capacity()
+            + occupancy
             + self.spill.capacity() * std::mem::size_of::<SpillEntry>()
             + std::mem::size_of::<Self>()
     }
 
     // --- snapshot support (crate-internal) --------------------------------
     //
-    // The snapshot codec (`crate::snapshot`) persists the slab in its
-    // pre-SoA on-disk shape: the per-bucket occupancy array plus only the
-    // occupied slots as materialised `Slot` records (empty slots are always
-    // all-zero, so they carry no information), and the spill list. The
-    // format is unchanged by the SoA split; slots are gathered on encode and
-    // scattered on restore.
+    // The snapshot codec (`crate::snapshot`) persists a matrix as its
+    // per-bucket occupancy counts plus only the occupied slots as
+    // materialised `Slot` records, in bucket order, and the spill list. That
+    // is the sealed form's content, so either form encodes to the same
+    // bytes, and decoding builds the sealed form directly.
 
     /// Number of MMB mapping addresses per vertex (`r`).
     pub(crate) fn mapping(&self) -> u32 {
@@ -846,19 +967,20 @@ impl CompressedMatrix {
         self.bucket_entries
     }
 
-    /// The per-bucket occupancy array, indexed by `row · d + col`.
-    pub(crate) fn raw_lens(&self) -> &[u8] {
-        &self.lens
-    }
-
-    /// The occupied slots of bucket `bucket`, in slab order, materialised
-    /// from the SoA columns.
-    // LINT-ALLOW(hot-path-panic): the snapshot codec enumerates `bucket`
-    // from `raw_lens()`, so `lens[bucket]` exists and the occupied prefix
-    // lies inside the slab.
-    pub(crate) fn bucket_occupied_slots(&self, bucket: usize) -> impl Iterator<Item = Slot> + '_ {
-        let start = bucket * self.bucket_entries;
-        (start..start + self.lens[bucket] as usize).map(move |p| self.slot_at(p))
+    /// The per-bucket occupancy counts, indexed by `row · d + col`: borrowed
+    /// from a writable matrix, derived from a sealed one's offsets.
+    pub(crate) fn bucket_lens(&self) -> Cow<'_, [u8]> {
+        match &self.occupancy {
+            Occupancy::Counts(counts) => Cow::Borrowed(counts),
+            // Each bucket spans at most `bucket_entries <= 255` slots.
+            Occupancy::Starts(starts) => Cow::Owned(
+                starts
+                    .iter()
+                    .zip(starts.iter().skip(1))
+                    .map(|(from, to)| (to - from) as u8)
+                    .collect(),
+            ),
+        }
     }
 
     /// The spill list, in insertion order.
@@ -866,57 +988,72 @@ impl CompressedMatrix {
         &self.spill
     }
 
-    /// Rebuilds the slab from persisted state: per-bucket occupancy plus the
-    /// occupied slots in slab order (`occupied.len()` must equal the sum of
-    /// `lens`), and the spill list. The geometry (`self`) must have been
-    /// constructed with [`CompressedMatrix::new`] using the persisted
-    /// parameters; occupancy counts exceeding `bucket_entries` or a slot
-    /// count mismatch are rejected so a corrupt snapshot can never build a
-    /// structurally inconsistent matrix.
-    // LINT-ALLOW(hot-path-panic): the validation above guarantees
-    // `sum(lens) == occupied.len()`, so each bucket's
-    // `occupied[next..next + len]` window is in range.
-    pub(crate) fn restore_slab(
-        &mut self,
-        lens: Vec<u8>,
-        occupied: Vec<Slot>,
+    /// Builds a sealed matrix from persisted state: the geometry, the
+    /// per-bucket occupancy counts, the occupied slots in bucket order
+    /// (`occupied.len()` must equal the sum of `lens`), and the spill list.
+    /// Allocates only what the slots need. A geometry
+    /// [`CompressedMatrix::new`] would reject, a count table of the wrong
+    /// size, a count above `bucket_entries` or a slot-count mismatch is an
+    /// error, so a corrupt snapshot can never build a structurally
+    /// inconsistent matrix.
+    pub(crate) fn from_sealed_parts(
+        (side, layer, bucket_entries, mapping): (u64, u32, usize, u32),
+        lens: &[u8],
+        occupied: &[Slot],
         spill: Vec<SpillEntry>,
-    ) -> Result<(), String> {
-        if lens.len() != self.lens.len() {
+    ) -> Result<Self, String> {
+        if !side.is_power_of_two()
+            || side < 2
+            || !(1..=u8::MAX as usize).contains(&bucket_entries)
+            || !(1..=MAX_MAPPING).contains(&(mapping as usize))
+        {
             return Err(format!(
-                "bucket count mismatch: expected {}, got {}",
-                self.lens.len(),
+                "invalid matrix geometry: side {side}, bucket_entries {bucket_entries}, \
+                 mapping {mapping}"
+            ));
+        }
+        if side.checked_mul(side) != Some(lens.len() as u64) {
+            return Err(format!(
+                "bucket count mismatch: expected {side}², got {}",
                 lens.len()
             ));
         }
-        if let Some(bad) = lens.iter().find(|&&l| l as usize > self.bucket_entries) {
+        if let Some(bad) = lens.iter().find(|&&l| l as usize > bucket_entries) {
             return Err(format!(
-                "bucket occupancy {bad} exceeds bucket_entries {}",
-                self.bucket_entries
+                "bucket occupancy {bad} exceeds bucket_entries {bucket_entries}"
             ));
         }
-        let total: usize = lens.iter().map(|&l| l as usize).sum();
-        if total != occupied.len() {
+        let mut starts = Vec::with_capacity(lens.len() + 1);
+        let mut total = 0u32;
+        starts.push(0);
+        for &len in lens {
+            total = total
+                .checked_add(u32::from(len))
+                .ok_or("occupied slot count overflows the u32 bucket offsets")?;
+            starts.push(total);
+        }
+        if total as usize != occupied.len() {
             return Err(format!(
                 "occupied slot count mismatch: lens sum to {total}, got {} slots",
                 occupied.len()
             ));
         }
-        self.keys.fill(0);
-        self.tags.fill(0);
-        self.weights.fill(0);
-        let mut next = 0usize;
-        for (bucket, &len) in lens.iter().enumerate() {
-            let start = bucket * self.bucket_entries;
-            for (k, &slot) in occupied[next..next + len as usize].iter().enumerate() {
-                self.write_slot(start + k, slot);
-            }
-            next += len as usize;
-        }
-        self.lens = lens;
-        self.spill = spill;
-        self.stored = total;
-        Ok(())
+        Ok(Self {
+            side,
+            layer,
+            bucket_entries,
+            mapping,
+            seq: AddressSequence::new(side),
+            keys: occupied.iter().map(|s| s.key).collect(),
+            tags: occupied
+                .iter()
+                .map(|s| pack_tag(s.idx, s.time_offset))
+                .collect(),
+            weights: occupied.iter().map(|s| s.weight).collect(),
+            occupancy: Occupancy::Starts(starts),
+            spill,
+            stored: occupied.len(),
+        })
     }
 }
 
@@ -1182,6 +1319,235 @@ mod tests {
         m.prefetch_edge_probe(u64::MAX, u64::MAX);
         m.prefetch_row_probe(7);
         m.prefetch_col_probe(u64::MAX - 1);
+    }
+
+    /// Every probe family over every address of a `universe`-address space
+    /// and a small fingerprint range, with and without offset filters.
+    fn probe_answers(probe: &dyn Fn(Probe) -> u64, universe: u64) -> Vec<u64> {
+        let mut answers = Vec::new();
+        for addr in 0..universe {
+            for fp in 0..8u32 {
+                let other = (addr * 5 + 3) % universe;
+                for filter in [None, Some((0, 3)), Some((2, 5))] {
+                    answers.push(probe(Probe::Edge(addr, other, fp, fp ^ 1, filter)));
+                    answers.push(probe(Probe::Src(addr, fp, filter)));
+                    answers.push(probe(Probe::Dst(addr, fp, filter)));
+                }
+            }
+        }
+        answers
+    }
+
+    #[derive(Clone, Copy)]
+    enum Probe {
+        Edge(u64, u64, u32, u32, OffsetFilter),
+        Src(u64, u32, OffsetFilter),
+        Dst(u64, u32, OffsetFilter),
+    }
+
+    fn probe_matrix(m: &CompressedMatrix) -> impl Fn(Probe) -> u64 + '_ {
+        move |p| match p {
+            Probe::Edge(s, d, fs, fd, f) => m.edge_weight(s, d, fs, fd, f),
+            Probe::Src(s, fs, f) => m.src_weight(s, fs, f),
+            Probe::Dst(d, fd, f) => m.dst_weight(d, fd, f),
+        }
+    }
+
+    fn probe_chain(c: &crate::overflow::OverflowChain) -> impl Fn(Probe) -> u64 + '_ {
+        move |p| match p {
+            Probe::Edge(s, d, fs, fd, f) => c.edge_weight(s, d, fs, fd, f),
+            Probe::Src(s, fs, f) => c.src_weight(s, fs, f),
+            Probe::Dst(d, fd, f) => c.dst_weight(d, fd, f),
+        }
+    }
+
+    /// One op: `(kind, src, dst, fingerprint pair, time offset, weight)`.
+    /// Kinds 0–3 insert leaf-style with the offset, 4–5 aggregate (spilling
+    /// once candidates fill), 6 bursts the same pair into every candidate
+    /// bucket, 7 deletes.
+    type Op = (u8, u64, u64, u32, u32, i64);
+
+    fn apply_to_matrix(m: &mut CompressedMatrix, ops: &[Op]) {
+        for &(kind, s, d, fp, off, w) in ops {
+            let (fs, fd) = (fp & 7, (fp >> 3) & 7);
+            match kind {
+                0..=3 => {
+                    let _ = m.try_insert(s, d, fs, fd, Some(off), w);
+                }
+                4 | 5 => m.insert_aggregated(s, d, fs, fd, w),
+                6 => {
+                    for k in 0..8 {
+                        let _ = m.try_insert(s, d, k, k ^ fd, Some(off), w);
+                    }
+                }
+                _ => {
+                    let _ = m.try_delete(s, d, fs, fd, Some((off, off + 2)), w);
+                }
+            }
+        }
+    }
+
+    fn apply_to_chain(c: &mut crate::overflow::OverflowChain, ops: &[Op]) {
+        for &(kind, s, d, fp, off, w) in ops {
+            let (fs, fd) = (fp & 7, (fp >> 3) & 7);
+            if kind == 7 {
+                let _ = c.delete(s, d, fs, fd, Some((off, off + 2)), w);
+            } else {
+                c.insert(s, d, fs, fd, off, w);
+            }
+        }
+    }
+
+    /// Runs `check` once with the scalar kernels forced and once under
+    /// runtime dispatch (the vector kernels, with the `simd` feature on a
+    /// CPU that has them).
+    fn under_both_dispatches(check: impl Fn() -> Result<(), String>) -> Result<(), String> {
+        higgs_common::simd::force_scalar(true);
+        let scalar = check();
+        higgs_common::simd::force_scalar(false);
+        scalar.and_then(|()| check())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn sealed_and_writable_probes_agree(
+            geometry in (1u32..5, 1usize..4, 1u32..4),
+            ops in proptest::collection::vec((0u8..8, 0u64..64, 0u64..64, 0u32..64, 0u32..6, 1i64..4), 20..600),
+            deletes in proptest::collection::vec((7u8..8, 0u64..64, 0u64..64, 0u32..64, 0u32..6, 1i64..4), 0..200),
+        ) {
+            // Spill-heavy shapes: sides 2–16, one to three slots a bucket.
+            let (log_side, b, mapping) = geometry;
+            let side = 1u64 << log_side;
+            let universe = side * 4;
+            let mut writable = CompressedMatrix::new(side, 1, b, mapping);
+            apply_to_matrix(&mut writable, &ops);
+            let mut sealed = writable.clone();
+            sealed.seal();
+            proptest::prop_assert!(sealed.is_sealed() && !writable.is_sealed());
+            proptest::prop_assert_eq!(sealed.capacity(), writable.capacity());
+            // Deletes land after sealing, on both forms alike.
+            apply_to_matrix(&mut writable, &deletes);
+            apply_to_matrix(&mut sealed, &deletes);
+            proptest::prop_assert!(sealed.is_sealed());
+            proptest::prop_assert!(sealed.entries().eq(writable.entries()));
+
+            // Overflow bursts: a chain of one-slot blocks of the same side.
+            let mut chain = crate::overflow::OverflowChain::new(side, 1, mapping);
+            apply_to_chain(&mut chain, &ops);
+            let mut sealed_chain = chain.clone();
+            sealed_chain.seal();
+            apply_to_chain(&mut chain, &deletes);
+            apply_to_chain(&mut sealed_chain, &deletes);
+
+            let agreed = under_both_dispatches(|| {
+                if probe_answers(&probe_matrix(&sealed), universe)
+                    != probe_answers(&probe_matrix(&writable), universe)
+                {
+                    return Err("sealed matrix answers differ".into());
+                }
+                if probe_answers(&probe_chain(&sealed_chain), universe)
+                    != probe_answers(&probe_chain(&chain), universe)
+                {
+                    return Err("sealed chain answers differ".into());
+                }
+                Ok(())
+            });
+            proptest::prop_assert!(agreed.is_ok(), "{agreed:?}");
+        }
+    }
+
+    #[test]
+    fn sealing_keeps_content_and_nominal_capacity() {
+        let mut m = matrix();
+        for k in 0..60u32 {
+            m.try_insert(
+                u64::from(k % 8),
+                u64::from(k * 3 % 8),
+                k,
+                k + 1,
+                Some(k % 4),
+                2,
+            );
+        }
+        m.insert_aggregated(1, 1, 7, 7, 1);
+        let writable = m.clone();
+        m.seal();
+        assert!(m.is_sealed());
+        assert_eq!(m.stored(), writable.stored());
+        assert_eq!(m.capacity(), 3 * 64, "capacity stays the nominal b·d²");
+        assert_eq!(m.utilization(), writable.utilization());
+        assert_eq!(m.total_weight(), writable.total_weight());
+        assert!(m.entries().eq(writable.entries()));
+        assert_eq!(m.bucket_lens(), writable.bucket_lens());
+        assert!(m.occupied_slots().eq(writable.occupied_slots()));
+        // Occupied slots plus `d² + 1` offsets, against `b · d²` slots.
+        assert!(m.space_bytes() < writable.space_bytes() / 2);
+        m.seal();
+        assert!(
+            m.entries().eq(writable.entries()),
+            "sealing twice is a no-op"
+        );
+    }
+
+    #[test]
+    fn inserting_into_a_sealed_matrix_makes_it_writable() {
+        let mut m = matrix();
+        assert!(m.try_insert(1, 2, 100, 200, Some(5), 7));
+        m.seal();
+        assert!(m.try_insert(1, 2, 100, 200, Some(5), 1));
+        assert!(!m.is_sealed());
+        assert!(m.try_insert(3, 4, 10, 20, Some(0), 2));
+        assert_eq!(m.edge_weight(1, 2, 100, 200, None), 8);
+        assert_eq!(m.edge_weight(3, 4, 10, 20, None), 2);
+        assert_eq!(m.stored(), 2);
+    }
+
+    #[test]
+    fn unsealing_restores_the_writable_slab() {
+        let mut m = CompressedMatrix::new(4, 1, 2, 2);
+        for k in 0..40u32 {
+            let _ = m.try_insert(u64::from(k % 4), u64::from(k % 3), k, k, Some(0), 1);
+        }
+        let original = m.clone();
+        m.seal();
+        m.unseal();
+        assert!(!m.is_sealed());
+        assert_eq!(m.keys, original.keys);
+        assert_eq!(m.tags, original.tags);
+        assert_eq!(m.weights, original.weights);
+        assert_eq!(m.bucket_lens(), original.bucket_lens());
+    }
+
+    #[test]
+    fn sealed_parts_are_validated() {
+        let geometry = (4u64, 1u32, 2usize, 2u32);
+        let slot = Slot {
+            key: 1,
+            idx: 0,
+            time_offset: 0,
+            weight: 1,
+        };
+        let mut lens = vec![0u8; 16];
+        lens[3] = 1;
+        let m = CompressedMatrix::from_sealed_parts(geometry, &lens, &[slot], Vec::new())
+            .expect("consistent parts");
+        assert!(m.is_sealed());
+        assert_eq!(m.capacity(), 32);
+        assert_eq!(m.bucket_lens().as_ref(), lens.as_slice());
+        assert!(CompressedMatrix::from_sealed_parts(geometry, &lens, &[], Vec::new()).is_err());
+        assert!(
+            CompressedMatrix::from_sealed_parts(geometry, &lens[..8], &[], Vec::new()).is_err()
+        );
+        lens[3] = 3;
+        assert!(
+            CompressedMatrix::from_sealed_parts(geometry, &lens, &[slot; 3], Vec::new()).is_err(),
+            "occupancy above bucket_entries"
+        );
+        assert!(
+            CompressedMatrix::from_sealed_parts((6, 1, 2, 2), &[0; 36], &[], Vec::new()).is_err()
+        );
     }
 
     #[test]

@@ -58,6 +58,20 @@ impl LeafNode {
         Some((self.offset_of(overlap.start), self.offset_of(overlap.end)))
     }
 
+    /// Seals the leaf's matrix and overflow blocks (see
+    /// [`CompressedMatrix::seal`]): called when the leaf closes.
+    pub fn seal(&mut self) {
+        self.matrix.seal();
+        self.overflow.seal();
+    }
+
+    /// Turns the matrix and overflow blocks writable again (the open leaf
+    /// after a snapshot restore).
+    pub(crate) fn unseal(&mut self) {
+        self.matrix.unseal();
+        self.overflow.unseal();
+    }
+
     /// Memory footprint in bytes.
     pub fn space_bytes(&self) -> usize {
         self.matrix.space_bytes() + self.overflow.space_bytes() + std::mem::size_of::<Self>()

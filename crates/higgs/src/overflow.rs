@@ -7,11 +7,11 @@
 //! small compressed matrix chained to the leaf — keeping the temporal
 //! partition of the stream exact and thereby improving query accuracy.
 //!
-//! Blocks share [`CompressedMatrix`]'s flat slab layout (see
-//! [`matrix`](crate::matrix)), so each block is a single allocation and
-//! chain scans stay cache-friendly; a chain insert probes blocks in creation
-//! order and allocates a new block only after every existing block rejected
-//! the edge, preserving first-block-wins attribution for deletes/queries.
+//! Blocks are ordinary [`CompressedMatrix`] values (see
+//! [`matrix`](crate::matrix)): writable while their leaf is open, sealed
+//! with it when it closes. A chain insert probes blocks in creation order
+//! and allocates a new block only after every existing block rejected the
+//! edge, preserving first-block-wins attribution for deletes/queries.
 
 use crate::matrix::{CompressedMatrix, OffsetFilter, ProbeScratch};
 
@@ -172,6 +172,18 @@ impl OverflowChain {
             .iter()
             .map(|b| b.dst_weight_scratch(scratch, addr_dst, fp_dst, filter))
             .sum()
+    }
+
+    /// Seals every block (see [`CompressedMatrix::seal`]): called when the
+    /// chain's leaf closes, after which nothing inserts into the chain.
+    pub fn seal(&mut self) {
+        self.blocks.iter_mut().for_each(CompressedMatrix::seal);
+    }
+
+    /// Turns every block writable again (the open leaf's chain after a
+    /// snapshot restore).
+    pub(crate) fn unseal(&mut self) {
+        self.blocks.iter_mut().for_each(CompressedMatrix::unseal);
     }
 
     /// The blocks themselves (used during aggregation so overflow data is

@@ -28,13 +28,17 @@
 //! | 3   | leaves    | per leaf: time range, item count, slab matrix, overflow chain |
 //! | 4   | internals | per level, per node: time range, optional aggregate matrix |
 //!
-//! Slab matrices are persisted **raw**: the per-bucket occupancy array
-//! followed by only the occupied slots in slab order (empty slots carry no
+//! Matrices are persisted **raw**: the per-bucket occupancy array followed
+//! by only the occupied slots in bucket order (empty slots carry no
 //! information), then the spill list — so a snapshot's size tracks the
-//! stored entries, and restore rebuilds the exact same slab bytes. Runtime
-//! state (plan cache, plan counter) is deliberately *not* persisted: it is
-//! re-derivable and epoch-guarded, so a restored summary starts with a cold
-//! plan cache but the **persisted mutation epoch**, keeping epoch
+//! stored entries. That is exactly a sealed matrix's content (see
+//! [`matrix`](crate::matrix)): a writable and a sealed matrix with the same
+//! entries encode to the same bytes, and restore decodes every matrix
+//! straight into the sealed form, then turns only the open leaf and its
+//! overflow chain writable again, as a never-restored summary holds them.
+//! Runtime state (plan cache, plan counter) is deliberately *not* persisted:
+//! it is re-derivable and epoch-guarded, so a restored summary starts with a
+//! cold plan cache but the **persisted mutation epoch**, keeping epoch
 //! monotonicity across restarts.
 //!
 //! The manifest file (tag 5) records the format version, the full service
@@ -366,15 +370,12 @@ fn encode_matrix<W: Write>(
     enc.put_u32(matrix.layer())?;
     enc.put_u64(matrix.bucket_entries() as u64)?;
     enc.put_u32(matrix.mapping())?;
-    let lens = matrix.raw_lens();
-    enc.put_bytes(lens)?;
-    for bucket in 0..lens.len() {
-        for slot in matrix.bucket_occupied_slots(bucket) {
-            enc.put_u64(slot.key)?;
-            enc.put_u16(slot.idx)?;
-            enc.put_u32(slot.time_offset)?;
-            enc.put_i64(slot.weight)?;
-        }
+    enc.put_bytes(&matrix.bucket_lens())?;
+    for (_, slot) in matrix.occupied_slots() {
+        enc.put_u64(slot.key)?;
+        enc.put_u16(slot.idx)?;
+        enc.put_u32(slot.time_offset)?;
+        enc.put_i64(slot.weight)?;
     }
     enc.put_u64(matrix.spill_entries().len() as u64)?;
     for spill in matrix.spill_entries() {
@@ -410,11 +411,11 @@ fn decode_matrix<R: Read>(dec: &mut Decoder<R>) -> Result<CompressedMatrix, Snap
             crate::matrix::MAX_MAPPING
         )));
     }
-    // Read everything BEFORE constructing the matrix: `CompressedMatrix::new`
-    // eagerly allocates `b · d²` slots, so a corrupt `side` field must first
-    // have to prove itself by actually delivering `d²` occupancy bytes —
-    // a bit-flipped geometry on a small file dies with UnexpectedEof after a
-    // bounded chunked read, never with an OOM abort.
+    // Read everything BEFORE constructing the matrix: the sealed form
+    // allocates `d² + 1` bucket offsets, so a corrupt `side` field must
+    // first have to prove itself by actually delivering `d²` occupancy
+    // bytes — a bit-flipped geometry on a small file dies with UnexpectedEof
+    // after a bounded chunked read, never with an OOM abort.
     let buckets = (side * side) as usize;
     let lens = read_chunked_bytes(dec, buckets)?;
     let occupied_count: usize = lens.iter().map(|&l| l as usize).sum();
@@ -438,11 +439,15 @@ fn decode_matrix<R: Read>(dec: &mut Decoder<R>) -> Result<CompressedMatrix, Snap
             weight: dec.get_i64()?,
         });
     }
-    let mut matrix = CompressedMatrix::new(side, layer, bucket_entries, mapping);
-    matrix
-        .restore_slab(lens, occupied, spill)
-        .map_err(SnapshotError::Corrupt)?;
-    Ok(matrix)
+    // Decoded matrices come back sealed; restore turns the open leaf and its
+    // chain writable again (see `HiggsSummary::from_restored_parts`).
+    CompressedMatrix::from_sealed_parts(
+        (side, layer, bucket_entries, mapping),
+        &lens,
+        &occupied,
+        spill,
+    )
+    .map_err(SnapshotError::Corrupt)
 }
 
 fn encode_chain<W: Write>(

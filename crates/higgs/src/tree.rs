@@ -10,6 +10,13 @@
 //! [`ParallelHiggs`](crate::ParallelHiggs)), whose jobs rebuild a node from
 //! the leaves it covers; queries fall back to a node's children whenever its
 //! aggregate has not materialised yet, so results are identical either way.
+//!
+//! Only the open (last) leaf and its overflow chain accept inserts, so only
+//! they stay writable. A leaf's matrix and overflow blocks are sealed into
+//! their compact occupied-only form (see [`matrix`](crate::matrix)) the
+//! moment the leaf closes, and every aggregate is sealed before it is
+//! installed, inline or through [`HiggsSummary::install_aggregation`]. A
+//! restored summary holds the same forms.
 
 use crate::aggregate::{aggregate_leaves_to_layer, aggregate_matrices};
 use crate::config::{ConfigError, HiggsConfig};
@@ -128,13 +135,15 @@ impl HiggsSummary {
     /// Rebuilds a summary from persisted state (snapshot restore, see
     /// [`snapshot`](crate::snapshot)): the validated configuration plus the
     /// exact tree structure, stream counters, and mutation epoch the snapshot
-    /// recorded. Runtime-only state — the plan cache and the plan counter —
-    /// starts fresh; the restored epoch keeps monotonically increasing from
-    /// the persisted value, so any plan cached before the snapshot could
-    /// never be confused with a post-restore one anyway.
+    /// recorded. The decoded matrices arrive sealed; the open leaf and its
+    /// overflow chain are turned writable again. Runtime-only state — the
+    /// plan cache and the plan counter — starts fresh; the restored epoch
+    /// keeps monotonically increasing from the persisted value, so any plan
+    /// cached before the snapshot could never be confused with a
+    /// post-restore one anyway.
     pub(crate) fn from_restored_parts(
         config: HiggsConfig,
-        leaves: Vec<LeafNode>,
+        mut leaves: Vec<LeafNode>,
         internals: Vec<Vec<InternalNode>>,
         total_items: u64,
         defer_aggregation: bool,
@@ -143,6 +152,9 @@ impl HiggsSummary {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let plan_cache = PlanCache::new(config.plan_cache_capacity);
+        if let Some(open) = leaves.last_mut() {
+            open.unseal();
+        }
         Ok(Self {
             layout: config.layout(),
             config,
@@ -312,6 +324,7 @@ impl HiggsSummary {
             return;
         }
 
+        leaf.seal();
         self.leaves.push(self.new_leaf(t));
         let leaf = self.leaves.last_mut().expect("just pushed");
         let inserted = leaf
@@ -392,7 +405,7 @@ impl HiggsSummary {
     /// Computes the aggregated matrix of internal node `(level, group_idx)`
     /// bottom-up from its θ children (Algorithm 2): the child aggregates one
     /// level down, or for level 0 the leaf matrices and overflow blocks, so
-    /// every stored entry is lifted once.
+    /// every stored entry is lifted once. The result is sealed.
     ///
     /// Falls back to lifting the covered leaves through every layer when a
     /// child aggregate has not materialised yet (deferred aggregation, or a
@@ -422,17 +435,24 @@ impl HiggsSummary {
         std::mem::take(&mut self.pending)
     }
 
-    /// Installs an externally computed aggregate for node `(level, index)`.
+    /// Installs an externally computed aggregate for node `(level, index)`,
+    /// sealing it first if it is still writable.
     ///
     /// Bumps the mutation epoch: a fresh boundary search now targets the
     /// aggregate matrix where a plan built earlier descended to the leaves,
     /// so cached plans from before the installation must not be served.
-    pub fn install_aggregation(&mut self, level: usize, index: usize, matrix: CompressedMatrix) {
+    pub fn install_aggregation(
+        &mut self,
+        level: usize,
+        index: usize,
+        mut matrix: CompressedMatrix,
+    ) {
         if let Some(node) = self
             .internals
             .get_mut(level)
             .and_then(|nodes| nodes.get_mut(index))
         {
+            matrix.seal();
             node.matrix = Some(matrix);
             self.bump_epoch();
         }
@@ -547,7 +567,10 @@ impl HiggsSummary {
         }
     }
 
-    /// Memory footprint in bytes.
+    /// Memory footprint in bytes: every allocation the tree's nodes hold —
+    /// sealed matrices at their occupied size, the open leaf and its chain
+    /// at their full writable size, spills included (see
+    /// [`CompressedMatrix::space_bytes`]).
     pub fn space(&self) -> usize {
         let leaves: usize = self.leaves.iter().map(LeafNode::space_bytes).sum();
         let internals: usize = self
@@ -792,12 +815,19 @@ mod tests {
     /// which bursts into overflow blocks once the leaf is full), or advances
     /// time and inserts.
     fn apply_ops(s: &mut HiggsSummary, ops: &[(u64, u64, u64, u8)]) {
+        apply_mutations(s, &mutations(ops));
+    }
+
+    /// The mutations `ops` describe (see [`apply_ops`]), in order: an edge
+    /// plus `true` for a delete.
+    fn mutations(ops: &[(u64, u64, u64, u8)]) -> Vec<(StreamEdge, bool)> {
+        let mut out = Vec::new();
         let mut inserted: Vec<StreamEdge> = Vec::new();
         let mut t = 0u64;
         for &(src, dst, weight, kind) in ops {
             if kind == 0 {
                 if let Some(i) = inserted.len().checked_sub(src as usize + 1) {
-                    s.delete_edge(&inserted.remove(i));
+                    out.push((inserted.remove(i), true));
                 }
                 continue;
             }
@@ -805,8 +835,19 @@ mod tests {
                 t += 1;
             }
             let edge = StreamEdge::new(src, dst, weight, t);
-            s.insert_edge(&edge);
+            out.push((edge, false));
             inserted.push(edge);
+        }
+        out
+    }
+
+    fn apply_mutations(s: &mut HiggsSummary, mutations: &[(StreamEdge, bool)]) {
+        for (edge, delete) in mutations {
+            if *delete {
+                s.delete_edge(edge);
+            } else {
+                s.insert_edge(edge);
+            }
         }
     }
 
@@ -888,6 +929,119 @@ mod tests {
             let checked = check_every_node(&s);
             proptest::prop_assert!(checked.is_ok(), "{checked:?}");
         }
+    }
+
+    /// Every node's canonical content and form, leaf by leaf (matrix, then
+    /// overflow blocks) and then level by level: `(content, sealed)`.
+    type NodeState = (Vec<((u64, u64, u32, u32), i64)>, bool);
+
+    fn node_states(s: &HiggsSummary) -> Vec<NodeState> {
+        let leaves = s
+            .leaves
+            .iter()
+            .flat_map(|leaf| std::iter::once(&leaf.matrix).chain(leaf.overflow.blocks()));
+        let internals = s
+            .internals
+            .iter()
+            .flatten()
+            .filter_map(|n| n.matrix.as_ref());
+        leaves
+            .chain(internals)
+            .map(|m| (canonical(m), m.is_sealed()))
+            .collect()
+    }
+
+    /// Checks the forms a summary must hold: the open leaf and its chain
+    /// writable, every other leaf, block and aggregate sealed, and every
+    /// leaf's capacity the nominal `b · d1²`.
+    fn check_forms(s: &HiggsSummary) -> Result<(), String> {
+        let nominal = s.config.bucket_entries * (s.config.d1 * s.config.d1) as usize;
+        let open = s.leaves.len() - 1;
+        for (i, leaf) in s.leaves.iter().enumerate() {
+            let sealed = i != open;
+            if leaf.matrix.is_sealed() != sealed
+                || leaf
+                    .overflow
+                    .blocks()
+                    .iter()
+                    .any(|b| b.is_sealed() != sealed)
+            {
+                return Err(format!(
+                    "leaf {i} of {}: expected sealed = {sealed}",
+                    s.leaves.len()
+                ));
+            }
+            if leaf.matrix.capacity() != nominal
+                || leaf.matrix.utilization() != leaf.matrix.stored() as f64 / nominal as f64
+            {
+                return Err(format!("leaf {i}: capacity is not the nominal b·d²"));
+            }
+        }
+        if !s
+            .internals
+            .iter()
+            .flatten()
+            .filter_map(|n| n.matrix.as_ref())
+            .all(CompressedMatrix::is_sealed)
+        {
+            return Err("an installed aggregate is writable".into());
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn restore_keeps_the_open_leaf_writable(
+            ops in proptest::collection::vec((0u64..48, 0u64..48, 1u64..4, 0u8..10), 300..2_000),
+            cut in 0usize..100,
+            d1 in 1u32..3,
+        ) {
+            let all = mutations(&ops);
+            let (head, tail) = all.split_at(all.len() * cut / 100);
+            let mut control = HiggsSummary::new(spill_heavy_config(1 << d1, 2));
+            apply_mutations(&mut control, head);
+            let mut bytes = Vec::new();
+            control.write_snapshot(&mut bytes).expect("snapshot to memory");
+            let mut restored = HiggsSummary::read_snapshot(&mut bytes.as_slice()).expect("restore");
+            if !restored.leaves.is_empty() {
+                let forms = check_forms(&restored);
+                proptest::prop_assert!(forms.is_ok(), "right after restore: {forms:?}");
+                proptest::prop_assert!(node_states(&restored) == node_states(&control));
+            }
+            apply_mutations(&mut control, tail);
+            apply_mutations(&mut restored, tail);
+            let forms = check_forms(&restored);
+            proptest::prop_assert!(forms.is_ok(), "after the rest of the stream: {forms:?}");
+            proptest::prop_assert!(node_states(&restored) == node_states(&control));
+            proptest::prop_assert_eq!(
+                restored.average_leaf_utilization(),
+                control.average_leaf_utilization()
+            );
+            proptest::prop_assert_eq!(restored.space(), control.space());
+        }
+    }
+
+    #[test]
+    fn closed_leaves_and_aggregates_are_sealed_and_small() {
+        let mut s = HiggsSummary::new(HiggsConfig::paper_default());
+        for i in 0..20_000u64 {
+            s.insert_edge(&StreamEdge::new(i % 3_000, (i * 7) % 3_000, 1, i / 4));
+        }
+        assert!(s.height() > 2, "stream too small: height {}", s.height());
+        check_forms(&s).expect("forms");
+        // A writable leaf pays for all b·d² slots (24 bytes each) and d²
+        // occupancy bytes; a sealed one for its entries and d² + 1 offsets.
+        let header = std::mem::size_of::<CompressedMatrix>();
+        let open = &s.leaves.last().expect("a leaf").matrix;
+        assert_eq!(open.space_bytes(), 768 * 24 + 256 + header);
+        let closed = &s.leaves[0].matrix;
+        assert_eq!(closed.spill_len(), 0);
+        assert_eq!(
+            closed.space_bytes(),
+            closed.stored() * 24 + 257 * 4 + header
+        );
     }
 
     #[test]
