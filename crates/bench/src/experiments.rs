@@ -84,19 +84,20 @@ impl ExperimentConfig {
     }
 }
 
-/// Builds every competitor and feeds the stream through it, returning the
+/// Builds each of `methods` and feeds the stream through it, returning the
 /// loaded summaries together with per-method insertion timings.
-fn load_all(
+fn load(
     stream: &GraphStream,
+    methods: &[CompetitorKind],
 ) -> Vec<(CompetitorKind, Box<dyn TemporalGraphSummary + Send>, f64)> {
     let slices = stream
         .time_span()
         .map(|s| s.end + 1)
         .unwrap_or(1 << 16)
         .next_power_of_two();
-    CompetitorKind::all()
-        .into_iter()
-        .map(|kind| {
+    methods
+        .iter()
+        .map(|&kind| {
             let mut summary = kind.build(stream.len(), slices);
             let start = Instant::now();
             summary.insert_all(stream.edges());
@@ -213,51 +214,35 @@ pub enum QueryKind {
     Vertex,
 }
 
-/// Figs. 10 & 11: AAE / ARE / latency of edge (or vertex) queries versus the
-/// query range length, per dataset and method.
-pub fn accuracy_experiment(cfg: &ExperimentConfig, kind: QueryKind) -> Vec<Report> {
-    let fig = match kind {
-        QueryKind::Edge => "Fig. 10",
-        QueryKind::Vertex => "Fig. 11",
-    };
-    let mut reports = Vec::new();
+/// One measurement behind Figs. 10 & 11: a method's error statistics and
+/// mean per-query latency on one dataset at one query range length.
+#[derive(Clone, Debug)]
+pub struct AccuracyCell {
+    /// The dataset the stream was generated from.
+    pub preset: DatasetPreset,
+    /// The summary measured.
+    pub method: CompetitorKind,
+    /// The query range length.
+    pub lq: u64,
+    /// Errors against the exact store.
+    pub stats: ErrorStats,
+    /// Mean per-query latency in microseconds.
+    pub latency_us: f64,
+}
+
+/// Runs the Fig. 10 (edge) or Fig. 11 (vertex) workload against each of
+/// `methods` on every dataset and at every range length of `cfg`: one cell
+/// per dataset, method and range length, in that nesting order.
+pub fn accuracy_cells(
+    cfg: &ExperimentConfig,
+    kind: QueryKind,
+    methods: &[CompetitorKind],
+) -> Vec<AccuracyCell> {
+    let mut cells = Vec::new();
     for preset in DatasetPreset::all() {
         let stream = preset.generate(cfg.scale);
         let exact = ExactTemporalGraph::from_edges(stream.edges());
-        let loaded = load_all(&stream);
-        let lq_cols: Vec<String> = cfg
-            .lq_values
-            .iter()
-            .map(|lq| format!("Lq=1e{}", (*lq as f64).log10() as u32))
-            .collect();
-        let mut aae = Report::new(
-            format!(
-                "{fig} — {} query AAE ({})",
-                kind_label(kind),
-                preset.label()
-            ),
-            lq_cols.iter().map(String::as_str).collect(),
-        );
-        let mut are = Report::new(
-            format!(
-                "{fig} — {} query ARE ({})",
-                kind_label(kind),
-                preset.label()
-            ),
-            lq_cols.iter().map(String::as_str).collect(),
-        );
-        let mut latency = Report::new(
-            format!(
-                "{fig} — {} query latency, µs ({})",
-                kind_label(kind),
-                preset.label()
-            ),
-            lq_cols.iter().map(String::as_str).collect(),
-        );
-        for (knd, summary, _) in &loaded {
-            let mut aae_vals = Vec::new();
-            let mut are_vals = Vec::new();
-            let mut lat_vals = Vec::new();
+        for (method, summary, _) in load(&stream, methods) {
             for &lq in &cfg.lq_values {
                 let mut builder = WorkloadBuilder::new(&stream, cfg.seed ^ lq);
                 let queries: Vec<Query> = match kind {
@@ -272,14 +257,61 @@ pub fn accuracy_experiment(cfg: &ExperimentConfig, kind: QueryKind) -> Vec<Repor
                         .map(Query::Vertex)
                         .collect(),
                 };
-                let (stats, us) = error_stats_for_batch(summary.as_ref(), &exact, &queries);
-                aae_vals.push(fmt_metric(stats.aae()));
-                are_vals.push(fmt_metric(stats.are()));
-                lat_vals.push(fmt_metric(us));
+                let (stats, latency_us) = error_stats_for_batch(summary.as_ref(), &exact, &queries);
+                cells.push(AccuracyCell {
+                    preset,
+                    method,
+                    lq,
+                    stats,
+                    latency_us,
+                });
             }
-            aae.push(Row::new(knd.label(), aae_vals));
-            are.push(Row::new(knd.label(), are_vals));
-            latency.push(Row::new(knd.label(), lat_vals));
+        }
+    }
+    cells
+}
+
+/// Figs. 10 & 11: AAE / ARE / latency of edge (or vertex) queries versus the
+/// query range length, per dataset and method.
+pub fn accuracy_experiment(cfg: &ExperimentConfig, kind: QueryKind) -> Vec<Report> {
+    let fig = match kind {
+        QueryKind::Edge => "Fig. 10",
+        QueryKind::Vertex => "Fig. 11",
+    };
+    let lq_cols: Vec<String> = cfg
+        .lq_values
+        .iter()
+        .map(|lq| format!("Lq=1e{}", (*lq as f64).log10() as u32))
+        .collect();
+    let columns: Vec<&str> = lq_cols.iter().map(String::as_str).collect();
+    let cells = accuracy_cells(cfg, kind, &CompetitorKind::all());
+    let mut reports = Vec::new();
+    for preset in DatasetPreset::all() {
+        let label = preset.label();
+        let mut aae = Report::new(
+            format!("{fig} — {} query AAE ({label})", kind_label(kind)),
+            columns.clone(),
+        );
+        let mut are = Report::new(
+            format!("{fig} — {} query ARE ({label})", kind_label(kind)),
+            columns.clone(),
+        );
+        let mut latency = Report::new(
+            format!("{fig} — {} query latency, µs ({label})", kind_label(kind)),
+            columns.clone(),
+        );
+        for method in CompetitorKind::all() {
+            // The method's cells on this dataset, one per range length.
+            let row = || {
+                cells
+                    .iter()
+                    .filter(move |c| c.preset == preset && c.method == method)
+            };
+            let values =
+                |metric: fn(&AccuracyCell) -> f64| row().map(|c| fmt_metric(metric(c))).collect();
+            aae.push(Row::new(method.label(), values(|c| c.stats.aae())));
+            are.push(Row::new(method.label(), values(|c| c.stats.are())));
+            latency.push(Row::new(method.label(), values(|c| c.latency_us)));
         }
         reports.push(aae);
         reports.push(are);
@@ -301,7 +333,7 @@ pub fn composite_experiment(cfg: &ExperimentConfig) -> Vec<Report> {
     let preset = DatasetPreset::Lkml;
     let stream = preset.generate(cfg.scale);
     let exact = ExactTemporalGraph::from_edges(stream.edges());
-    let loaded = load_all(&stream);
+    let loaded = load(&stream, &CompetitorKind::all());
     let lq = stream.time_span().map(|s| s.len() / 4).unwrap_or(1_000);
 
     let hop_cols: Vec<String> = (1..=7).map(|h| format!("{h} hops")).collect();
@@ -401,7 +433,7 @@ pub fn irregularity_experiment(cfg: &ExperimentConfig, by_variance: bool) -> Vec
 
     for (_, stream) in &datasets {
         let exact = ExactTemporalGraph::from_edges(stream.edges());
-        let loaded = load_all(stream);
+        let loaded = load(stream, &CompetitorKind::all());
         let lq = stream.time_span().map(|s| s.len() / 8).unwrap_or(1_000);
         for ((kind, summary, secs), slot) in loaded.iter().zip(per_method.iter_mut()) {
             debug_assert_eq!(*kind, slot.0);
@@ -460,7 +492,7 @@ pub fn update_cost_experiment(cfg: &ExperimentConfig) -> Vec<Report> {
 
     for preset in presets {
         let stream = preset.generate(cfg.scale);
-        let loaded = load_all(&stream);
+        let loaded = load(&stream, &CompetitorKind::all());
         // Delete a sample of the stream to measure deletion throughput.
         let delete_count = (stream.len() / 5).max(1);
         for ((kind, mut summary, secs), slot) in loaded.into_iter().zip(per_method.iter_mut()) {

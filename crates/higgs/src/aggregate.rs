@@ -16,9 +16,15 @@
 //! [`aggregate_leaves_to_layer`] lifts leaf entries through every layer at
 //! once; only [`ParallelHiggs`](crate::ParallelHiggs) ships jobs built that
 //! way, because a pool job must not wait on its sibling jobs.
+//!
+//! Both build the parent straight into the sealed form with the
+//! crate-private `AggregateBuilder` of [`matrix`](crate::matrix): no
+//! writable `b · d²` slab is allocated, and the result is laid out exactly
+//! as a dense build ([`CompressedMatrix::insert_aggregated`] on a fresh
+//! matrix, then [`CompressedMatrix::seal`]) would lay it out.
 
 use crate::config::HiggsConfig;
-use crate::matrix::CompressedMatrix;
+use crate::matrix::{AggregateBuilder, CompressedMatrix};
 use higgs_common::hashing::FingerprintLayout;
 
 /// Aggregates `children` (all at `child_layer`) into a new matrix at
@@ -37,59 +43,18 @@ use higgs_common::hashing::FingerprintLayout;
 /// values straight off the child's contiguous columns, so the per-child walk
 /// is a linear sweep rather than a bucket-by-bucket pointer chase.
 ///
-/// The parent is built writable and returned sealed: nothing inserts into an
-/// aggregate once it is complete.
+/// The parent is built straight into the sealed form (see the module docs):
+/// nothing inserts into an aggregate once it is complete.
 pub fn aggregate_matrices(
     layout: &FingerprintLayout,
     config: &HiggsConfig,
     children: &[&CompressedMatrix],
     child_layer: u32,
 ) -> CompressedMatrix {
-    let parent_layer = child_layer + 1;
-    let mut parent = CompressedMatrix::new(
-        layout.matrix_side(parent_layer),
-        parent_layer,
-        config.bucket_entries,
-        config.mapping_addresses,
-    );
     for child in children {
         debug_assert_eq!(child.layer(), child_layer, "child at unexpected layer");
-        let seq = child.address_sequence();
-        for (row, col, entry) in child.entries() {
-            if entry.weight == 0 {
-                continue;
-            }
-            let base_src = seq.base_of(row, u32::from(entry.idx_src));
-            let base_dst = seq.base_of(col, u32::from(entry.idx_dst));
-            let (fp_src, addr_src) = layout.lift(u64::from(entry.fp_src), base_src, child_layer);
-            let (fp_dst, addr_dst) = layout.lift(u64::from(entry.fp_dst), base_dst, child_layer);
-            parent.insert_aggregated(
-                addr_src,
-                addr_dst,
-                fp_src as u32,
-                fp_dst as u32,
-                entry.weight,
-            );
-        }
-        for spill in child.spill_entries() {
-            if spill.weight == 0 {
-                continue;
-            }
-            let (fp_src, addr_src) =
-                layout.lift(u64::from(spill.fp_src), spill.addr_src, child_layer);
-            let (fp_dst, addr_dst) =
-                layout.lift(u64::from(spill.fp_dst), spill.addr_dst, child_layer);
-            parent.insert_aggregated(
-                addr_src,
-                addr_dst,
-                fp_src as u32,
-                fp_dst as u32,
-                spill.weight,
-            );
-        }
     }
-    parent.seal();
-    parent
+    aggregate(layout, config, children, child_layer, child_layer + 1)
 }
 
 /// Aggregates leaf-layer matrices directly into a matrix at `target_layer`,
@@ -98,9 +63,8 @@ pub fn aggregate_matrices(
 /// Used by [`ParallelHiggs`](crate::ParallelHiggs) jobs and by the fallback
 /// of [`HiggsSummary::compute_aggregation`](crate::HiggsSummary::compute_aggregation)
 /// when a child has not materialised yet: any ancestor can always be rebuilt
-/// from the leaf matrices it covers, independent of other jobs. Leaf
-/// matrices and overflow blocks never spill, so only bucket entries are
-/// read. Like [`aggregate_matrices`], the result comes back sealed.
+/// from the leaf matrices it covers, independent of other jobs. Like
+/// [`aggregate_matrices`], the parent is built straight into the sealed form.
 pub fn aggregate_leaves_to_layer(
     layout: &FingerprintLayout,
     config: &HiggsConfig,
@@ -111,44 +75,106 @@ pub fn aggregate_leaves_to_layer(
         target_layer >= 2,
         "target layer must be above the leaf layer"
     );
-    let mut parent = CompressedMatrix::new(
-        layout.matrix_side(target_layer),
-        target_layer,
-        config.bucket_entries,
-        config.mapping_addresses,
-    );
     for leaf in leaves {
         debug_assert_eq!(
             leaf.layer(),
             1,
             "aggregate_leaves_to_layer expects leaf matrices"
         );
-        let seq = leaf.address_sequence();
-        for (row, col, entry) in leaf.entries() {
-            if entry.weight == 0 {
-                continue;
+    }
+    aggregate(layout, config, leaves, 1, target_layer)
+}
+
+/// Aggregates `sources` (all at `from_layer`) into a new matrix at
+/// `to_layer`, built straight into the sealed form. The sources' stored
+/// entries, spills included, bound the parent's, so the builder reserves
+/// that many.
+pub(crate) fn aggregate(
+    layout: &FingerprintLayout,
+    config: &HiggsConfig,
+    sources: &[&CompressedMatrix],
+    from_layer: u32,
+    to_layer: u32,
+) -> CompressedMatrix {
+    let mut parent = AggregateBuilder::new(
+        layout.matrix_side(to_layer),
+        to_layer,
+        config.bucket_entries,
+        config.mapping_addresses,
+        sources.iter().map(|m| m.stored() + m.spill_len()).sum(),
+    );
+    for_each_lifted(layout, sources, from_layer, to_layer, |s, d, fs, fd, w| {
+        parent.insert(s, d, fs, fd, w)
+    });
+    parent.finish()
+}
+
+/// Lifts every nonzero entry of `sources` (all at `from_layer`), bucket
+/// entries then spills, source by source, from `from_layer` to `to_layer`,
+/// and hands each to `insert` as `(addr_src, addr_dst, fp_src, fp_dst,
+/// weight)` at `to_layer`. The order is the order the parent is built in,
+/// which decides where each entry lands.
+fn for_each_lifted(
+    layout: &FingerprintLayout,
+    sources: &[&CompressedMatrix],
+    from_layer: u32,
+    to_layer: u32,
+    mut insert: impl FnMut(u64, u64, u32, u32, i64),
+) {
+    let mut lift = |mut fp_src: u64, mut addr_src: u64, mut fp_dst: u64, mut addr_dst: u64, w| {
+        for layer in from_layer..to_layer {
+            (fp_src, addr_src) = layout.lift(fp_src, addr_src, layer);
+            (fp_dst, addr_dst) = layout.lift(fp_dst, addr_dst, layer);
+        }
+        insert(addr_src, addr_dst, fp_src as u32, fp_dst as u32, w);
+    };
+    for source in sources {
+        let seq = source.address_sequence();
+        for (row, col, entry) in source.entries() {
+            if entry.weight != 0 {
+                lift(
+                    u64::from(entry.fp_src),
+                    seq.base_of(row, u32::from(entry.idx_src)),
+                    u64::from(entry.fp_dst),
+                    seq.base_of(col, u32::from(entry.idx_dst)),
+                    entry.weight,
+                );
             }
-            let mut fp_src = u64::from(entry.fp_src);
-            let mut addr_src = seq.base_of(row, u32::from(entry.idx_src));
-            let mut fp_dst = u64::from(entry.fp_dst);
-            let mut addr_dst = seq.base_of(col, u32::from(entry.idx_dst));
-            for layer in 1..target_layer {
-                let (fs, as_) = layout.lift(fp_src, addr_src, layer);
-                let (fd, ad) = layout.lift(fp_dst, addr_dst, layer);
-                fp_src = fs;
-                addr_src = as_;
-                fp_dst = fd;
-                addr_dst = ad;
+        }
+        for spill in source.spill_entries() {
+            if spill.weight != 0 {
+                lift(
+                    u64::from(spill.fp_src),
+                    spill.addr_src,
+                    u64::from(spill.fp_dst),
+                    spill.addr_dst,
+                    spill.weight,
+                );
             }
-            parent.insert_aggregated(
-                addr_src,
-                addr_dst,
-                fp_src as u32,
-                fp_dst as u32,
-                entry.weight,
-            );
         }
     }
+}
+
+/// The dense reference build of [`aggregate`]: a fresh writable matrix
+/// filled with [`CompressedMatrix::insert_aggregated`] in the same order,
+/// then sealed. Tests check the builder against it field for field.
+#[cfg(test)]
+pub(crate) fn aggregate_dense(
+    layout: &FingerprintLayout,
+    config: &HiggsConfig,
+    sources: &[&CompressedMatrix],
+    from_layer: u32,
+    to_layer: u32,
+) -> CompressedMatrix {
+    let mut parent = CompressedMatrix::new(
+        layout.matrix_side(to_layer),
+        to_layer,
+        config.bucket_entries,
+        config.mapping_addresses,
+    );
+    for_each_lifted(layout, sources, from_layer, to_layer, |s, d, fs, fd, w| {
+        parent.insert_aggregated(s, d, fs, fd, w)
+    });
     parent.seal();
     parent
 }

@@ -84,12 +84,14 @@
 //!   `b`-entry buckets is structure-of-arrays — parallel columns of packed
 //!   keys, packed tags, and weights — with no per-bucket heap allocations
 //!   and no pointer chases. While something can still insert into it (the
-//!   open leaf and its overflow chain, an aggregate under construction) it
-//!   is a writable slab of `b · d²` fixed-stride slots plus a `Vec<u8>` of
-//!   per-bucket lengths. Every closed matrix is **sealed**: its columns keep
-//!   only the occupied slots, in bucket order, plus one `u32` start offset
-//!   per bucket. Leaves run about 14 % full at paper parameters, so the
-//!   tree holds about a tenth of the memory a dense layout would.
+//!   open leaf and its overflow chain) it is a writable slab of `b · d²`
+//!   fixed-stride slots plus a `Vec<u8>` of per-bucket lengths. Every closed
+//!   matrix is **sealed**: its columns keep only the occupied slots, in
+//!   bucket order, plus one `u32` start offset per bucket. A leaf is sealed
+//!   when it closes; an aggregate is built straight into the sealed form,
+//!   with no dense slab in between. Leaves run about 14 % full at paper
+//!   parameters, so the tree holds about a tenth of the memory a dense
+//!   layout would.
 //! * **Packed match keys.** The fingerprint pair is packed into one `u64`
 //!   and the MMB index pair plus time offset into one tag `u64` per slot, so
 //!   candidate scans are two masked integer compares per entry instead of

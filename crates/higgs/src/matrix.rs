@@ -12,21 +12,38 @@
 //! ([`higgs_common::simd`]) need. Buckets sit in row-major order
 //! (`row · d + col`) in both of the matrix's two forms:
 //!
-//! * **Writable** — the form a matrix is created in, and the only one that
-//!   accepts inserts. The columns are a fixed-stride slab of `b · d²` slots
-//!   (bucket `k` owns slots `[k·b, (k+1)·b)`) plus one `u8` occupancy count
-//!   per bucket. Only matrices something can still insert into stay
-//!   writable: the open leaf, its overflow chain, and an aggregate under
-//!   construction.
-//! * **Sealed** — what every closed matrix becomes ([`CompressedMatrix::seal`]):
-//!   the tree seals a leaf and its overflow blocks when the leaf closes, and
-//!   every aggregate as it is installed. The columns keep only the occupied
-//!   slots, in the same bucket order and the same order within each bucket,
-//!   plus one `u32` start offset per bucket and an end marker: bucket `k`'s
-//!   entries are `starts[k]..starts[k+1]`. Leaves run about 14 % full at
-//!   paper parameters, so sealing cuts a leaf matrix to about a fifth of its
+//! * **Writable** — the form [`CompressedMatrix::new`] creates, and the only
+//!   one that accepts inserts. The columns are a fixed-stride slab of
+//!   `b · d²` slots (bucket `k` owns slots `[k·b, (k+1)·b)`) plus one `u8`
+//!   occupancy count per bucket. In the tree only the open leaf and its
+//!   overflow chain are writable.
+//! * **Sealed** — what every closed matrix is. The columns keep only the
+//!   occupied slots, in the same bucket order and the same order within
+//!   each bucket, plus one `u32` start offset per bucket and an end marker:
+//!   bucket `k`'s entries are `starts[k]..starts[k+1]`. The tree seals a
+//!   leaf and its overflow blocks when the leaf closes
+//!   ([`CompressedMatrix::seal`]); leaves run about 14 % full at paper
+//!   parameters, so sealing cuts a leaf matrix to about a fifth of its
 //!   writable size. Deletes still work on a sealed matrix (they only change
 //!   weights); an insert into one first turns it writable again.
+//!
+//! # Building aggregates
+//!
+//! An aggregate is built straight into the sealed form by the crate-private
+//! `AggregateBuilder`, so no `b · d²` slab is allocated, zeroed and scanned
+//! only to keep its occupied slots. The builder holds one `u32` head per
+//! bucket, the entries in arrival order (key, index pair, weight and a
+//! `u32` link to the next entry of the same bucket), and the spill list.
+//! Its insert makes the same fused `r × r` candidate scan as
+//! [`CompressedMatrix::insert_aggregated`], so every entry lands where a
+//! dense build would put it: an entry with the same key and index pair
+//! accumulates, a new one joins the first candidate bucket holding fewer
+//! than `b` entries, and with every candidate full it goes to the same
+//! exact spill list. Each bucket's chain is in arrival order, the order a
+//! writable bucket keeps, so one walk over the heads emits the same
+//! columns and start offsets that [`CompressedMatrix::seal`] would after a
+//! dense build. `insert_aggregated` and `seal` remain the public API and
+//! the reference the builder is tested against.
 //!
 //! Per slot, the match key packs the fingerprint pair into one `u64`
 //! (`fp_src` in the high half, `fp_dst` in the low half — exact, since
@@ -249,7 +266,7 @@ impl Default for ProbeScratch {
 
 /// Where each bucket's slots sit in the columns — the one thing that tells
 /// the two forms of a matrix apart (see the module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Occupancy {
     /// Writable: bucket `k` owns the fixed-stride slots `[k·b, (k+1)·b)`,
     /// of which the first `counts[k]` are occupied.
@@ -288,15 +305,7 @@ impl CompressedMatrix {
     /// layer `layer`, with `bucket_entries` entries per bucket and `mapping`
     /// candidate addresses per vertex.
     pub fn new(side: u64, layer: u32, bucket_entries: usize, mapping: u32) -> Self {
-        assert!(side.is_power_of_two() && side >= 2);
-        assert!(
-            bucket_entries >= 1 && bucket_entries <= u8::MAX as usize,
-            "bucket_entries must be in [1, 255]"
-        );
-        assert!(
-            mapping >= 1 && mapping as usize <= MAX_MAPPING,
-            "mapping must be in [1, {MAX_MAPPING}]"
-        );
+        assert_geometry(side, bucket_entries, mapping);
         let buckets = (side * side) as usize;
         let slots = buckets * bucket_entries;
         Self {
@@ -517,20 +526,6 @@ impl CompressedMatrix {
         )
     }
 
-    /// The candidate rows/columns of `addr`: the first `mapping` LCG
-    /// addresses, computed iteratively in one pass. Mutating scans use this
-    /// direct fill; query paths go through [`ProbeScratch`] so repeated
-    /// probes of the same endpoint skip it.
-    // LINT-ALLOW(hot-path-panic): `mapping <= MAX_MAPPING` is asserted in
-    // `new`, so `out[..mapping]` is always in bounds.
-    #[inline]
-    fn candidates(&self, addr: u64) -> [u64; MAX_MAPPING] {
-        let mut out = [0u64; MAX_MAPPING];
-        self.seq
-            .fill_sequence(addr, &mut out[..self.mapping as usize]);
-        out
-    }
-
     /// Materialises the slot view of position `p`.
     // LINT-ALLOW(hot-path-panic): callers derive `p` from a bucket's
     // occupied range (`bucket_range`), which lies inside the columns.
@@ -581,8 +576,8 @@ impl CompressedMatrix {
             !0
         };
         let m = self.mapping as usize;
-        let rows = self.candidates(addr_src);
-        let cols = self.candidates(addr_dst);
+        let rows = candidates(&self.seq, self.mapping, addr_src);
+        let cols = candidates(&self.seq, self.mapping, addr_dst);
         let (side, b) = (self.side, self.bucket_entries);
         let counts = match &mut self.occupancy {
             Occupancy::Counts(counts) => counts,
@@ -639,22 +634,7 @@ impl CompressedMatrix {
             return;
         }
         let (addr_src, addr_dst) = (self.wrap(addr_src), self.wrap(addr_dst));
-        if let Some(existing) = self.spill.iter_mut().find(|e| {
-            e.addr_src == addr_src
-                && e.addr_dst == addr_dst
-                && e.fp_src == fp_src
-                && e.fp_dst == fp_dst
-        }) {
-            existing.weight += weight;
-        } else {
-            self.spill.push(SpillEntry {
-                addr_src,
-                addr_dst,
-                fp_src,
-                fp_dst,
-                weight,
-            });
-        }
+        spill_into(&mut self.spill, addr_src, addr_dst, fp_src, fp_dst, weight);
     }
 
     /// Decrements a previously inserted edge. Matching entries are searched
@@ -675,8 +655,8 @@ impl CompressedMatrix {
     ) -> bool {
         let key = pack_key(fp_src, fp_dst);
         let m = self.mapping as usize;
-        let rows = self.candidates(addr_src);
-        let cols = self.candidates(addr_dst);
+        let rows = candidates(&self.seq, self.mapping, addr_src);
+        let cols = candidates(&self.seq, self.mapping, addr_dst);
         for (i, &row) in rows[..m].iter().enumerate() {
             for (j, &col) in cols[..m].iter().enumerate() {
                 let idx_pat = u64::from(pack_idx(i, j)) << 32;
@@ -900,10 +880,27 @@ impl CompressedMatrix {
 
     /// Iterates over occupied slots together with their bucket index, in
     /// bucket order (the same sequence in either form).
+    ///
+    /// A walk over the slot positions. A sealed matrix's slots are all
+    /// occupied, and their buckets come from one branch-free pass over the
+    /// start offsets: skipping runs of empty buckets instead mispredicts a
+    /// branch about once a slot, which made this walk, and so aggregation's
+    /// read of every child, several times slower. A writable matrix's
+    /// positions are filtered by their bucket's count.
+    // LINT-ALLOW(hot-path-panic): a writable position `p < b · d²` lies in
+    // bucket `p / b < d²`; sealed positions `p < stored` index the
+    // `stored`-long bucket list.
     pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
-        (0..self.buckets()).flat_map(move |bucket| {
-            self.bucket_range(bucket)
-                .map(move |p| (bucket, self.slot_at(p)))
+        let b = self.bucket_entries;
+        let (positions, buckets) = match &self.occupancy {
+            Occupancy::Counts(_) => (self.capacity(), Vec::new()),
+            Occupancy::Starts(starts) => (self.stored, slot_buckets(starts)),
+        };
+        (0..positions).filter_map(move |p| match &self.occupancy {
+            Occupancy::Starts(_) => Some((buckets[p], self.slot_at(p))),
+            Occupancy::Counts(counts) => {
+                (p % b < counts[p / b] as usize).then(|| (p / b, self.slot_at(p)))
+            }
         })
     }
 
@@ -1054,6 +1051,282 @@ impl CompressedMatrix {
             spill,
             stored: occupied.len(),
         })
+    }
+}
+
+#[cfg(test)]
+impl CompressedMatrix {
+    /// The first field in which `self` and `other` differ — geometry,
+    /// columns, occupancy, spill list, stored count, or allocation size —
+    /// or `None` when they are identical field for field.
+    pub(crate) fn first_difference(&self, other: &Self) -> Option<&'static str> {
+        let geometry = |m: &Self| (m.side, m.layer, m.bucket_entries, m.mapping);
+        [
+            (geometry(self) == geometry(other), "geometry"),
+            (self.keys == other.keys, "keys"),
+            (self.tags == other.tags, "tags"),
+            (self.weights == other.weights, "weights"),
+            (self.occupancy == other.occupancy, "occupancy"),
+            (self.spill == other.spill, "spill"),
+            (self.stored == other.stored, "stored"),
+            (self.space_bytes() == other.space_bytes(), "space_bytes"),
+        ]
+        .into_iter()
+        .find_map(|(same, field)| (!same).then_some(field))
+    }
+}
+
+/// The bucket of every slot of a sealed matrix, from its `d² + 1` start
+/// offsets. Each bucket writes its index at its start, in bucket order, so
+/// a nonempty bucket's first slot ends up holding its own index (the empty
+/// buckets sharing that start come before it); a running maximum then
+/// carries each index over the bucket's remaining slots. No branch depends
+/// on the data.
+// LINT-ALLOW(hot-path-panic): every start is at most `stored`, the last
+// offset, and the list is `stored + 1` long until the final truncation.
+fn slot_buckets(starts: &[u32]) -> Vec<usize> {
+    let (&stored, starts) = starts.split_last().unwrap_or((&0, &[]));
+    let mut buckets = vec![0; stored as usize + 1];
+    for (bucket, &start) in starts.iter().enumerate() {
+        buckets[start as usize] = bucket;
+    }
+    let mut current = 0;
+    for bucket in &mut buckets {
+        current = current.max(*bucket);
+        *bucket = current;
+    }
+    buckets.truncate(stored as usize);
+    buckets
+}
+
+/// Panics unless `(side, bucket_entries, mapping)` is a geometry a matrix
+/// supports: a power-of-two side of at least 2, 1–255 entries a bucket and
+/// 1–[`MAX_MAPPING`] mapping addresses.
+fn assert_geometry(side: u64, bucket_entries: usize, mapping: u32) {
+    assert!(side.is_power_of_two() && side >= 2);
+    assert!(
+        bucket_entries >= 1 && bucket_entries <= u8::MAX as usize,
+        "bucket_entries must be in [1, 255]"
+    );
+    assert!(
+        mapping >= 1 && mapping as usize <= MAX_MAPPING,
+        "mapping must be in [1, {MAX_MAPPING}]"
+    );
+}
+
+/// The candidate rows/columns of `addr`: the first `mapping` LCG addresses,
+/// computed iteratively in one pass. Mutating scans use this direct fill;
+/// query paths go through [`ProbeScratch`] so repeated probes of the same
+/// endpoint skip it.
+// LINT-ALLOW(hot-path-panic): every caller's `mapping` passed
+// `assert_geometry`, so `out[..mapping]` is always in bounds.
+#[inline]
+fn candidates(seq: &AddressSequence, mapping: u32, addr: u64) -> [u64; MAX_MAPPING] {
+    let mut out = [0u64; MAX_MAPPING];
+    seq.fill_sequence(addr, &mut out[..mapping as usize]);
+    out
+}
+
+/// Adds `weight` to the spill entry of the (already wrapped) base address
+/// pair and fingerprint pair, appending the entry if it is new.
+fn spill_into(
+    spill: &mut Vec<SpillEntry>,
+    addr_src: u64,
+    addr_dst: u64,
+    fp_src: u32,
+    fp_dst: u32,
+    weight: i64,
+) {
+    if let Some(existing) = spill.iter_mut().find(|e| {
+        e.addr_src == addr_src && e.addr_dst == addr_dst && e.fp_src == fp_src && e.fp_dst == fp_dst
+    }) {
+        existing.weight += weight;
+    } else {
+        spill.push(SpillEntry {
+            addr_src,
+            addr_dst,
+            fp_src,
+            fp_dst,
+            weight,
+        });
+    }
+}
+
+/// One entry of an aggregate under construction: a slot's packed key, index
+/// pair and weight (an aggregate's time offsets are all zero), plus the link
+/// to the next entry of its bucket.
+#[derive(Clone, Copy, Debug)]
+struct ChainedSlot {
+    key: u64,
+    weight: i64,
+    /// `1 +` the position of the bucket's next entry; 0 ends the chain.
+    next: u32,
+    idx: u16,
+}
+
+/// Builds an aggregated matrix straight into the sealed form, with no
+/// `b · d²` writable slab in between (see the module docs).
+///
+/// Entries are appended to one column in arrival order, and each bucket
+/// threads a chain through them: `heads[k]` links to bucket `k`'s first
+/// entry and each entry to the next one of its bucket (a link is `1 +` the
+/// entry's position; 0 ends the chain). [`insert`](Self::insert) places
+/// every entry exactly where [`CompressedMatrix::insert_aggregated`] would,
+/// and a chain keeps its bucket's entries in arrival order, the order a
+/// writable bucket holds them in. So [`finish`](Self::finish) lays out the
+/// same columns, offsets and spill list as
+/// [`CompressedMatrix::seal`] after a dense build.
+#[derive(Debug)]
+pub(crate) struct AggregateBuilder {
+    side: u64,
+    layer: u32,
+    bucket_entries: usize,
+    mapping: u32,
+    seq: AddressSequence,
+    /// Per bucket, the link to its first entry (0 = empty).
+    heads: Vec<u32>,
+    /// Every entry placed in a bucket, in arrival order.
+    slots: Vec<ChainedSlot>,
+    spill: Vec<SpillEntry>,
+}
+
+impl AggregateBuilder {
+    /// An empty aggregate of `side × side` buckets at tree layer `layer`,
+    /// with `bucket_entries` entries per bucket and `mapping` candidate
+    /// addresses per vertex (the geometry [`CompressedMatrix::new`] takes),
+    /// reserving room for `entries` entries: the children's stored entries,
+    /// spills included, bound how many the aggregate can hold.
+    pub(crate) fn new(
+        side: u64,
+        layer: u32,
+        bucket_entries: usize,
+        mapping: u32,
+        entries: usize,
+    ) -> Self {
+        assert_geometry(side, bucket_entries, mapping);
+        Self {
+            side,
+            layer,
+            bucket_entries,
+            mapping,
+            seq: AddressSequence::new(side),
+            heads: vec![0; (side * side) as usize],
+            slots: Vec::with_capacity(entries),
+            spill: Vec::new(),
+        }
+    }
+
+    /// Inserts one lifted entry, placing it exactly as
+    /// [`CompressedMatrix::insert_aggregated`] does: one fused `r × r` scan
+    /// of the candidate buckets in `(i, j)` order accumulates into an entry
+    /// with the same key and index pair; failing that, the entry joins the
+    /// first candidate bucket holding fewer than `b` entries, or else the
+    /// exact spill list. (An entry whose link would not fit a `u32` spills
+    /// too; that takes over four billion entries.)
+    // LINT-ALLOW(hot-path-panic): `mapping <= MAX_MAPPING` bounds the
+    // candidate arrays; every bucket is `row·d + col < d²` for LCG-generated
+    // `row, col < d`, and every nonzero link is `1 +` the position of an
+    // entry already pushed.
+    pub(crate) fn insert(
+        &mut self,
+        addr_src: u64,
+        addr_dst: u64,
+        fp_src: u32,
+        fp_dst: u32,
+        weight: i64,
+    ) {
+        let key = pack_key(fp_src, fp_dst);
+        let m = self.mapping as usize;
+        let rows = candidates(&self.seq, self.mapping, addr_src);
+        let cols = candidates(&self.seq, self.mapping, addr_dst);
+        // (bucket, link to the last entry of its chain or 0, packed index
+        // pair) of the first candidate bucket with room, in (i, j) order.
+        let mut free: Option<(usize, u32, u16)> = None;
+        for (i, &row) in rows[..m].iter().enumerate() {
+            for (j, &col) in cols[..m].iter().enumerate() {
+                let idx = pack_idx(i, j);
+                let bucket = (row * self.side + col) as usize;
+                let (mut link, mut last, mut len) = (self.heads[bucket], 0u32, 0usize);
+                while link != 0 {
+                    let slot = &mut self.slots[link as usize - 1];
+                    if slot.key == key && slot.idx == idx {
+                        slot.weight += weight;
+                        return;
+                    }
+                    (last, link, len) = (link, slot.next, len + 1);
+                }
+                if free.is_none() && len < self.bucket_entries {
+                    free = Some((bucket, last, idx));
+                }
+            }
+        }
+        match (free, u32::try_from(self.slots.len() + 1)) {
+            (Some((bucket, last, idx)), Ok(link)) => {
+                self.slots.push(ChainedSlot {
+                    key,
+                    weight,
+                    next: 0,
+                    idx,
+                });
+                match last {
+                    0 => self.heads[bucket] = link,
+                    _ => self.slots[last as usize - 1].next = link,
+                }
+            }
+            _ => {
+                let wrap = self.side - 1;
+                spill_into(
+                    &mut self.spill,
+                    addr_src & wrap,
+                    addr_dst & wrap,
+                    fp_src,
+                    fp_dst,
+                    weight,
+                );
+            }
+        }
+    }
+
+    /// The finished aggregate, sealed: one walk over the heads emits each
+    /// bucket's chain into the columns in bucket order, with the `d² + 1`
+    /// start offsets. The columns and the spill list are allocated to
+    /// exactly their length, as [`CompressedMatrix::seal`] allocates them.
+    // LINT-ALLOW(hot-path-panic): every nonzero link is `1 +` the position
+    // of an entry `insert` pushed.
+    pub(crate) fn finish(self) -> CompressedMatrix {
+        let stored = self.slots.len();
+        let mut keys = Vec::with_capacity(stored);
+        let mut tags = Vec::with_capacity(stored);
+        let mut weights = Vec::with_capacity(stored);
+        let mut starts = Vec::with_capacity(self.heads.len() + 1);
+        for &head in &self.heads {
+            // Fits: `insert` keeps every link, so every count, in a `u32`.
+            starts.push(keys.len() as u32);
+            let mut link = head;
+            while link != 0 {
+                let slot = &self.slots[link as usize - 1];
+                keys.push(slot.key);
+                tags.push(pack_tag(slot.idx, 0));
+                weights.push(slot.weight);
+                link = slot.next;
+            }
+        }
+        starts.push(stored as u32);
+        let mut spill = self.spill;
+        spill.shrink_to_fit();
+        CompressedMatrix {
+            side: self.side,
+            layer: self.layer,
+            bucket_entries: self.bucket_entries,
+            mapping: self.mapping,
+            seq: self.seq,
+            keys,
+            tags,
+            weights,
+            occupancy: Occupancy::Starts(starts),
+            spill,
+            stored,
+        }
     }
 }
 
@@ -1456,6 +1729,79 @@ mod tests {
             });
             proptest::prop_assert!(agreed.is_ok(), "{agreed:?}");
         }
+    }
+
+    /// The reference aggregate build: a fresh writable matrix filled with
+    /// `insert_aggregated`, then sealed.
+    fn dense_aggregate(geometry: (u64, usize, u32), stream: &[AggregateOp]) -> CompressedMatrix {
+        let (side, b, mapping) = geometry;
+        let mut dense = CompressedMatrix::new(side, 2, b, mapping);
+        for &(s, d, fs, fd, w) in stream {
+            dense.insert_aggregated(s, d, fs, fd, w);
+        }
+        dense.seal();
+        dense
+    }
+
+    /// `(addr_src, addr_dst, fp_src, fp_dst, weight)`.
+    type AggregateOp = (u64, u64, u32, u32, i64);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn builder_matches_the_dense_build_field_for_field(
+            geometry in (2u32..6, 1usize..4, 1u32..5),
+            spread in 1u64..300,
+            ops in proptest::collection::vec((0u64..1 << 20, 0u64..1 << 20, 0u32..12, 0u32..12, -2i64..5), 1..2_000),
+        ) {
+            // Sides 4–32 with one to three slots a bucket and one to four
+            // mapping addresses. A small `spread` piles the stream onto a
+            // few base addresses (repeated identities, full candidates,
+            // spills). Source addresses keep their bits from bit 10 up, so
+            // they run far beyond the side and wrap.
+            let (log_side, b, mapping) = geometry;
+            let side = 1u64 << log_side;
+            let stream: Vec<AggregateOp> = ops
+                .iter()
+                .map(|&(s, d, fs, fd, w)| ((s % spread) | (s & !1023), d % spread, fs, fd, w))
+                .collect();
+            let mut builder = AggregateBuilder::new(side, 2, b, mapping, stream.len());
+            for &(s, d, fs, fd, w) in &stream {
+                builder.insert(s, d, fs, fd, w);
+            }
+            let built = builder.finish();
+            let dense = dense_aggregate((side, b, mapping), &stream);
+            proptest::prop_assert!(built.is_sealed());
+            let diff = built.first_difference(&dense);
+            proptest::prop_assert!(diff.is_none(), "builder and dense build differ in {diff:?}");
+        }
+    }
+
+    #[test]
+    fn builder_spills_exactly_like_the_dense_build() {
+        // A 4 × 4 grid of one-slot buckets with two mapping addresses: the
+        // stream fills its candidates, spills, and hits spilled identities
+        // again, with zero and negative weights among them.
+        let stream: Vec<AggregateOp> = (0..200u32)
+            .map(|k| {
+                (
+                    u64::from(k % 3),
+                    u64::from(k % 5),
+                    k % 11,
+                    k % 7,
+                    i64::from(k % 4) - 1,
+                )
+            })
+            .collect();
+        let dense = dense_aggregate((4, 1, 2), &stream);
+        let mut builder = AggregateBuilder::new(4, 2, 1, 2, 0);
+        for &(s, d, fs, fd, w) in &stream {
+            builder.insert(s, d, fs, fd, w);
+        }
+        let built = builder.finish();
+        assert!(dense.spill_len() > 0, "the stream must spill");
+        assert_eq!(built.first_difference(&dense), None);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! Only the open (last) leaf and its overflow chain accept inserts, so only
 //! they stay writable. A leaf's matrix and overflow blocks are sealed into
 //! their compact occupied-only form (see [`matrix`](crate::matrix)) the
-//! moment the leaf closes, and every aggregate is sealed before it is
-//! installed, inline or through [`HiggsSummary::install_aggregation`]. A
-//! restored summary holds the same forms.
+//! moment the leaf closes, and every aggregate is built straight into that
+//! form (see [`aggregate`](crate::aggregate)). A restored summary holds the
+//! same forms.
 
-use crate::aggregate::{aggregate_leaves_to_layer, aggregate_matrices};
+use crate::aggregate::aggregate;
 use crate::config::{ConfigError, HiggsConfig};
 use crate::matrix::CompressedMatrix;
 use crate::node::{InternalNode, LeafNode};
@@ -412,13 +412,32 @@ impl HiggsSummary {
     /// restored snapshot with pending nodes). Both routes yield the same
     /// entries.
     pub fn compute_aggregation(&self, level: usize, group_idx: usize) -> CompressedMatrix {
+        let (sources, from_layer) = self.aggregation_sources(level, group_idx);
+        aggregate(
+            &self.layout,
+            &self.config,
+            &sources,
+            from_layer,
+            level as u32 + 2,
+        )
+    }
+
+    /// The matrices [`compute_aggregation`](Self::compute_aggregation)
+    /// lifts for node `(level, group_idx)`, and the tree layer they sit at:
+    /// its θ child aggregates when they have all materialised, else the
+    /// leaf matrices and overflow blocks it covers.
+    pub(crate) fn aggregation_sources(
+        &self,
+        level: usize,
+        group_idx: usize,
+    ) -> (Vec<&CompressedMatrix>, u32) {
         if level > 0 {
             let theta = self.config.theta();
             let children: Option<Vec<&CompressedMatrix>> = self.internals[level - 1]
                 .get(group_idx * theta..(group_idx + 1) * theta)
                 .and_then(|nodes| nodes.iter().map(|n| n.matrix.as_ref()).collect());
             if let Some(children) = children {
-                return aggregate_matrices(&self.layout, &self.config, &children, level as u32 + 1);
+                return (children, level as u32 + 1);
             }
         }
         let (first, last) = self.leaf_span(level, group_idx);
@@ -427,7 +446,7 @@ impl HiggsSummary {
             sources.push(&leaf.matrix);
             sources.extend(leaf.overflow.blocks());
         }
-        aggregate_leaves_to_layer(&self.layout, &self.config, &sources, level as u32 + 2)
+        (sources, 1)
     }
 
     /// Drains the list of deferred aggregation jobs (deferred mode only).
@@ -436,7 +455,12 @@ impl HiggsSummary {
     }
 
     /// Installs an externally computed aggregate for node `(level, index)`,
-    /// sealing it first if it is still writable.
+    /// sealing it first if it is still writable. Every aggregate built in
+    /// this crate ([`compute_aggregation`](Self::compute_aggregation),
+    /// [`aggregate_matrices`](crate::aggregate::aggregate_matrices),
+    /// [`aggregate_leaves_to_layer`](crate::aggregate::aggregate_leaves_to_layer))
+    /// is born sealed, so for every in-tree caller the seal is a no-op; it
+    /// only compacts a matrix a caller built writable itself.
     ///
     /// Bumps the mutation epoch: a fresh boundary search now targets the
     /// aggregate matrix where a plan built earlier descended to the leaves,
@@ -586,6 +610,7 @@ impl HiggsSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::aggregate_leaves_to_layer;
     use higgs_common::{SummaryExt, TemporalGraphSummary, VertexDirection};
 
     fn tiny_config() -> HiggsConfig {
@@ -1020,6 +1045,108 @@ mod tests {
                 control.average_leaf_utilization()
             );
             proptest::prop_assert_eq!(restored.space(), control.space());
+        }
+    }
+
+    /// A stream of `n` mutations over `vertices` vertices: runs of inserts
+    /// at one timestamp (which burst into overflow blocks once a leaf is
+    /// full) and deletes of recent edges, from a fixed LCG.
+    fn bursty_mutations(n: u64, vertices: u64) -> Vec<(StreamEdge, bool)> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let ops: Vec<(u64, u64, u64, u8)> = (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let x = state >> 16;
+                let kind = (x % 10) as u8;
+                let src = if kind == 0 { x % 8 } else { x % vertices };
+                (src, (x >> 20) % vertices, 1 + (x >> 40) % 3, kind)
+            })
+            .collect();
+        mutations(&ops)
+    }
+
+    /// Applies `mutations` to two inline summaries. In the second, each
+    /// internal node is rebuilt through the dense reference (a writable
+    /// `b · d²` matrix, then sealed) the moment it is created, bottom-up,
+    /// so every aggregate there descends from dense-built children.
+    fn build_with_dense_reference(
+        config: HiggsConfig,
+        mutations: &[(StreamEdge, bool)],
+    ) -> (HiggsSummary, HiggsSummary) {
+        let mut built = HiggsSummary::new(config);
+        let mut reference = HiggsSummary::new(config);
+        for &(edge, delete) in mutations {
+            if delete {
+                built.delete_edge(&edge);
+                reference.delete_edge(&edge);
+                continue;
+            }
+            built.insert_edge(&edge);
+            let before: Vec<usize> = reference.internals.iter().map(Vec::len).collect();
+            reference.insert_edge(&edge);
+            for level in 0..reference.internals.len() {
+                let created = before.get(level).copied().unwrap_or(0);
+                for index in created..reference.internals[level].len() {
+                    let (sources, from_layer) = reference.aggregation_sources(level, index);
+                    let dense = crate::aggregate::aggregate_dense(
+                        &reference.layout,
+                        &reference.config,
+                        &sources,
+                        from_layer,
+                        level as u32 + 2,
+                    );
+                    reference.internals[level][index].matrix = Some(dense);
+                }
+            }
+        }
+        (built, reference)
+    }
+
+    #[test]
+    fn aggregates_match_the_dense_reference_build_byte_for_byte() {
+        // Paper parameters, and a spill-heavy geometry whose aggregates spill.
+        for (config, n, vertices) in [
+            (HiggsConfig::paper_default(), 200_000, 4_000),
+            (spill_heavy_config(4, 2), 6_000, 64),
+        ] {
+            let (built, reference) =
+                build_with_dense_reference(config, &bursty_mutations(n, vertices));
+            assert!(
+                built.height() >= 5,
+                "stream too small: height {}",
+                built.height()
+            );
+            assert!(
+                built.leaves.iter().any(|l| !l.overflow.blocks().is_empty()),
+                "no overflow burst"
+            );
+            let mut spills = 0;
+            for (level, nodes) in built.internals.iter().enumerate() {
+                for (index, node) in nodes.iter().enumerate() {
+                    let matrix = node.matrix.as_ref().expect("inline node materialised");
+                    let dense = reference.internals[level][index]
+                        .matrix
+                        .as_ref()
+                        .expect("inline node materialised");
+                    assert_eq!(
+                        matrix.first_difference(dense),
+                        None,
+                        "node ({level}, {index}) differs from its dense rebuild"
+                    );
+                    spills += matrix.spill_len();
+                }
+            }
+            if config.bucket_entries == 1 {
+                assert!(spills > 0, "the spill-heavy stream must spill");
+            }
+            let snapshot = |s: &HiggsSummary| {
+                let mut bytes = Vec::new();
+                s.write_snapshot(&mut bytes).expect("snapshot to memory");
+                bytes
+            };
+            assert!(snapshot(&built) == snapshot(&reference), "snapshots differ");
         }
     }
 
