@@ -15,8 +15,9 @@
 //! * **Writable** — the form [`CompressedMatrix::new`] creates, and the only
 //!   one that accepts inserts. The columns are a fixed-stride slab of
 //!   `b · d²` slots (bucket `k` owns slots `[k·b, (k+1)·b)`) plus one `u8`
-//!   occupancy count per bucket. In the tree only the open leaf and its
-//!   overflow chain are writable.
+//!   occupancy count per bucket and an identity index (see *Inserting*
+//!   below), both boxed so that a sealed matrix carries no room for them.
+//!   In the tree only the open leaf and its overflow chain are writable.
 //! * **Sealed** — what every closed matrix is. The columns keep only the
 //!   occupied slots, in the same bucket order and the same order within
 //!   each bucket, plus one `u32` start offset per bucket and an end marker:
@@ -25,7 +26,35 @@
 //!   ([`CompressedMatrix::seal`]); leaves run about 14 % full at paper
 //!   parameters, so sealing cuts a leaf matrix to about a fifth of its
 //!   writable size. Deletes still work on a sealed matrix (they only change
-//!   weights); an insert into one first turns it writable again.
+//!   weights); an insert into one first turns it writable again
+//!   (the crate-private `unseal`, which rebuilds the index).
+//!
+//! # Inserting
+//!
+//! An entry's *identity* is its base address pair (the addresses reduced
+//! modulo the side), its fingerprint pair and its time offset. The LCG
+//! step is invertible, so a bucket plus the stored index pair `(i, j)`
+//! fixes the base addresses ([`AddressSequence::base_of`]): every entry
+//! with a given identity sits in one of that identity's `r × r` candidate
+//! buckets, and an insert finding an equal identity there accumulates
+//! instead of adding a second entry. So each identity is held at most once.
+//!
+//! A writable matrix indexes its entries by identity in an open-addressing
+//! table of `u32` slot positions: a power of two at least `2 · b · d²`
+//! long, so never more than half full, probed linearly from a
+//! multiply-shift hash. An insert with a time offset makes one probe
+//! sequence there instead of scanning the `r²` candidate buckets for a
+//! match. On a miss it walks the candidates in `(i, j)` order and places
+//! the entry in the first bucket with room, as the scan did; entries are
+//! never removed, so the index needs no tombstones. An insert without an
+//! offset (the dense aggregate reference) matches any offset and so keeps
+//! the candidate scan, using the index only to file a new entry. Sealing
+//! drops the index; unsealing rebuilds it from the occupied slots.
+//!
+//! When a leaf closes, the crate-private `seal_recycling` compacts it with
+//! the same code as [`CompressedMatrix::seal`], then clears only the
+//! slots it used, its counts and its index, and hands the slab on to the
+//! next open leaf, so no leaf allocates or bulk-zeroes a slab of its own.
 //!
 //! # Building aggregates
 //!
@@ -83,8 +112,7 @@
 //! Query paths accept a reusable `ProbeScratch` that memoises the last
 //! `(side, base address)` candidate fill — the columnar batch evaluator
 //! sweeps address-sorted probe sets where consecutive probes share
-//! endpoints, so most fills are skipped entirely. Insertion fuses the
-//! match-scan and the free-slot scan into a single sweep.
+//! endpoints, so most fills are skipped entirely.
 //!
 //! Leaf matrices store a per-entry time offset relative to the matrix's start
 //! time; aggregated (non-leaf) matrices store no temporal information
@@ -269,12 +297,57 @@ impl Default for ProbeScratch {
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Occupancy {
     /// Writable: bucket `k` owns the fixed-stride slots `[k·b, (k+1)·b)`,
-    /// of which the first `counts[k]` are occupied.
-    Counts(Vec<u8>),
+    /// of which the first `counts[k]` are occupied. Boxed, so the enum is no
+    /// larger than the sealed variant.
+    Writable(Box<Writable>),
     /// Sealed: the columns hold only occupied slots, and bucket `k`'s are
     /// `starts[k]..starts[k+1]` (`d² + 1` entries, the last one the end
     /// marker). Each bucket spans at most `b` slots.
     Starts(Vec<u32>),
+}
+
+/// The bookkeeping only a writable matrix keeps: per-bucket occupancy and
+/// the identity index (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Writable {
+    /// Occupied slots per bucket, indexed by `row · d + col`.
+    counts: Vec<u8>,
+    /// Open-addressing table from entry identity to `1 +` the entry's slot
+    /// position (0 = vacant). Its length is a power of two at least twice
+    /// the slot count, so it is never more than half full.
+    index: Vec<u32>,
+}
+
+impl Writable {
+    /// Empty bookkeeping for `buckets` buckets of `bucket_entries` slots.
+    fn new(buckets: usize, bucket_entries: usize) -> Box<Self> {
+        let slots = buckets * bucket_entries;
+        // Positions are stored `1 +` as `u32`. A slab this large would need
+        // over 96 GiB, so the bound never binds in practice.
+        assert!(
+            slots < u32::MAX as usize,
+            "a writable matrix holds fewer than 2^32 slots"
+        );
+        Box::new(Self {
+            counts: vec![0; buckets],
+            index: vec![0; (2 * slots).next_power_of_two()],
+        })
+    }
+}
+
+/// A writable matrix's key, tag and weight columns and its bookkeeping, as
+/// sealing hands them back.
+type Slab = (Vec<u64>, Vec<u64>, Vec<i64>, Box<Writable>);
+
+/// Hash of an entry identity: the packed fingerprint pair, the wrapped base
+/// addresses and the time offset, mixed by two multiplications (the table
+/// indexes by the product's top bits).
+#[inline]
+fn identity_hash(key: u64, base_src: u64, base_dst: u64, offset: u32) -> u64 {
+    let place = (base_src << 40) ^ (base_dst << 20) ^ u64::from(offset);
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(place)
+        .wrapping_mul(0xD6E8_FEB8_6659_FD93)
 }
 
 /// The HIGGS compressed matrix.
@@ -317,7 +390,7 @@ impl CompressedMatrix {
             keys: vec![0u64; slots],
             tags: vec![0u64; slots],
             weights: vec![0i64; slots],
-            occupancy: Occupancy::Counts(vec![0u8; buckets]),
+            occupancy: Occupancy::Writable(Writable::new(buckets, bucket_entries)),
             spill: Vec::new(),
             stored: 0,
         }
@@ -392,41 +465,101 @@ impl CompressedMatrix {
     /// module docs). Answers, [`entries`](Self::entries) order and
     /// [`capacity`](Self::capacity) are unchanged. A no-op on a sealed
     /// matrix, and on one whose slot count does not fit the `u32` offsets.
+    pub fn seal(&mut self) {
+        // The writable slab and its bookkeeping are dropped here.
+        let _ = self.seal_returning_slab();
+    }
+
+    /// Seals the matrix like [`seal`](Self::seal) and returns its writable
+    /// slab, emptied, as a fresh matrix of the same geometry: the next open
+    /// leaf. Only the slots this matrix used are cleared, with its counts
+    /// and index, so the slab keeps the empty-slots-are-zero invariant and
+    /// nothing is allocated or zeroed in bulk. Where `seal` would be a
+    /// no-op, the matrix stays as it is and the fresh one is newly
+    /// allocated.
     // LINT-ALLOW(hot-path-panic): a writable bucket `k` has
     // `counts[k] <= bucket_entries`, so `k·b .. k·b + counts[k]` lies inside
     // the `b · d²`-slot columns.
-    pub fn seal(&mut self) {
-        let Occupancy::Counts(counts) = &self.occupancy else {
-            return;
+    pub(crate) fn seal_recycling(&mut self) -> Self {
+        let Some((mut keys, mut tags, mut weights, mut writable)) = self.seal_returning_slab()
+        else {
+            return Self::new(self.side, self.layer, self.bucket_entries, self.mapping);
         };
-        let Ok(total) = u32::try_from(self.stored) else {
-            return;
+        let b = self.bucket_entries;
+        for (bucket, &len) in writable.counts.iter().enumerate() {
+            for p in bucket * b..bucket * b + len as usize {
+                keys[p] = 0;
+                tags[p] = 0;
+                weights[p] = 0;
+            }
+        }
+        writable.counts.fill(0);
+        writable.index.fill(0);
+        Self {
+            side: self.side,
+            layer: self.layer,
+            bucket_entries: b,
+            mapping: self.mapping,
+            seq: self.seq,
+            keys,
+            tags,
+            weights,
+            occupancy: Occupancy::Writable(writable),
+            spill: Vec::new(),
+            stored: 0,
+        }
+    }
+
+    /// The compaction both [`seal`](Self::seal) and `seal_recycling` run:
+    /// copies the occupied slots, in bucket order, into exactly-sized
+    /// columns with `d² + 1` start offsets, installs them, and returns the
+    /// writable columns and bookkeeping it replaced. `None`, leaving the
+    /// matrix unchanged, when it is sealed already or its slot count does
+    /// not fit the `u32` offsets.
+    // LINT-ALLOW(hot-path-panic): a writable bucket `k` has
+    // `counts[k] <= bucket_entries`, so `k·b .. k·b + counts[k]` lies inside
+    // the `b · d²`-slot columns.
+    fn seal_returning_slab(&mut self) -> Option<Slab> {
+        let Occupancy::Writable(writable) = &self.occupancy else {
+            return None;
         };
+        let total = u32::try_from(self.stored).ok()?;
         let b = self.bucket_entries;
         let mut keys = Vec::with_capacity(self.stored);
         let mut tags = Vec::with_capacity(self.stored);
         let mut weights = Vec::with_capacity(self.stored);
-        let mut starts = Vec::with_capacity(counts.len() + 1);
-        for (bucket, &len) in counts.iter().enumerate() {
+        let mut starts = Vec::with_capacity(writable.counts.len() + 1);
+        for (bucket, &len) in writable.counts.iter().enumerate() {
             // Fits: the running count never exceeds `total`.
             starts.push(keys.len() as u32);
-            let slots = bucket * b..bucket * b + len as usize;
-            keys.extend_from_slice(&self.keys[slots.clone()]);
-            tags.extend_from_slice(&self.tags[slots.clone()]);
-            weights.extend_from_slice(&self.weights[slots]);
+            // Slot by slot: most buckets are empty, and a slice copy per
+            // bucket costs a call even then.
+            for p in bucket * b..bucket * b + len as usize {
+                keys.push(self.keys[p]);
+                tags.push(self.tags[p]);
+                weights.push(self.weights[p]);
+            }
         }
         starts.push(total);
         debug_assert_eq!(keys.len(), self.stored);
-        self.keys = keys;
-        self.tags = tags;
-        self.weights = weights;
-        self.occupancy = Occupancy::Starts(starts);
         self.spill.shrink_to_fit();
+        let Occupancy::Writable(writable) =
+            std::mem::replace(&mut self.occupancy, Occupancy::Starts(starts))
+        else {
+            return None;
+        };
+        Some((
+            std::mem::replace(&mut self.keys, keys),
+            std::mem::replace(&mut self.tags, tags),
+            std::mem::replace(&mut self.weights, weights),
+            writable,
+        ))
     }
 
     /// Turns a sealed matrix writable again: scatters each bucket's slots
-    /// back to its fixed-stride position, zero-filling the rest. A no-op on
-    /// a writable matrix.
+    /// back to its fixed-stride position, zero-filling the rest, and
+    /// rebuilds the identity index from the occupied slots. A no-op on a
+    /// writable matrix.
     // LINT-ALLOW(hot-path-panic): a sealed matrix has `d² + 1` starts, each
     // bucket spanning at most `bucket_entries` slots inside the columns, so
     // both the source range and its `k·b` destination are in bounds.
@@ -439,19 +572,105 @@ impl CompressedMatrix {
         let mut keys = vec![0u64; slots];
         let mut tags = vec![0u64; slots];
         let mut weights = vec![0i64; slots];
-        let mut counts = vec![0u8; self.buckets()];
+        let mut writable = Writable::new(self.buckets(), b);
         for (bucket, bounds) in starts.windows(2).enumerate() {
             let (from, to) = (bounds[0] as usize, bounds[1] as usize);
             let at = bucket * b;
             keys[at..at + to - from].copy_from_slice(&self.keys[from..to]);
             tags[at..at + to - from].copy_from_slice(&self.tags[from..to]);
             weights[at..at + to - from].copy_from_slice(&self.weights[from..to]);
-            counts[bucket] = (to - from) as u8;
+            writable.counts[bucket] = (to - from) as u8;
         }
         self.keys = keys;
         self.tags = tags;
         self.weights = weights;
-        self.occupancy = Occupancy::Counts(counts);
+        self.occupancy = Occupancy::Writable(writable);
+        self.rebuild_index();
+    }
+
+    /// Files every occupied slot of a writable matrix in its empty index,
+    /// recovering each entry's base addresses from its bucket and index
+    /// pair. A valid matrix holds each identity once; should a corrupt one
+    /// hold it twice, the first slot in bucket order is kept.
+    // LINT-ALLOW(hot-path-panic): every occupied slot lies in a bucket
+    // `< d²`, and `find` returns vacancies inside the index.
+    fn rebuild_index(&mut self) {
+        let Occupancy::Writable(writable) = &mut self.occupancy else {
+            return;
+        };
+        let mut index = std::mem::take(&mut writable.index);
+        for bucket in 0..self.buckets() {
+            for p in self.bucket_range(bucket) {
+                let tag = self.tags[p];
+                let (rows, cols) = self.base_candidates(bucket, (tag >> 32) as u16);
+                if let Err(vacancy) = self.find(&index, self.keys[p], tag as u32, &rows, &cols) {
+                    // Fits: `Writable::new` keeps every position below
+                    // `u32::MAX`.
+                    index[vacancy] = p as u32 + 1;
+                }
+            }
+        }
+        if let Occupancy::Writable(writable) = &mut self.occupancy {
+            writable.index = index;
+        }
+    }
+
+    /// The candidate rows and columns of the base addresses of an entry
+    /// stored in `bucket` (`< d²`) with index pair `idx`: the LCG steps the
+    /// index pair records, undone.
+    fn base_candidates(&self, bucket: usize, idx: u16) -> ([u64; MAX_MAPPING], [u64; MAX_MAPPING]) {
+        let row = bucket as u64 >> self.side.trailing_zeros();
+        let base_src = self.seq.base_of(row, u32::from(idx >> 8));
+        let base_dst = self
+            .seq
+            .base_of(self.wrap(bucket as u64), u32::from(idx & 0xFF));
+        (
+            candidates(&self.seq, self.mapping, base_src),
+            candidates(&self.seq, self.mapping, base_dst),
+        )
+    }
+
+    /// Looks up the entry with identity `(rows[0], cols[0], key, offset)`
+    /// in `index`, this writable matrix's identity index, where `rows` and
+    /// `cols` are the base addresses' candidates: `Ok` with its slot
+    /// position, or `Err` with the vacant index position where it belongs.
+    ///
+    /// A slot matches when its key and offset are equal and its bucket is
+    /// the candidate bucket its index pair names, which pins its base
+    /// addresses to the identity's (see the module docs).
+    // LINT-ALLOW(hot-path-panic): index positions are masked to the
+    // power-of-two table length, and every filed position is an occupied
+    // slot inside the columns.
+    #[inline]
+    fn find(
+        &self,
+        index: &[u32],
+        key: u64,
+        offset: u32,
+        rows: &[u64; MAX_MAPPING],
+        cols: &[u64; MAX_MAPPING],
+    ) -> Result<usize, usize> {
+        let (m, b) = (self.mapping as usize, self.bucket_entries);
+        let mask = index.len() - 1;
+        // The product's top bits: `64 - log2(len)` is the shift.
+        let hash = identity_hash(key, rows[0], cols[0], offset);
+        let mut at = (hash >> (64 - index.len().trailing_zeros())) as usize;
+        loop {
+            let link = index[at];
+            if link == 0 {
+                return Err(at);
+            }
+            let p = link as usize - 1;
+            let tag = self.tags[p];
+            let (i, j) = ((tag >> 40) as usize & 0xFF, (tag >> 32) as usize & 0xFF);
+            if self.keys[p] == key && tag as u32 == offset && i < m && j < m {
+                let bucket = (rows[i] * self.side + cols[j]) as usize;
+                if p.wrapping_sub(bucket * b) < b {
+                    return Ok(p);
+                }
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// The occupied slots of bucket `bucket` (`< d²`), in either form.
@@ -465,9 +684,9 @@ impl CompressedMatrix {
     #[inline(always)]
     fn bucket_range(&self, bucket: usize) -> Range<usize> {
         match &self.occupancy {
-            Occupancy::Counts(counts) => {
+            Occupancy::Writable(writable) => {
                 let start = bucket * self.bucket_entries;
-                start..start + counts[bucket] as usize
+                start..start + writable.counts[bucket] as usize
             }
             Occupancy::Starts(starts) => starts[bucket] as usize..starts[bucket + 1] as usize,
         }
@@ -482,7 +701,7 @@ impl CompressedMatrix {
         let first = (row * self.side) as usize;
         let last = first + self.side as usize;
         match &self.occupancy {
-            Occupancy::Counts(_) => first * self.bucket_entries..last * self.bucket_entries,
+            Occupancy::Writable(_) => first * self.bucket_entries..last * self.bucket_entries,
             Occupancy::Starts(starts) => starts[first] as usize..starts[last] as usize,
         }
     }
@@ -492,7 +711,7 @@ impl CompressedMatrix {
     #[inline(always)]
     fn bucket_start(&self, bucket: usize) -> usize {
         match &self.occupancy {
-            Occupancy::Counts(_) => bucket * self.bucket_entries,
+            Occupancy::Writable(_) => bucket * self.bucket_entries,
             Occupancy::Starts(starts) => starts.get(bucket).map_or(usize::MAX, |&s| s as usize),
         }
     }
@@ -548,14 +767,17 @@ impl CompressedMatrix {
     /// carry the same offset; `None` (aggregated matrices) matches on the
     /// fingerprint pair alone.
     ///
-    /// Single fused pass over the `r × r` candidate buckets: while scanning
-    /// for a matching entry (which may live in any candidate bucket because
-    /// earlier ones were full when it first arrived), the first free slot is
-    /// recorded; if the scan finds no match, the entry is placed there.
-    // LINT-ALLOW(hot-path-panic): `m <= MAX_MAPPING` bounds the candidate
-    // arrays; every slot position is `bucket·b + k` for a
-    // `seq`-generated `bucket = row·d + col < d²` and
-    // `k < counts[bucket] <= bucket_entries`, all inside the writable slab.
+    /// With an offset, the match is one probe sequence in the identity
+    /// index (see the module docs) rather than a scan of the `r × r`
+    /// candidate buckets: at most one entry per identity exists, and it is
+    /// the one the scan would have found first. Without one, the candidates
+    /// are scanned in `(i, j)` order for any entry with the same key and
+    /// index pair. If nothing matches, the entry goes to the first candidate
+    /// bucket, in `(i, j)` order, holding fewer than `b` entries.
+    // LINT-ALLOW(hot-path-panic): `find` returns occupied slot positions
+    // and vacancies inside the index; `first_with_room` returns a bucket
+    // `< d²` with `counts[bucket] < b`, so `bucket·b + counts[bucket]` lies
+    // inside the writable slab.
     pub fn try_insert(
         &mut self,
         addr_src: u64,
@@ -565,57 +787,96 @@ impl CompressedMatrix {
         time_offset: Option<u32>,
         weight: i64,
     ) -> bool {
+        let Occupancy::Writable(writable) = &self.occupancy else {
+            self.unseal();
+            return self.try_insert(addr_src, addr_dst, fp_src, fp_dst, time_offset, weight);
+        };
         let offset = time_offset.unwrap_or(0);
         let key = pack_key(fp_src, fp_dst);
-        // Aggregated matrices match on the index pair alone; leaves also
-        // require the exact offset. Tags only use bits below 48, so `!0`
-        // compares the offset half exactly.
-        let tag_mask = if time_offset.is_none() {
-            TAG_IDX_MASK
-        } else {
-            !0
-        };
-        let m = self.mapping as usize;
+        let b = self.bucket_entries;
         let rows = candidates(&self.seq, self.mapping, addr_src);
         let cols = candidates(&self.seq, self.mapping, addr_dst);
-        let (side, b) = (self.side, self.bucket_entries);
-        let counts = match &mut self.occupancy {
-            Occupancy::Counts(counts) => counts,
-            Occupancy::Starts(_) => {
-                self.unseal();
-                return self.try_insert(addr_src, addr_dst, fp_src, fp_dst, time_offset, weight);
-            }
+        let found = match time_offset {
+            Some(_) => self.find(&writable.index, key, offset, &rows, &cols),
+            // With no entry of this key and index pair there is none of
+            // this identity either, so `find` only locates the vacancy.
+            None => match self.match_any_offset(key, &rows, &cols) {
+                Some(p) => Ok(p),
+                None => self.find(&writable.index, key, offset, &rows, &cols),
+            },
         };
-        // (bucket index, free slot position, packed index pair) of the first
-        // candidate bucket with spare capacity, in (i, j) scan order.
-        let mut free: Option<(usize, usize, u16)> = None;
+        let vacancy = match found {
+            Ok(p) => {
+                self.weights[p] += weight;
+                return true;
+            }
+            Err(vacancy) => vacancy,
+        };
+        let Some((bucket, i, j)) = self.first_with_room(&writable.counts, &rows, &cols) else {
+            return false;
+        };
+        let pos = bucket * b + writable.counts[bucket] as usize;
+        if let Occupancy::Writable(writable) = &mut self.occupancy {
+            writable.counts[bucket] += 1;
+            // Fits: `Writable::new` keeps every position below `u32::MAX`.
+            writable.index[vacancy] = pos as u32 + 1;
+        }
+        self.keys[pos] = key;
+        self.tags[pos] = pack_tag(pack_idx(i, j), offset);
+        self.weights[pos] = weight;
+        self.stored += 1;
+        true
+    }
+
+    /// The first candidate bucket, in `(i, j)` order, holding fewer than
+    /// `b` entries, as `(bucket, i, j)`.
+    // LINT-ALLOW(hot-path-panic): `m <= MAX_MAPPING` bounds the candidate
+    // arrays, and every candidate bucket `row·d + col` is `< d²`, the
+    // length of `counts`.
+    #[inline]
+    fn first_with_room(
+        &self,
+        counts: &[u8],
+        rows: &[u64; MAX_MAPPING],
+        cols: &[u64; MAX_MAPPING],
+    ) -> Option<(usize, usize, usize)> {
+        let m = self.mapping as usize;
         for (i, &row) in rows[..m].iter().enumerate() {
             for (j, &col) in cols[..m].iter().enumerate() {
-                let idx = pack_idx(i, j);
-                let tag_pat = pack_tag(idx, offset) & tag_mask;
-                let bucket = (row * side + col) as usize;
-                let start = bucket * b;
-                let len = counts[bucket] as usize;
-                for p in start..start + len {
-                    if self.keys[p] == key && self.tags[p] & tag_mask == tag_pat {
-                        self.weights[p] += weight;
-                        return true;
-                    }
-                }
-                if free.is_none() && len < b {
-                    free = Some((bucket, start + len, idx));
+                let bucket = (row * self.side + col) as usize;
+                if (counts[bucket] as usize) < self.bucket_entries {
+                    return Some((bucket, i, j));
                 }
             }
         }
-        if let Some((bucket, pos, idx)) = free {
-            self.keys[pos] = key;
-            self.tags[pos] = pack_tag(idx, offset);
-            self.weights[pos] = weight;
-            counts[bucket] += 1;
-            self.stored += 1;
-            return true;
+        None
+    }
+
+    /// The first entry, scanning the candidate buckets in `(i, j)` order,
+    /// whose key is `key` and whose index pair is its bucket's `(i, j)`,
+    /// whatever its time offset.
+    // LINT-ALLOW(hot-path-panic): `m <= MAX_MAPPING` bounds the candidate
+    // arrays, and `bucket_range` of a bucket `< d²` stays inside the columns.
+    fn match_any_offset(
+        &self,
+        key: u64,
+        rows: &[u64; MAX_MAPPING],
+        cols: &[u64; MAX_MAPPING],
+    ) -> Option<usize> {
+        let m = self.mapping as usize;
+        for (i, &row) in rows[..m].iter().enumerate() {
+            for (j, &col) in cols[..m].iter().enumerate() {
+                let idx_pat = u64::from(pack_idx(i, j)) << 32;
+                let bucket = (row * self.side + col) as usize;
+                if let Some(p) = self
+                    .bucket_range(bucket)
+                    .find(|&p| self.keys[p] == key && self.tags[p] & TAG_IDX_MASK == idx_pat)
+                {
+                    return Some(p);
+                }
+            }
         }
-        false
+        None
     }
 
     /// Inserts during aggregation: never fails. If every candidate bucket is
@@ -893,13 +1154,13 @@ impl CompressedMatrix {
     pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
         let b = self.bucket_entries;
         let (positions, buckets) = match &self.occupancy {
-            Occupancy::Counts(_) => (self.capacity(), Vec::new()),
+            Occupancy::Writable(_) => (self.capacity(), Vec::new()),
             Occupancy::Starts(starts) => (self.stored, slot_buckets(starts)),
         };
         (0..positions).filter_map(move |p| match &self.occupancy {
             Occupancy::Starts(_) => Some((buckets[p], self.slot_at(p))),
-            Occupancy::Counts(counts) => {
-                (p % b < counts[p / b] as usize).then(|| (p / b, self.slot_at(p)))
+            Occupancy::Writable(writable) => {
+                (p % b < writable.counts[p / b] as usize).then(|| (p / b, self.slot_at(p)))
             }
         })
     }
@@ -930,12 +1191,18 @@ impl CompressedMatrix {
     }
 
     /// Memory footprint in bytes: every allocation the matrix holds, at its
-    /// capacity. A writable matrix pays for all `b · d²` slots and `d²`
-    /// occupancy counts whatever its fill level; a sealed one for its
-    /// occupied slots and `d² + 1` start offsets. Both add the spill list.
+    /// capacity. A writable matrix pays for all `b · d²` slots, `d²`
+    /// occupancy counts and its identity index (a power of two of at least
+    /// `2 · b · d²` `u32` positions) whatever its fill level, plus the box
+    /// holding the two; a sealed one for its occupied slots and `d² + 1`
+    /// start offsets. Both add the spill list.
     pub fn space_bytes(&self) -> usize {
         let occupancy = match &self.occupancy {
-            Occupancy::Counts(counts) => counts.capacity(),
+            Occupancy::Writable(writable) => {
+                writable.counts.capacity()
+                    + writable.index.capacity() * std::mem::size_of::<u32>()
+                    + std::mem::size_of::<Writable>()
+            }
             Occupancy::Starts(starts) => starts.capacity() * std::mem::size_of::<u32>(),
         };
         self.keys.capacity() * std::mem::size_of::<u64>()
@@ -968,7 +1235,7 @@ impl CompressedMatrix {
     /// from a writable matrix, derived from a sealed one's offsets.
     pub(crate) fn bucket_lens(&self) -> Cow<'_, [u8]> {
         match &self.occupancy {
-            Occupancy::Counts(counts) => Cow::Borrowed(counts),
+            Occupancy::Writable(writable) => Cow::Borrowed(&writable.counts),
             // Each bucket spans at most `bucket_entries <= 255` slots.
             Occupancy::Starts(starts) => Cow::Owned(
                 starts
@@ -1073,6 +1340,56 @@ impl CompressedMatrix {
         ]
         .into_iter()
         .find_map(|(same, field)| (!same).then_some(field))
+    }
+}
+
+#[cfg(test)]
+impl CompressedMatrix {
+    /// Checks a writable matrix's own invariants: every slot past its
+    /// bucket's count is all-zero, and the identity index resolves exactly
+    /// the `stored` occupied slots — each filed once, and each found by a
+    /// lookup of its own identity.
+    pub(crate) fn check_writable(&self) -> Result<(), String> {
+        let Occupancy::Writable(writable) = &self.occupancy else {
+            return Err("the matrix is sealed".into());
+        };
+        let b = self.bucket_entries;
+        for (bucket, &len) in writable.counts.iter().enumerate() {
+            for p in bucket * b + len as usize..(bucket + 1) * b {
+                if (self.keys[p], self.tags[p], self.weights[p]) != (0, 0, 0) {
+                    return Err(format!(
+                        "slot {p}, past bucket {bucket}'s count, is not zero"
+                    ));
+                }
+            }
+        }
+        let mut filed: Vec<usize> = writable
+            .index
+            .iter()
+            .filter(|&&link| link != 0)
+            .map(|&link| link as usize - 1)
+            .collect();
+        filed.sort_unstable();
+        let occupied: Vec<usize> = (0..self.buckets())
+            .flat_map(|bucket| self.bucket_range(bucket))
+            .collect();
+        if occupied.len() != self.stored || filed != occupied {
+            return Err(format!(
+                "the index files {} positions for {} stored entries",
+                filed.len(),
+                self.stored
+            ));
+        }
+        for (bucket, slot) in self.occupied_slots() {
+            let (rows, cols) = self.base_candidates(bucket, slot.idx);
+            let found = self.find(&writable.index, slot.key, slot.time_offset, &rows, &cols);
+            if !matches!(found, Ok(p) if p / b == bucket && self.slot_at(p) == slot) {
+                return Err(format!(
+                    "bucket {bucket}'s entry {slot:?} resolves to {found:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1893,6 +2210,227 @@ mod tests {
         );
         assert!(
             CompressedMatrix::from_sealed_parts((6, 1, 2, 2), &[0; 36], &[], Vec::new()).is_err()
+        );
+    }
+
+    /// Insert and delete as they were before the identity index: fused
+    /// `r × r` candidate scans over a plain fixed-stride slab. The indexed
+    /// matrix is held to it field for field.
+    struct ScanReference {
+        side: u64,
+        bucket_entries: usize,
+        mapping: u32,
+        seq: AddressSequence,
+        keys: Vec<u64>,
+        tags: Vec<u64>,
+        weights: Vec<i64>,
+        counts: Vec<u8>,
+        stored: usize,
+    }
+
+    impl ScanReference {
+        fn new(side: u64, bucket_entries: usize, mapping: u32) -> Self {
+            let slots = (side * side) as usize * bucket_entries;
+            Self {
+                side,
+                bucket_entries,
+                mapping,
+                seq: AddressSequence::new(side),
+                keys: vec![0; slots],
+                tags: vec![0; slots],
+                weights: vec![0; slots],
+                counts: vec![0; (side * side) as usize],
+                stored: 0,
+            }
+        }
+
+        fn try_insert(&mut self, s: u64, d: u64, fs: u32, fd: u32, o: Option<u32>, w: i64) -> bool {
+            let offset = o.unwrap_or(0);
+            let key = pack_key(fs, fd);
+            let tag_mask = if o.is_none() { TAG_IDX_MASK } else { !0 };
+            let m = self.mapping as usize;
+            let rows = candidates(&self.seq, self.mapping, s);
+            let cols = candidates(&self.seq, self.mapping, d);
+            let b = self.bucket_entries;
+            let mut free: Option<(usize, usize, u16)> = None;
+            for (i, &row) in rows[..m].iter().enumerate() {
+                for (j, &col) in cols[..m].iter().enumerate() {
+                    let idx = pack_idx(i, j);
+                    let tag_pat = pack_tag(idx, offset) & tag_mask;
+                    let bucket = (row * self.side + col) as usize;
+                    let start = bucket * b;
+                    let len = self.counts[bucket] as usize;
+                    for p in start..start + len {
+                        if self.keys[p] == key && self.tags[p] & tag_mask == tag_pat {
+                            self.weights[p] += w;
+                            return true;
+                        }
+                    }
+                    if free.is_none() && len < b {
+                        free = Some((bucket, start + len, idx));
+                    }
+                }
+            }
+            let Some((bucket, pos, idx)) = free else {
+                return false;
+            };
+            self.keys[pos] = key;
+            self.tags[pos] = pack_tag(idx, offset);
+            self.weights[pos] = w;
+            self.counts[bucket] += 1;
+            self.stored += 1;
+            true
+        }
+
+        fn try_delete(
+            &mut self,
+            s: u64,
+            d: u64,
+            fs: u32,
+            fd: u32,
+            f: OffsetFilter,
+            w: i64,
+        ) -> bool {
+            let key = pack_key(fs, fd);
+            let m = self.mapping as usize;
+            let rows = candidates(&self.seq, self.mapping, s);
+            let cols = candidates(&self.seq, self.mapping, d);
+            for (i, &row) in rows[..m].iter().enumerate() {
+                for (j, &col) in cols[..m].iter().enumerate() {
+                    let idx_pat = u64::from(pack_idx(i, j)) << 32;
+                    let start = (row * self.side + col) as usize * self.bucket_entries;
+                    for p in start..start + self.counts[start / self.bucket_entries] as usize {
+                        if self.keys[p] == key
+                            && self.tags[p] & TAG_IDX_MASK == idx_pat
+                            && offset_in(self.tags[p] as u32, f)
+                        {
+                            self.weights[p] -= w;
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        }
+
+        /// The first field in which the writable form of `m` differs from
+        /// the reference, or in which `m`'s own invariants fail.
+        fn difference(&self, m: &CompressedMatrix) -> Option<String> {
+            let mut m = m.clone();
+            m.unseal();
+            [
+                (m.keys == self.keys, "keys"),
+                (m.tags == self.tags, "tags"),
+                (m.weights == self.weights, "weights"),
+                (m.bucket_lens().as_ref() == self.counts.as_slice(), "counts"),
+                (m.stored == self.stored, "stored"),
+            ]
+            .into_iter()
+            .find_map(|(same, field)| (!same).then(|| field.to_string()))
+            .or_else(|| m.check_writable().err())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn indexed_insert_matches_the_scan_field_for_field(
+            geometry in (0u8..4, 1u32..4, 1usize..4, 1u32..5),
+            spread in 1u64..200,
+            ops in proptest::collection::vec((0u8..12, 0u64..1 << 16, 0u64..1 << 16, 0u32..6, 0u32..3, -2i64..4), 1..1_500),
+        ) {
+            // One case in four is paper-like (a 16 × 16 leaf, three slots a
+            // bucket, four mapping addresses); the rest are spill-heavy
+            // (sides 2–8, one to three slots, one to four mapping
+            // addresses), so candidates fill and inserts fail. A small
+            // `spread` piles the ops onto few base addresses and the
+            // fingerprint and offset ranges are small, so identities repeat;
+            // the addresses run past the side and wrap.
+            let (pick, log_side, b, mapping) = geometry;
+            let (side, b, mapping) = if pick == 0 { (16, 3, 4) } else { (1u64 << log_side, b, mapping) };
+            let mut m = CompressedMatrix::new(side, 1, b, mapping);
+            let mut reference = ScanReference::new(side, b, mapping);
+            for (n, &(kind, s, d, fp, off, w)) in ops.iter().enumerate() {
+                let (s, d) = (s % spread + side * (s >> 8), d % spread + side * (d >> 8));
+                let (fs, fd) = (fp % 3, fp / 3);
+                let offset = (kind % 2 == 0).then_some(off);
+                let (got, want) = match kind {
+                    // Inserts, with an offset on even kinds.
+                    0..=6 => (
+                        m.try_insert(s, d, fs, fd, offset, w),
+                        reference.try_insert(s, d, fs, fd, offset, w),
+                    ),
+                    // Deletes, filtered on even kinds.
+                    7 | 8 => {
+                        let filter = offset.map(|o| (o, o + 1));
+                        (
+                            m.try_delete(s, d, fs, fd, filter, w),
+                            reference.try_delete(s, d, fs, fd, filter, w),
+                        )
+                    }
+                    // Seal; the next insert unseals.
+                    9 => {
+                        m.seal();
+                        (m.is_sealed(), true)
+                    }
+                    // Seal, then unseal straight away.
+                    _ => {
+                        m.seal();
+                        m.unseal();
+                        (m.is_sealed(), false)
+                    }
+                };
+                proptest::prop_assert_eq!(got, want, "op {} ({}) returned differently", n, kind);
+                let diff = reference.difference(&m);
+                proptest::prop_assert!(diff.is_none(), "op {n} ({kind}): {diff:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_writable_form_costs_a_sealed_matrix_nothing() {
+        // The counts and the index sit behind one box, so the occupancy
+        // enum is no larger than the sealed form's offsets.
+        assert_eq!(
+            std::mem::size_of::<Occupancy>(),
+            std::mem::size_of::<Vec<u32>>()
+        );
+    }
+
+    #[test]
+    fn recycling_seals_like_seal_and_returns_an_empty_slab() {
+        let mut m = CompressedMatrix::new(8, 1, 3, 4);
+        for k in 0..150u32 {
+            let _ = m.try_insert(
+                u64::from(k % 11),
+                u64::from(k * 5 % 13),
+                k % 7,
+                k % 5,
+                Some(k % 3),
+                2,
+            );
+        }
+        let mut sealed = m.clone();
+        sealed.seal();
+        let recycled = m.seal_recycling();
+        assert_eq!(
+            m.first_difference(&sealed),
+            None,
+            "recycling seals like seal"
+        );
+        assert_eq!(
+            recycled.first_difference(&CompressedMatrix::new(8, 1, 3, 4)),
+            None,
+            "the recycled slab is a fresh matrix"
+        );
+        recycled.check_writable().expect("empty slab invariants");
+        // A sealed matrix has no slab to hand on.
+        let fresh = m.seal_recycling();
+        assert!(m.is_sealed());
+        assert_eq!(
+            fresh.first_difference(&CompressedMatrix::new(8, 1, 3, 4)),
+            None
         );
     }
 

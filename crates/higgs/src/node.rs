@@ -58,11 +58,13 @@ impl LeafNode {
         Some((self.offset_of(overlap.start), self.offset_of(overlap.end)))
     }
 
-    /// Seals the leaf's matrix and overflow blocks (see
-    /// [`CompressedMatrix::seal`]): called when the leaf closes.
-    pub fn seal(&mut self) {
-        self.matrix.seal();
+    /// Closes the leaf: seals its matrix and overflow blocks (see
+    /// [`CompressedMatrix::seal`]) and returns the matrix's writable slab,
+    /// emptied, as the matrix of the next open leaf (see
+    /// [`matrix`](crate::matrix)).
+    pub(crate) fn close(&mut self) -> CompressedMatrix {
         self.overflow.seal();
+        self.matrix.seal_recycling()
     }
 
     /// Turns the matrix and overflow blocks writable again (the open leaf

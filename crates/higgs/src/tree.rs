@@ -17,6 +17,12 @@
 //! moment the leaf closes, and every aggregate is built straight into that
 //! form (see [`aggregate`](crate::aggregate)). A restored summary holds the
 //! same forms.
+//!
+//! Closing a leaf copies its occupied slots into its sealed columns and
+//! hands the writable slab, with only the used slots, the counts and the
+//! identity index cleared, to the next open leaf. So a build allocates one
+//! leaf slab per summary, not one per leaf; overflow blocks, rare, are
+//! still allocated and sealed one by one.
 
 use crate::aggregate::aggregate;
 use crate::config::{ConfigError, HiggsConfig};
@@ -271,14 +277,11 @@ impl HiggsSummary {
             / self.leaves.len() as f64
     }
 
-    fn new_leaf(&self, start_time: Timestamp) -> LeafNode {
+    /// An open leaf starting at `start_time` around `matrix`, an empty
+    /// writable leaf matrix (fresh, or recycled from the leaf that closed).
+    fn new_leaf(&self, matrix: CompressedMatrix, start_time: Timestamp) -> LeafNode {
         LeafNode::new(
-            CompressedMatrix::new(
-                self.config.d1,
-                1,
-                self.config.bucket_entries,
-                self.config.mapping_addresses,
-            ),
+            matrix,
             // Overflow blocks keep the leaf side so their base addresses lift
             // exactly like leaf entries during aggregation, but hold a single
             // entry per bucket to stay small.
@@ -296,7 +299,13 @@ impl HiggsSummary {
         let weight = edge.weight as i64;
 
         if self.leaves.is_empty() {
-            self.leaves.push(self.new_leaf(edge.timestamp));
+            let matrix = CompressedMatrix::new(
+                self.config.d1,
+                1,
+                self.config.bucket_entries,
+                self.config.mapping_addresses,
+            );
+            self.leaves.push(self.new_leaf(matrix, edge.timestamp));
         }
         let leaf = self.leaves.last_mut().expect("at least one leaf exists");
         // Streams are time-ordered; guard against minor reordering by
@@ -324,8 +333,8 @@ impl HiggsSummary {
             return;
         }
 
-        leaf.seal();
-        self.leaves.push(self.new_leaf(t));
+        let slab = leaf.close();
+        self.leaves.push(self.new_leaf(slab, t));
         let leaf = self.leaves.last_mut().expect("just pushed");
         let inserted = leaf
             .matrix
@@ -977,11 +986,19 @@ mod tests {
     }
 
     /// Checks the forms a summary must hold: the open leaf and its chain
-    /// writable, every other leaf, block and aggregate sealed, and every
-    /// leaf's capacity the nominal `b · d1²`.
+    /// writable, with their slabs zero past each bucket's count and their
+    /// identity indexes resolving exactly their stored entries; every other
+    /// leaf, block and aggregate sealed; and every leaf's capacity the
+    /// nominal `b · d1²`.
     fn check_forms(s: &HiggsSummary) -> Result<(), String> {
         let nominal = s.config.bucket_entries * (s.config.d1 * s.config.d1) as usize;
         let open = s.leaves.len() - 1;
+        let open_leaf = &s.leaves[open];
+        for matrix in std::iter::once(&open_leaf.matrix).chain(open_leaf.overflow.blocks()) {
+            matrix
+                .check_writable()
+                .map_err(|e| format!("open leaf {open}: {e}"))?;
+        }
         for (i, leaf) in s.leaves.iter().enumerate() {
             let sealed = i != open;
             if leaf.matrix.is_sealed() != sealed
@@ -1045,6 +1062,12 @@ mod tests {
                 control.average_leaf_utilization()
             );
             proptest::prop_assert_eq!(restored.space(), control.space());
+            let snapshot = |s: &HiggsSummary| {
+                let mut bytes = Vec::new();
+                s.write_snapshot(&mut bytes).expect("snapshot to memory");
+                bytes
+            };
+            proptest::prop_assert!(snapshot(&restored) == snapshot(&control), "snapshots differ");
         }
     }
 
@@ -1158,11 +1181,18 @@ mod tests {
         }
         assert!(s.height() > 2, "stream too small: height {}", s.height());
         check_forms(&s).expect("forms");
-        // A writable leaf pays for all b·d² slots (24 bytes each) and d²
-        // occupancy bytes; a sealed one for its entries and d² + 1 offsets.
+        // A writable leaf pays for all b·d² slots (24 bytes each), d²
+        // occupancy bytes, an identity index of 2048 `u32` positions (the
+        // power of two ≥ 2·b·d²) and the box holding the counts' and the
+        // index's two `Vec` headers; a sealed one for its entries and d² + 1
+        // offsets.
         let header = std::mem::size_of::<CompressedMatrix>();
+        let boxed = 2 * std::mem::size_of::<Vec<u8>>();
         let open = &s.leaves.last().expect("a leaf").matrix;
-        assert_eq!(open.space_bytes(), 768 * 24 + 256 + header);
+        assert_eq!(
+            open.space_bytes(),
+            768 * 24 + 256 + 2048 * 4 + boxed + header
+        );
         let closed = &s.leaves[0].matrix;
         assert_eq!(closed.spill_len(), 0);
         assert_eq!(

@@ -20,11 +20,16 @@
 # interquartile range. It exits non-zero if any run is incorrect
 # (`"correct": false` or a failed operation) or exits non-zero itself.
 #
+# Set AB_TRACE=1 to finish with one traced run (`--trace 1`) per side, on
+# seed AB_SEED_BASE, and print every per-layer metric BENCHMARK.json declares
+# side by side: parent, change and their ratio. One traced pair is the
+# evidence of which layer moved, not a gain test.
+#
 # Set AB_KEEP=1 to keep the temporary directory (builds and raw results).
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent_rev=$1
@@ -52,40 +57,51 @@ for side in parent change; do
 done
 
 results="$work/results.jsonl"
+traced="$work/traced.jsonl"
 : > "$results"
+: > "$traced"
+# run <side> <pair> <seed> <trace> <file>: one benchmark run, appended to
+# <file> as one JSON line.
 run() {
-    local side=$1 pair=$2 seed=$3 line status=0
+    local side=$1 pair=$2 seed=$3 trace=$4 file=$5 line status=0
     line=$(cd "$work/$side" && cargo run --release --quiet --manifest-path "$manifest" -- \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1) \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1) \
         || status=$?
     if [[ $line != "{"* ]]; then
         # No result line: count the run as incorrect, keep going.
         line="{\"correct\": false, \"exit\": $status, \"metrics\": {}}"
     fi
-    echo "{\"side\": \"$side\", \"pair\": $pair, \"seed\": $seed, \"run\": $line}" >> "$results"
-    echo "pair $pair seed $seed $side: $line" >&2
+    echo "{\"side\": \"$side\", \"pair\": $pair, \"seed\": $seed, \"run\": $line}" >> "$file"
+    echo "pair $pair seed $seed $side trace $trace: ${line:0:300}" >&2
 }
 for ((pair = 1; pair <= pairs; pair++)); do
     seed=$((seed_base + pair))
     if ((pair % 2)); then
-        run parent "$pair" "$seed"
-        run change "$pair" "$seed"
+        run parent "$pair" "$seed" 0 "$results"
+        run change "$pair" "$seed" 0 "$results"
     else
-        run change "$pair" "$seed"
-        run parent "$pair" "$seed"
+        run change "$pair" "$seed" 0 "$results"
+        run parent "$pair" "$seed" 0 "$results"
     fi
 done
+if [[ -n ${AB_TRACE:-} ]]; then
+    run parent 0 "$seed_base" 1 "$traced"
+    run change 0 "$seed_base" 1 "$traced"
+fi
 
-python3 - "$results" "$repo/BENCHMARK.json" "$workload" <<'EOF'
+python3 - "$results" "$traced" "$repo/BENCHMARK.json" "$workload" <<'EOF'
 import json
 import statistics
 import sys
 
-results_path, benchmark_path, workload = sys.argv[1:4]
-metrics = json.load(open(benchmark_path))["end_to_end"]
+results_path, traced_path, benchmark_path, workload = sys.argv[1:5]
+benchmark = json.load(open(benchmark_path))
+metrics = benchmark["end_to_end"]
 runs = [json.loads(line) for line in open(results_path)]
+traced = [json.loads(line) for line in open(traced_path)]
 
-bad = [r for r in runs if not r["run"].get("correct") or r["run"].get("failed", 0) != 0]
+bad = [r for r in runs + traced
+       if not r["run"].get("correct") or r["run"].get("failed", 0) != 0]
 by_pair = {}
 for r in runs:
     by_pair.setdefault(r["pair"], {})[r["side"]] = r["run"]["metrics"]
@@ -115,6 +131,19 @@ for metric in metrics:
     print(f"{name:<16} {metric['better']:<7} "
           f"{p1:>10.4g} {pm:>10.4g} {p3:>10.4g}     {c1:>10.4g} {cm:>10.4g} {c3:>10.4g}     "
           f"{wins:>2}/{len(pairs):<2} {'yes' if gain else 'no'}")
+
+if traced:
+    sides = {r["side"]: r["run"]["metrics"] for r in traced}
+    parent, change = sides.get("parent", {}), sides.get("change", {})
+    print(f"\ntraced pair, seed {traced[0]['seed']}: every per-layer metric")
+    print(f"{'metric':<34} {'unit':<8} {'better':<7} {'parent':>12} {'change':>12} {'ratio':>7}")
+    for metric in benchmark["per_layer"]:
+        name = metric["name"]
+        a = parent.get(name, {}).get("value")
+        b = change.get(name, {}).get("value")
+        ratio = f"{b / a:7.3f}" if a and b is not None else f"{'-':>7}"
+        show = lambda v: f"{v:>12.5g}" if v is not None else f"{'-':>12}"
+        print(f"{name:<34} {metric['unit']:<8} {metric['better']:<7} {show(a)} {show(b)} {ratio}")
 
 if bad:
     for r in bad:
