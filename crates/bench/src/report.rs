@@ -10,10 +10,8 @@
 //! committed baseline with a relative threshold — the `bench_gate` binary
 //! wires this into CI and fails the build on regression.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of a report: a label plus one value per column.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Row {
     /// Row label (e.g. method name or parameter value).
     pub label: String,
@@ -32,7 +30,7 @@ impl Row {
 }
 
 /// A rendered experiment: title, column headers, and rows.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Report title (e.g. "Fig. 10a — Edge query AAE (Lkml)").
     pub title: String,
@@ -104,7 +102,7 @@ impl Report {
 
 /// One machine-readable benchmark measurement, as emitted by the criterion
 /// shim into the file named by `BENCH_JSON`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
     /// Full benchmark id (`group/function[/parameter]`).
     pub id: String,

@@ -2,9 +2,8 @@
 //! encode/decode over `std::io`, length-prefixed sections, and a running
 //! FNV-1a checksum.
 //!
-//! The build environment has no serialisation dependency (the workspace's
-//! `serde` is a no-op shim), so snapshot files are written with this small,
-//! fully deterministic codec instead. Design points:
+//! The workspace has no serialisation dependency, so snapshot and log files
+//! are written with this small, fully deterministic codec. Design points:
 //!
 //! * **Little-endian, fixed-width integers.** Every primitive is written in
 //!   LE byte order at its natural width, so a snapshot is byte-identical

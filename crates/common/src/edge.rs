@@ -2,7 +2,6 @@
 //! timestamped directed edges `(s, d, w, t)`.
 
 use crate::time::{TimeRange, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Vertex identifier. Real datasets map user/email/account ids to dense
@@ -16,7 +15,7 @@ pub type Weight = u64;
 /// A single graph-stream item `e_i = (s_i, d_i, w_i, t_i)`: a directed edge
 /// from `src` to `dst` carrying weight `weight` that arrived at timestamp
 /// `timestamp` (Definition 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StreamEdge {
     /// Source vertex.
     pub src: VertexId,
@@ -46,7 +45,7 @@ impl StreamEdge {
 /// This is the "raw data" side of the reproduction; summaries never get to
 /// keep it — they only see the edges one at a time via
 /// [`TemporalGraphSummary::insert`](crate::TemporalGraphSummary::insert).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GraphStream {
     /// Human-readable name of the stream (dataset preset or generator label).
     pub name: String,
@@ -187,7 +186,7 @@ impl FromIterator<StreamEdge> for GraphStream {
 }
 
 /// Summary statistics of a [`GraphStream`], mirroring Table II of the paper.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StreamStats {
     /// Stream / dataset name.
     pub name: String,

@@ -17,8 +17,6 @@
 //!    is invertible, so an entry that records its index pair `(i, j)` can be
 //!    mapped back to its base address during aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// Mixes a 64-bit value into a well-distributed 64-bit hash (SplitMix64
 /// finaliser). Deterministic across platforms and runs.
 #[inline]
@@ -66,7 +64,7 @@ pub fn shard_of(v: u64, num_shards: usize) -> usize {
 }
 
 /// A vertex hash decomposed into fingerprint and address at a given layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HashedVertex {
     /// Full 64-bit hash `H(v)`.
     pub hash: u64,
@@ -84,7 +82,7 @@ pub struct HashedVertex {
 /// `F_l = F1 − (l−1)·R` bits and the matrix side is `d_l = d1 · 2^{(l−1)R}`;
 /// the bits removed from the fingerprint become the low bits of the address,
 /// which is exactly the shift-based aggregation of Algorithm 2 / Fig. 8.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FingerprintLayout {
     /// Leaf-layer fingerprint length in bits (`F1`).
     pub f1_bits: u32,
@@ -188,7 +186,7 @@ impl FingerprintLayout {
 /// validated power of two), and the inverse multiplier of
 /// [`step_back`](Self::step_back) is a compile-time constant, so no method
 /// divides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AddressSequence {
     /// `side − 1`: reducing modulo the power-of-two side is `& mask`.
     mask: u64,

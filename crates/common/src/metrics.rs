@@ -4,7 +4,6 @@
 //! and Fig. 3 (arrival irregularity).
 
 use crate::edge::{GraphStream, Weight};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Accumulates `(true value, estimate)` pairs and reports AAE / ARE as
@@ -13,7 +12,7 @@ use std::time::Duration;
 /// For ARE, query pairs whose true value is zero are skipped (the paper's
 /// relative-error definition divides by the true value; queries are sampled
 /// from existing edges/vertices so true values are positive in practice).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ErrorStats {
     /// Number of (truth, estimate) observations.
     pub count: usize,
@@ -89,7 +88,7 @@ impl ErrorStats {
 }
 
 /// Throughput of a bulk operation: items processed per second.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ThroughputStats {
     /// Number of items processed.
     pub items: usize,
@@ -131,7 +130,7 @@ impl ThroughputStats {
 }
 
 /// Aggregated per-operation latency: mean / p50 / p99 in microseconds.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LatencyStats {
     samples_us: Vec<f64>,
 }
@@ -185,7 +184,7 @@ impl LatencyStats {
 
 /// One `(degree, #vertices with that degree)` point of the Fig. 2 skewness
 /// characterisation, log-binned.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DegreePoint {
     /// Out-degree bucket (lower bound of the log bin).
     pub degree: u64,
@@ -232,7 +231,7 @@ pub fn powerlaw_exponent(stream: &GraphStream) -> f64 {
 
 /// One `(slice index, #arrivals)` point of the Fig. 3 irregularity
 /// characterisation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ArrivalPoint {
     /// Time-slice index.
     pub slice: u64,

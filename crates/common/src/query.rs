@@ -27,10 +27,9 @@
 
 use crate::edge::{StreamEdge, VertexId, Weight};
 use crate::time::TimeRange;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a vertex query: aggregate over outgoing or incoming edges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VertexDirection {
     /// Aggregate the weights of all outgoing edges of the vertex.
     Out,
@@ -39,7 +38,7 @@ pub enum VertexDirection {
 }
 
 /// An edge query: aggregated weight of `src → dst` within `range`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EdgeQuery {
     /// Source vertex of the queried edge.
     pub src: VertexId,
@@ -62,7 +61,7 @@ impl EdgeQuery {
 
 /// A vertex query: aggregated weight of all outgoing (or incoming) edges of
 /// `vertex` within `range`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct VertexQuery {
     /// The queried vertex.
     pub vertex: VertexId,
@@ -86,7 +85,7 @@ impl VertexQuery {
 /// A path query: the sequence of vertices `v_0 → v_1 → … → v_k`; the result
 /// is the sum of the aggregated weights of the constituent edges within
 /// `range` (the composition used in Section VI-C).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PathQuery {
     /// Vertices along the path, in order. A path of `h` hops has `h + 1`
     /// vertices.
@@ -112,7 +111,7 @@ impl PathQuery {
 
 /// A subgraph query: a set of directed edges; the result is the sum of the
 /// aggregated weights of each edge within `range` (Example 1 of the paper).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SubgraphQuery {
     /// Directed edges forming the queried subgraph.
     pub edges: Vec<(VertexId, VertexId)>,
@@ -136,7 +135,7 @@ impl SubgraphQuery {
 /// Production traffic arrives as mixed streams of all four kinds; `Query`
 /// lets callers build heterogeneous batches (see [`QueryBatch`]) and lets
 /// summaries specialise evaluation per batch rather than per primitive call.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Query {
     /// An edge query.
     Edge(EdgeQuery),
@@ -435,7 +434,7 @@ impl From<SubgraphQuery> for Query {
 /// Results are returned in submission order and are bit-identical to calling
 /// [`TemporalGraphSummary::query`] per element; batching only changes *cost*
 /// (implementations may share planning work across queries), never results.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryBatch {
     queries: Vec<Query>,
 }
@@ -651,7 +650,7 @@ impl<T: TemporalGraphSummary + ?Sized> SummaryExt for T {}
 /// A bundle of randomly generated queries of all four kinds over one stream,
 /// reused verbatim against every competitor and the exact store so errors are
 /// measured on identical workloads (Section VI-A).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryWorkload {
     /// Edge queries.
     pub edge_queries: Vec<EdgeQuery>,

@@ -1,7 +1,6 @@
 //! Temporal primitives: timestamps (discrete time slices) and inclusive
 //! temporal ranges as used by Temporal Range Queries (TRQ, Definition 2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Discrete timestamp (time-slice index). The paper uses a 1-second slice for
@@ -12,7 +11,7 @@ pub type Timestamp = u64;
 ///
 /// Ranges are inclusive on both ends to match Definition 2 ("the aggregated
 /// weight of this edge within I = [ts, te]").
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeRange {
     /// First timestamp covered by the range.
     pub start: Timestamp,

@@ -43,13 +43,15 @@
 //! ```
 //!
 //! There is no covering-snapshot stamp — history outlives every snapshot.
-//! Records are framed and per-record checksummed exactly like journal
-//! records (`len u32 LE | tag u8 | payload | FNV-1a u64`), with the payload
-//! carrying sequence numbers: tag 1 = insert (`seq` + edge), tag 2 =
-//! insert-batch (count + per-edge `seq` + edge), tag 3 = delete (`seq` +
-//! edge). A torn tail (crash mid-append) is trimmed on re-arm and skipped on
-//! read — the torn record was never acknowledged; interior corruption is a
-//! typed [`JournalError::Corrupt`].
+//! This module is the history record codec; the header, the framing
+//! (`len u32 LE | tag u8 | payload | FNV-1a u64`), re-arming, appending,
+//! syncing and the torn-tail rules live in the crate's framing core, shared
+//! with the [`journal`](crate::journal). The payload carries sequence
+//! numbers: tag 1 = insert (`seq` + edge), tag 2 = insert-batch (count +
+//! per-edge `seq` + edge), tag 3 = delete (`seq` + edge). A torn tail (crash
+//! mid-append) is trimmed on re-arm and skipped on read — the torn record
+//! was never acknowledged; interior corruption is a typed
+//! [`JournalError::Corrupt`].
 //!
 //! # Duplicate sequence numbers
 //!
@@ -61,14 +63,10 @@
 //! storage corruption and fail typed.
 
 use crate::config::JournalMode;
-use crate::journal::{
-    failpoint, get_edge, put_edge, read_exact_or_eof, JournalError, MAX_BATCH_EDGES,
-    MAX_RECORD_BYTES,
-};
-use higgs_common::codec::{CodecError, Decoder, Encoder};
+use crate::framing::{self, get_edge, put_edge, LogFile, LogFormat, MAX_BATCH_EDGES};
+use crate::journal::JournalError;
+use higgs_common::codec::{CodecError, Decoder};
 use higgs_common::StreamEdge;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every history file.
@@ -78,9 +76,15 @@ pub const HISTORY_MAGIC: &[u8; 8] = b"HIGGSHIS";
 /// refuse newer-than-supported files instead of guessing.
 pub const HISTORY_FORMAT_VERSION: u32 = 1;
 
-/// Byte length of the file header (magic + version). History carries no
-/// covering-snapshot stamp: it is never rotated.
-const HEADER_LEN: u64 = 12;
+/// The history log's header and diagnostics, as the framing core reads them.
+/// History carries no covering-snapshot stamp: it is never rotated.
+const FORMAT: LogFormat = LogFormat {
+    name: "history",
+    magic: HISTORY_MAGIC,
+    version: HISTORY_FORMAT_VERSION,
+    stamped: false,
+    append_failpoint: "history::append",
+};
 
 /// Record tags (the body's leading byte). Same assignments as the journal's
 /// tags so the two formats stay mentally aligned.
@@ -125,12 +129,7 @@ pub struct HistoryOp {
 /// additionally forces the disk every `n` records.
 #[derive(Debug)]
 pub struct HistoryLog {
-    sink: BufWriter<File>,
-    mode: JournalMode,
-    shard: usize,
-    path: PathBuf,
-    /// Records appended since the last `fsync` (drives `SyncEveryN`).
-    appended_since_sync: u32,
+    log: LogFile,
 }
 
 impl HistoryLog {
@@ -139,6 +138,8 @@ impl HistoryLog {
     /// header written and synced; an existing log — the post-crash re-arm
     /// path — is extended in place after its header is validated and any
     /// torn trailing record is trimmed back to the last complete frame.
+    /// Re-arming does not checksum-verify the records it skips; that stays
+    /// the read side's job ([`read_history`]).
     ///
     /// `mode` must not be [`JournalMode::Off`] (elastic stores require a
     /// journaling mode; callers gate before constructing).
@@ -148,56 +149,19 @@ impl HistoryLog {
         shard: usize,
         mode: JournalMode,
     ) -> Result<Self, JournalError> {
-        debug_assert!(mode != JournalMode::Off, "Off never constructs history");
         let path = dir.join(history_file_name(gen, shard));
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len < HEADER_LEN {
-            // Fresh log (or the header write itself was torn, in which case
-            // no record can exist): start from a clean header. The file is
-            // in append mode, so each write lands at EOF.
-            file.set_len(0)?;
-            file.write_all(HISTORY_MAGIC)?;
-            file.write_all(&HISTORY_FORMAT_VERSION.to_le_bytes())?;
-            file.sync_all()?;
-        } else {
-            validate_header(&mut file, shard)?;
-            // Post-crash re-arm: trim any torn tail before appending, so new
-            // records always extend a clean frame boundary. The frame skip
-            // does not checksum-verify interiors — that stays the read
-            // side's job ([`read_history`]) — it only finds the last
-            // complete frame.
-            let clean_end = {
-                let mut source = BufReader::new(&mut file);
-                skip_frames(&mut source, shard)?
-            };
-            if clean_end < len {
-                file.set_len(clean_end)?;
-                file.sync_all()?;
-            }
-            file.seek(SeekFrom::End(0))?;
-        }
-        Ok(Self {
-            sink: BufWriter::new(file),
-            mode,
-            shard,
-            path,
-            appended_since_sync: 0,
-        })
+        let log = LogFile::arm(&FORMAT, path, shard, mode, 0, |_| Ok(()))?;
+        Ok(Self { log })
     }
 
     /// Path of the history file (diagnostics and tests).
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Appends a single-insert record.
     pub fn append_insert(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.append_body(|enc| {
+        self.log.append(|enc| {
             enc.put_u8(TAG_INSERT)?;
             enc.put_u64(seq)?;
             put_edge(enc, edge)
@@ -212,7 +176,7 @@ impl HistoryLog {
         seqs: &[u64],
     ) -> Result<(), JournalError> {
         debug_assert_eq!(edges.len(), seqs.len(), "parallel seq/edge arrays");
-        self.append_body(|enc| {
+        self.log.append(|enc| {
             enc.put_u8(TAG_INSERT_BATCH)?;
             enc.put_u64(edges.len() as u64)?;
             for (edge, seq) in edges.iter().zip(seqs) {
@@ -225,170 +189,50 @@ impl HistoryLog {
 
     /// Appends a delete record.
     pub fn append_delete(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.append_body(|enc| {
+        self.log.append(|enc| {
             enc.put_u8(TAG_DELETE)?;
             enc.put_u64(seq)?;
             put_edge(enc, edge)
         })
     }
 
-    /// The single framed-write path behind every append surface, sharing the
-    /// `history::append` failpoint so fault-injection covers all shapes.
-    fn append_body(
-        &mut self,
-        encode: impl FnOnce(&mut Encoder<&mut Vec<u8>>) -> Result<(), CodecError>,
-    ) -> Result<(), JournalError> {
-        failpoint!("history::append", |msg: String| JournalError::Io(
-            std::io::Error::other(msg)
-        ));
-        let mut body = Vec::with_capacity(64);
-        let mut enc = Encoder::new(&mut body);
-        encode(&mut enc)
-            .and_then(|()| enc.finish_with_checksum().map(|_| ()))
-            .map_err(|e| JournalError::Corrupt {
-                shard: self.shard,
-                record: 0,
-                detail: format!("history encode failed: {e}"),
-            })?;
-        debug_assert!(body.len() as u64 <= u64::from(MAX_RECORD_BYTES));
-        self.sink.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&body)?;
-        // Out of process buffers before the journal append and the apply.
-        self.sink.flush()?;
-        if let JournalMode::SyncEveryN(n) = self.mode {
-            self.appended_since_sync += 1;
-            if self.appended_since_sync >= n {
-                self.sink.get_ref().sync_data()?;
-                self.appended_since_sync = 0;
-            }
-        }
-        Ok(())
-    }
-
     /// Flushes and forces everything appended so far to disk (used at the
     /// snapshot / reshard fence, regardless of mode).
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.sink.flush()?;
-        self.sink.get_ref().sync_data()?;
-        self.appended_since_sync = 0;
-        Ok(())
+        self.log.sync()
     }
-}
-
-/// Validates the 12-byte header of an existing history file (the caller has
-/// already checked the length).
-fn validate_header(file: &mut File, shard: usize) -> Result<(), JournalError> {
-    file.seek(SeekFrom::Start(0))?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic != HISTORY_MAGIC {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!("bad history magic {magic:02x?}"),
-        });
-    }
-    let mut version = [0u8; 4];
-    file.read_exact(&mut version)?;
-    let version = u32::from_le_bytes(version);
-    if version != HISTORY_FORMAT_VERSION {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!(
-                "unsupported history format version {version} (supported: {HISTORY_FORMAT_VERSION})"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Skips frame-by-frame to the clean end of a history file's record region
-/// (the reader positioned just past the header) without decoding bodies:
-/// the offset one past the last complete frame. A torn tail stops the skip;
-/// an out-of-bounds length prefix is typed corruption.
-fn skip_frames<R: Read>(source: &mut R, shard: usize) -> Result<u64, JournalError> {
-    let mut clean_end = HEADER_LEN;
-    let mut frames: u64 = 0;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(source, &mut len_buf) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            return Err(JournalError::Corrupt {
-                shard,
-                record: frames,
-                detail: format!("history record length {len} outside (0, {MAX_RECORD_BYTES}]"),
-            });
-        }
-        let mut body = vec![0u8; len as usize];
-        match source.read_exact(&mut body) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        frames += 1;
-        clean_end += 4 + u64::from(len);
-    }
-    Ok(clean_end)
 }
 
 /// Decodes one history record body into its ops, verifying the per-record
-/// checksum.
+/// checksum. On an error `ops` may end with part of the record; every caller
+/// discards it.
 fn decode_body(body: &[u8], ops: &mut Vec<HistoryOp>) -> Result<(), CodecError> {
     let mut dec = Decoder::new(body);
-    let before = ops.len();
+    let mut op = |dec: &mut Decoder<&[u8]>, kind| -> Result<(), CodecError> {
+        let seq = dec.get_u64()?;
+        ops.push(HistoryOp {
+            seq,
+            kind,
+            edge: get_edge(dec)?,
+        });
+        Ok(())
+    };
     match dec.get_u8()? {
-        TAG_INSERT => {
-            let seq = dec.get_u64()?;
-            ops.push(HistoryOp {
-                seq,
-                kind: HistoryOpKind::Insert,
-                edge: get_edge(&mut dec)?,
-            });
-        }
+        TAG_INSERT => op(&mut dec, HistoryOpKind::Insert)?,
         TAG_INSERT_BATCH => {
             let count = dec.get_len(MAX_BATCH_EDGES, "history batch edge count")?;
             for _ in 0..count {
-                let seq = dec.get_u64()?;
-                ops.push(HistoryOp {
-                    seq,
-                    kind: HistoryOpKind::Insert,
-                    edge: get_edge(&mut dec)?,
-                });
+                op(&mut dec, HistoryOpKind::Insert)?;
             }
         }
-        TAG_DELETE => {
-            let seq = dec.get_u64()?;
-            ops.push(HistoryOp {
-                seq,
-                kind: HistoryOpKind::Delete,
-                edge: get_edge(&mut dec)?,
-            });
-        }
+        TAG_DELETE => op(&mut dec, HistoryOpKind::Delete)?,
         other => {
             return Err(CodecError::Invalid(format!(
                 "unknown history record tag {other}"
             )))
         }
     }
-    if let Err(e) = dec.verify_checksum().map(|_| ()) {
-        ops.truncate(before);
-        return Err(e);
-    }
-    if dec.bytes_read() != body.len() as u64 {
-        ops.truncate(before);
-        return Err(CodecError::Invalid(format!(
-            "history record declared {} body bytes but {} were consumed",
-            body.len(),
-            dec.bytes_read()
-        )));
-    }
-    Ok(())
+    framing::finish_body(&mut dec, body, FORMAT.name)
 }
 
 /// Every `(generation, shard)` history file currently in `dir`, discovered by
@@ -438,9 +282,7 @@ pub(crate) fn max_history_gen(dir: &Path) -> Result<Option<u64>, JournalError> {
 /// an empty stream.
 pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
     let mut ops = Vec::new();
-    for (_, shard, path) in history_files(dir)? {
-        read_file_ops(&path, shard, &mut ops)?;
-    }
+    scan_history(dir, |body| decode_body(body, &mut ops))?;
     // Per-file append order is *not* globally seq-ascending (nor strictly
     // per-file: the routing-time seq stamp and the channel send race), so
     // the global order is reconstructed by sorting. Kind/edge break seq ties
@@ -472,59 +314,33 @@ pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
 /// recorded one.
 pub(crate) fn max_history_seq(dir: &Path) -> Result<Option<u64>, JournalError> {
     let mut max = None;
-    let mut ops = Vec::new();
-    for (_, shard, path) in history_files(dir)? {
-        ops.clear();
-        read_file_ops(&path, shard, &mut ops)?;
-        let file_max = ops.iter().map(|op| op.seq).max();
-        max = max.max(file_max);
-    }
+    let mut frame = Vec::new();
+    scan_history(dir, |body| {
+        frame.clear();
+        decode_body(body, &mut frame)?;
+        max = max.max(frame.iter().map(|op| op.seq).max());
+        Ok(())
+    })?;
     Ok(max)
 }
 
-/// Reads one history file's complete, checksum-verified records into `ops`.
-/// A torn tail stops cleanly; interior corruption fails typed.
-fn read_file_ops(path: &Path, shard: usize, ops: &mut Vec<HistoryOp>) -> Result<(), JournalError> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if file.metadata()?.len() < HEADER_LEN {
-        // The header write itself was torn: nothing was ever recorded.
-        return Ok(());
-    }
-    validate_header(&mut file, shard)?;
-    let mut source = BufReader::new(file);
-    let mut record: u64 = 0;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut source, &mut len_buf) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            return Err(JournalError::Corrupt {
+/// Hands every complete record body of every history file in `dir` to
+/// `on_body`, file by file. A torn tail ends a file cleanly; interior
+/// corruption fails typed.
+fn scan_history(
+    dir: &Path,
+    mut on_body: impl FnMut(&[u8]) -> Result<(), CodecError>,
+) -> Result<(), JournalError> {
+    for (_, shard, path) in history_files(dir)? {
+        if let Some((mut reader, _)) = framing::open_reader(&FORMAT, &path, shard)? {
+            framing::scan_frames(
+                &mut reader,
+                &FORMAT,
                 shard,
-                record,
-                detail: format!("history record length {len} outside (0, {MAX_RECORD_BYTES}]"),
-            });
+                FORMAT.header_len(),
+                &mut on_body,
+            )?;
         }
-        let mut body = vec![0u8; len as usize];
-        match source.read_exact(&mut body) {
-            Ok(()) => {}
-            // Fewer than `len` body bytes on disk: torn tail, clean stop.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        decode_body(&body, ops).map_err(|e| JournalError::Corrupt {
-            shard,
-            record,
-            detail: e.to_string(),
-        })?;
-        record += 1;
     }
     Ok(())
 }
@@ -532,6 +348,9 @@ fn read_file_ops(path: &Path, shard: usize, ops: &mut Vec<HistoryOp>) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::MAX_RECORD_BYTES;
+
+    const HEADER_LEN: u64 = FORMAT.header_len();
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -722,6 +541,51 @@ mod tests {
         assert_eq!(max_history_seq(&dir).expect("no seqs"), None);
         let gone = dir.join("no-such-subdir");
         assert_eq!(read_history(&gone).expect("missing dir"), Vec::new());
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// The whole history file for a fixed record sequence, byte for byte, as
+    /// the format has always written it: a refactor of the log code must not
+    /// move a byte.
+    #[test]
+    fn history_file_bytes_match_the_golden_encoding() {
+        const GOLDEN: &[&str] = &[
+            "4849474753484953", // magic "HIGGSHIS"
+            "01000000",         // version 1
+            "31000000",         // len 49
+            "01",               // tag insert
+            "0700000000000000", // seq 7
+            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
+            "0fcb212b5093ee44", // checksum
+            "61000000",         // len 97
+            "02",               // tag insert-batch
+            "0200000000000000", // count 2
+            "0800000000000000", // seq 8
+            "0500000000000000060000000000000007000000000000000800000000000000", // edge (5, 6, 7, 8)
+            "0900000000000000", // seq 9
+            "09000000000000000a000000000000000b000000000000000c00000000000000", // edge (9, 10, 11, 12)
+            "4e1b638089756fec",                                                 // checksum
+            "31000000",                                                         // len 49
+            "03",                                                               // tag delete
+            "0a00000000000000",                                                 // seq 10
+            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
+            "9c1db34fe77a0912",                                                 // checksum
+        ];
+        let dir = temp_dir("golden");
+        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
+        log.append_insert(7, &StreamEdge::new(1, 2, 3, 4))
+            .expect("insert");
+        log.append_insert_batch(
+            &[StreamEdge::new(5, 6, 7, 8), StreamEdge::new(9, 10, 11, 12)],
+            &[8, 9],
+        )
+        .expect("batch");
+        log.append_delete(10, &StreamEdge::new(1, 2, 3, 4))
+            .expect("delete");
+        drop(log);
+        let bytes = std::fs::read(dir.join(history_file_name(0, 0))).expect("read history");
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN.concat());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

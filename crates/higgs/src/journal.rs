@@ -10,6 +10,11 @@
 //! it, so after a crash the state is reconstructed as
 //! `snapshot + journal tail replay`.
 //!
+//! This module is the journal's record codec. The header, the record
+//! framing, re-arming, appending, syncing and the torn-tail versus
+//! interior-corruption rules live in the crate's framing core, shared with
+//! the elastic [`history`](crate::history) log.
+//!
 //! # File format
 //!
 //! One file per shard in the durable directory ([`journal_file_name`]:
@@ -68,13 +73,13 @@
 //! double-apply: recovery sees the stale stamp and discards the journal.
 
 use crate::config::JournalMode;
+use crate::framing::{self, get_edge, put_edge, LogFile, LogFormat, MAX_BATCH_EDGES};
 use crate::tree::HiggsSummary;
 use higgs_common::codec::{CodecError, Decoder, Encoder};
 use higgs_common::StreamEdge;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{Seek, SeekFrom};
+use std::path::Path;
 
 /// Magic bytes opening every journal file.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"HIGGSJNL";
@@ -83,26 +88,19 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"HIGGSJNL";
 /// refuses newer-than-supported files instead of guessing.
 pub const JOURNAL_FORMAT_VERSION: u32 = 1;
 
-/// Byte length of the magic + version prefix of the header.
-const HEADER_CORE_LEN: u64 = 12;
+/// The journal's header and diagnostics, as the framing core reads them.
+const FORMAT: LogFormat = LogFormat {
+    name: "journal",
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_FORMAT_VERSION,
+    stamped: true,
+    append_failpoint: "journal::append",
+};
 
 /// Byte length of the full file header (magic + version + covering snapshot
-/// checksum). A file shorter than this replays as empty: either nothing was
-/// ever journaled, or a crash tore a rotation mid-header — and a rotation
-/// only runs once the covering snapshot is durable. The follower's segment
-/// cursor ([`scan_tail`]) starts here.
-pub(crate) const HEADER_LEN: u64 = 20;
-
-/// Upper bound on one record's framed body length. The largest legitimate
-/// record is an insert-batch of one routed ingest chunk (512 edges ≈ 16 KiB);
-/// a length prefix beyond this bound can only come from corruption. Shared
-/// with the elastic history log, whose records carry the same batch bound
-/// plus an 8-byte sequence number per edge.
-pub(crate) const MAX_RECORD_BYTES: u32 = 1 << 20;
-
-/// Upper bound on the edge count of one insert-batch record (decode-side
-/// allocation guard, mirroring the snapshot module's `MAX_PREALLOC`).
-pub(crate) const MAX_BATCH_EDGES: u64 = 1 << 16;
+/// checksum). A file shorter than this replays as empty. The follower's
+/// segment cursor ([`scan_tail`]) starts here.
+pub(crate) const HEADER_LEN: u64 = FORMAT.header_len();
 
 /// Why a journal operation failed.
 #[derive(Debug)]
@@ -159,7 +157,8 @@ impl From<std::io::Error> for JournalError {
 /// `failpoints` feature the hook evaluates the registry: an injected error
 /// maps through `$map` into an early `return Err(..)`, an injected panic
 /// unwinds from here, an injected delay stalls the path. Without the feature
-/// both forms compile to nothing, so production builds carry zero overhead.
+/// both forms compile to nothing but a discarded read of the name, so
+/// production builds carry zero overhead.
 #[cfg(feature = "failpoints")]
 macro_rules! failpoint {
     ($name:expr) => {
@@ -176,8 +175,12 @@ macro_rules! failpoint {
 /// instrumented path with the hook erased.
 #[cfg(not(feature = "failpoints"))]
 macro_rules! failpoint {
-    ($name:expr) => {};
-    ($name:expr, $map:expr) => {};
+    ($name:expr) => {
+        let _ = $name;
+    };
+    ($name:expr, $map:expr) => {
+        let _ = $name;
+    };
 }
 
 pub(crate) use failpoint;
@@ -205,25 +208,6 @@ const TAG_INSERT: u8 = 1;
 const TAG_INSERT_BATCH: u8 = 2;
 const TAG_DELETE: u8 = 3;
 
-pub(crate) fn put_edge<W: Write>(
-    enc: &mut Encoder<W>,
-    edge: &StreamEdge,
-) -> Result<(), CodecError> {
-    enc.put_u64(edge.src)?;
-    enc.put_u64(edge.dst)?;
-    enc.put_u64(edge.weight)?;
-    enc.put_u64(edge.timestamp)
-}
-
-pub(crate) fn get_edge<R: Read>(dec: &mut Decoder<R>) -> Result<StreamEdge, CodecError> {
-    Ok(StreamEdge {
-        src: dec.get_u64()?,
-        dst: dec.get_u64()?,
-        weight: dec.get_u64()?,
-        timestamp: dec.get_u64()?,
-    })
-}
-
 /// A borrowed view of one journalable mutation: what the shard writer hands
 /// to [`Journal::append_insert`] and friends without cloning batch payloads
 /// into an owned [`JournalRecord`] first.
@@ -234,31 +218,27 @@ enum RecordShape<'a> {
     Delete(&'a StreamEdge),
 }
 
-/// Encodes a record body — tag, payload, trailing per-record checksum — into
-/// a fresh buffer ready to be framed with a length prefix. Shared by the
-/// owned and borrowed append paths so both produce identical bytes.
-fn encode_record_body(shape: RecordShape<'_>) -> Result<Vec<u8>, CodecError> {
-    let mut body = Vec::with_capacity(48);
-    let mut enc = Encoder::new(&mut body);
-    match shape {
-        RecordShape::Insert(edge) => {
-            enc.put_u8(TAG_INSERT)?;
-            put_edge(&mut enc, edge)?;
-        }
-        RecordShape::InsertBatch(edges) => {
-            enc.put_u8(TAG_INSERT_BATCH)?;
-            enc.put_u64(edges.len() as u64)?;
-            for edge in edges {
-                put_edge(&mut enc, edge)?;
+impl RecordShape<'_> {
+    /// Encodes the record's tag and payload (the framing core appends the
+    /// checksum). Shared by the owned and borrowed append paths so both
+    /// produce identical bytes.
+    fn encode(self, enc: &mut Encoder<&mut Vec<u8>>) -> Result<(), CodecError> {
+        match self {
+            RecordShape::Insert(edge) => {
+                enc.put_u8(TAG_INSERT)?;
+                put_edge(enc, edge)
+            }
+            RecordShape::InsertBatch(edges) => {
+                enc.put_u8(TAG_INSERT_BATCH)?;
+                enc.put_u64(edges.len() as u64)?;
+                edges.iter().try_for_each(|edge| put_edge(enc, edge))
+            }
+            RecordShape::Delete(edge) => {
+                enc.put_u8(TAG_DELETE)?;
+                put_edge(enc, edge)
             }
         }
-        RecordShape::Delete(edge) => {
-            enc.put_u8(TAG_DELETE)?;
-            put_edge(&mut enc, edge)?;
-        }
     }
-    enc.finish_with_checksum()?;
-    Ok(body)
 }
 
 impl JournalRecord {
@@ -271,8 +251,7 @@ impl JournalRecord {
         }
     }
 
-    /// Decodes one record body (as framed by [`encode_record_body`]),
-    /// verifying the per-record checksum.
+    /// Decodes one record body, verifying the per-record checksum.
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Decoder::new(body);
         let record = match dec.get_u8()? {
@@ -292,15 +271,7 @@ impl JournalRecord {
                 )))
             }
         };
-        dec.verify_checksum()?;
-        // `bytes_read` includes the trailing checksum the verify consumed.
-        if dec.bytes_read() != body.len() as u64 {
-            return Err(CodecError::Invalid(format!(
-                "journal record declared {} body bytes but {} were consumed",
-                body.len(),
-                dec.bytes_read()
-            )));
-        }
+        framing::finish_body(&mut dec, body, FORMAT.name)?;
         Ok(record)
     }
 
@@ -309,6 +280,20 @@ impl JournalRecord {
         match self {
             JournalRecord::Insert(_) | JournalRecord::Delete(_) => 1,
             JournalRecord::InsertBatch(edges) => edges.len(),
+        }
+    }
+
+    /// Applies the mutation to a shard summary through its normal
+    /// insert/delete path, aggregating as it lands.
+    fn apply_to(self, summary: &mut HiggsSummary) {
+        match self {
+            JournalRecord::Insert(edge) => summary.insert_edge(&edge),
+            JournalRecord::InsertBatch(edges) => {
+                for edge in &edges {
+                    summary.insert_edge(edge);
+                }
+            }
+            JournalRecord::Delete(edge) => summary.delete_edge(&edge),
         }
     }
 }
@@ -321,12 +306,7 @@ impl JournalRecord {
 /// additionally forces the disk every `n` records.
 #[derive(Debug)]
 pub struct Journal {
-    sink: BufWriter<File>,
-    mode: JournalMode,
-    shard: usize,
-    path: PathBuf,
-    /// Records appended since the last `fsync` (drives `SyncEveryN`).
-    appended_since_sync: u32,
+    log: LogFile,
 }
 
 impl Journal {
@@ -351,60 +331,16 @@ impl Journal {
         mode: JournalMode,
         covering: u64,
     ) -> Result<Self, JournalError> {
-        debug_assert!(mode != JournalMode::Off, "Off never constructs a journal");
         let path = dir.join(journal_file_name(shard));
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len < HEADER_LEN {
-            // Fresh journal (or a crash tore the header write itself, in
-            // which case no record can exist): start from a clean header.
-            // The file is in append mode, so each write lands at EOF.
-            file.set_len(0)?;
-            file.write_all(JOURNAL_MAGIC)?;
-            file.write_all(&JOURNAL_FORMAT_VERSION.to_le_bytes())?;
-            file.write_all(&covering.to_le_bytes())?;
-            file.sync_all()?;
-        } else {
-            let stored = validate_header(&mut file, shard)?;
-            if stored != covering {
-                // Stale journal: reset to an empty one stamped with the
-                // current manifest. Truncating to the core first keeps every
-                // crash point safe (a short header replays as empty).
-                file.set_len(HEADER_CORE_LEN)?;
-                file.write_all(&covering.to_le_bytes())?;
-                file.sync_all()?;
-            } else {
-                // Post-crash re-arm: trim any torn tail before appending.
-                // Appending after torn partial bytes would make the *next*
-                // replay stop at (or report Corrupt for) the tear, silently
-                // discarding every record this session journals after it.
-                let (_, clean_end) = {
-                    let mut source = BufReader::new(&mut file);
-                    scan_records(&mut source, shard, HEADER_LEN)?
-                };
-                if clean_end < len {
-                    file.set_len(clean_end)?;
-                    file.sync_all()?;
-                }
-                file.seek(SeekFrom::End(0))?;
-            }
-        }
-        Ok(Self {
-            sink: BufWriter::new(file),
-            mode,
-            shard,
-            path,
-            appended_since_sync: 0,
-        })
+        let log = LogFile::arm(&FORMAT, path, shard, mode, covering, |body| {
+            JournalRecord::decode_body(body).map(drop)
+        })?;
+        Ok(Self { log })
     }
 
     /// Path of the journal file (diagnostics and tests).
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Appends one record: length-prefixed, per-record-checksummed, flushed
@@ -433,40 +369,17 @@ impl Journal {
         self.append_shape(RecordShape::Delete(edge))
     }
 
-    /// The single framed-write path behind every append surface. All paths
-    /// share the `journal::append` failpoint, so fault-injection tests cover
-    /// singles, batches and deletes alike.
+    /// The single append path behind every surface. All of them share the
+    /// `journal::append` failpoint, so fault-injection tests cover singles,
+    /// batches and deletes alike.
     fn append_shape(&mut self, shape: RecordShape<'_>) -> Result<(), JournalError> {
-        failpoint!("journal::append", |msg: String| JournalError::Io(
-            std::io::Error::other(msg)
-        ));
-        let body = encode_record_body(shape).map_err(|e| JournalError::Corrupt {
-            shard: self.shard,
-            record: 0,
-            detail: format!("encode failed: {e}"),
-        })?;
-        debug_assert!(body.len() as u64 <= u64::from(MAX_RECORD_BYTES));
-        self.sink.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&body)?;
-        // Out of process buffers before the caller applies the mutation.
-        self.sink.flush()?;
-        if let JournalMode::SyncEveryN(n) = self.mode {
-            self.appended_since_sync += 1;
-            if self.appended_since_sync >= n {
-                self.sink.get_ref().sync_data()?;
-                self.appended_since_sync = 0;
-            }
-        }
-        Ok(())
+        self.log.append(|enc| shape.encode(enc))
     }
 
     /// Flushes and forces everything appended so far to disk (used at the
     /// snapshot fence, regardless of mode).
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.sink.flush()?;
-        self.sink.get_ref().sync_data()?;
-        self.appended_since_sync = 0;
-        Ok(())
+        self.log.sync()
     }
 
     /// Truncates the journal back to its header and stamps `covering` — the
@@ -476,46 +389,8 @@ impl Journal {
     /// file cut inside the stamp) replays as empty, which is correct because
     /// the snapshot already holds every truncated record.
     pub fn truncate(&mut self, covering: u64) -> Result<(), JournalError> {
-        self.sink.flush()?;
-        let file = self.sink.get_mut();
-        file.set_len(HEADER_CORE_LEN)?;
-        // Append mode: this lands exactly at the end of the core header.
-        file.write_all(&covering.to_le_bytes())?;
-        file.sync_all()?;
-        self.appended_since_sync = 0;
-        Ok(())
+        self.log.truncate(covering)
     }
-}
-
-/// Validates the 20-byte header of an existing journal file (the caller has
-/// already checked the length), returning the stored covering-snapshot
-/// checksum.
-fn validate_header(file: &mut File, shard: usize) -> Result<u64, JournalError> {
-    file.seek(SeekFrom::Start(0))?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic != JOURNAL_MAGIC {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!("bad magic {magic:02x?}"),
-        });
-    }
-    let mut version = [0u8; 4];
-    file.read_exact(&mut version)?;
-    let version = u32::from_le_bytes(version);
-    if version != JOURNAL_FORMAT_VERSION {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!(
-                "unsupported journal format version {version} (supported: {JOURNAL_FORMAT_VERSION})"
-            ),
-        });
-    }
-    let mut covering = [0u8; 8];
-    file.read_exact(&mut covering)?;
-    Ok(u64::from_le_bytes(covering))
 }
 
 /// Replays shard `shard`'s journal from `dir`, returning every complete,
@@ -531,27 +406,46 @@ fn validate_header(file: &mut File, shard: usize) -> Result<u64, JournalError> {
 /// * **Interior corruption** — a fully-present record failing checksum or
 ///   structural verification — fails with [`JournalError::Corrupt`].
 pub fn replay(dir: &Path, shard: usize, covering: u64) -> Result<Vec<JournalRecord>, JournalError> {
+    let mut records = Vec::new();
+    replay_with(dir, shard, covering, |record| records.push(record))?;
+    Ok(records)
+}
+
+/// Replays shard `shard`'s journal straight into `summary`, record by record
+/// in append order (the second half of `snapshot + journal tail replay`
+/// recovery), under [`replay`]'s rules. On an error the summary holds a
+/// prefix of the journal and must be discarded.
+pub(crate) fn replay_into(
+    dir: &Path,
+    shard: usize,
+    covering: u64,
+    summary: &mut HiggsSummary,
+) -> Result<(), JournalError> {
+    replay_with(dir, shard, covering, |record| record.apply_to(summary))
+}
+
+/// Hands every record [`replay`] would return to `visit`, in append order.
+fn replay_with(
+    dir: &Path,
+    shard: usize,
+    covering: u64,
+    mut visit: impl FnMut(JournalRecord),
+) -> Result<(), JournalError> {
     let path = dir.join(journal_file_name(shard));
-    let mut file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(JournalError::Io(e)),
+    let Some((mut reader, stamp)) = framing::open_reader(&FORMAT, &path, shard)? else {
+        return Ok(());
     };
-    if file.metadata()?.len() < HEADER_LEN {
-        // The header write itself was torn: nothing was ever journaled (a
-        // header only tears during initial creation or a rotation commit,
-        // and both leave nothing that still needs replaying).
-        return Ok(Vec::new());
-    }
-    if validate_header(&mut file, shard)? != covering {
+    if stamp != covering {
         // Stale: the crash hit between the manifest becoming durable and
         // the rotation truncating this journal. Every record here is
         // already inside the snapshot; replaying would double-apply.
-        return Ok(Vec::new());
+        return Ok(());
     }
-    let mut source = BufReader::new(file);
-    let (records, _) = scan_records(&mut source, shard, HEADER_LEN)?;
-    Ok(records)
+    framing::scan_frames(&mut reader, &FORMAT, shard, HEADER_LEN, |body| {
+        visit(JournalRecord::decode_body(body)?);
+        Ok(())
+    })?;
+    Ok(())
 }
 
 /// One incremental read of a journal's tail: everything a warm follower needs
@@ -584,19 +478,16 @@ pub(crate) fn scan_tail(
     from: u64,
 ) -> Result<Option<JournalTail>, JournalError> {
     let path = dir.join(journal_file_name(shard));
-    let mut file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if file.metadata()?.len() < HEADER_LEN {
+    let Some((mut reader, covering)) = framing::open_reader(&FORMAT, &path, shard)? else {
         return Ok(None);
-    }
-    let covering = validate_header(&mut file, shard)?;
+    };
     let start = from.max(HEADER_LEN);
-    file.seek(SeekFrom::Start(start))?;
-    let mut source = BufReader::new(file);
-    let (records, clean_end) = scan_records(&mut source, shard, start)?;
+    reader.seek(SeekFrom::Start(start))?;
+    let mut records = Vec::new();
+    let clean_end = framing::scan_frames(&mut reader, &FORMAT, shard, start, |body| {
+        records.push(JournalRecord::decode_body(body)?);
+        Ok(())
+    })?;
     Ok(Some(JournalTail {
         covering,
         records,
@@ -604,94 +495,28 @@ pub(crate) fn scan_tail(
     }))
 }
 
-/// Scans a journal's record region (the reader positioned at byte offset
-/// `start`, which must be a record boundary), returning every complete,
-/// checksum-verified record in append order together with the **clean-end
-/// byte offset**: the file offset one past the last complete record, beyond
-/// which only a torn tail (if anything) remains. [`replay`] uses the records;
-/// [`Journal::open`] uses the offset to trim a torn tail before re-arming the
-/// journal for appends; [`scan_tail`] uses both to ship the tail to a
-/// follower incrementally.
-fn scan_records<R: Read>(
-    source: &mut R,
-    shard: usize,
-    start: u64,
-) -> Result<(Vec<JournalRecord>, u64), JournalError> {
-    let mut records = Vec::new();
-    let mut clean_end = start;
-    loop {
-        // Length prefix. Clean EOF at a record boundary ends the journal;
-        // a partial prefix is a torn tail (stop scanning, keep the prefix).
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(source, &mut len_buf) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            return Err(JournalError::Corrupt {
-                shard,
-                record: records.len() as u64,
-                detail: format!("record length {len} outside (0, {MAX_RECORD_BYTES}]"),
-            });
-        }
-        let mut body = vec![0u8; len as usize];
-        match source.read_exact(&mut body) {
-            Ok(()) => {}
-            // Fewer than `len` body bytes on disk: torn tail, clean stop.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        // All `len` bytes are present, so any verification failure is real
-        // corruption — even on the final record.
-        let record = JournalRecord::decode_body(&body).map_err(|e| JournalError::Corrupt {
-            shard,
-            record: records.len() as u64,
-            detail: e.to_string(),
-        })?;
-        records.push(record);
-        clean_end += 4 + u64::from(len);
-    }
-    Ok((records, clean_end))
-}
-
-/// Reads exactly `buf.len()` bytes, returning `Ok(false)` on clean EOF at
-/// offset zero and treating a *partial* read ending in EOF the same way
-/// (both are torn-tail shapes for the caller).
-pub(crate) fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match source.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Applies replayed records to a shard summary in append order — the second
-/// half of `snapshot + journal tail replay` recovery. Mutations go through
-/// the summary's normal insert/delete path, aggregating as they land.
+/// Applies records (a follower's shipped tail) to a shard summary in append
+/// order.
 pub(crate) fn apply_records(summary: &mut HiggsSummary, records: Vec<JournalRecord>) {
     for record in records {
-        match record {
-            JournalRecord::Insert(edge) => summary.insert_edge(&edge),
-            JournalRecord::InsertBatch(edges) => {
-                for edge in &edges {
-                    summary.insert_edge(edge);
-                }
-            }
-            JournalRecord::Delete(edge) => summary.delete_edge(&edge),
-        }
+        record.apply_to(summary);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::MAX_RECORD_BYTES;
+    use std::path::PathBuf;
+
+    /// Byte length of `record`'s framed body (tag, payload and checksum).
+    fn body_len(record: &JournalRecord) -> usize {
+        let mut body = Vec::new();
+        let mut enc = Encoder::new(&mut body);
+        record.shape().encode(&mut enc).expect("encode");
+        enc.finish_with_checksum().expect("checksum");
+        body.len()
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -760,9 +585,7 @@ mod tests {
         // Truncate at every byte boundary inside the final record (including
         // inside its length prefix): replay must return exactly the first
         // three records every time — never an error, never a partial fourth.
-        let last_body_len = encode_record_body(records[3].shape())
-            .expect("encode")
-            .len();
+        let last_body_len = body_len(&records[3]);
         let last_record_len = 4 + last_body_len;
         let prefix_end = full.len() - last_record_len;
         for cut in prefix_end..full.len() {
@@ -784,9 +607,7 @@ mod tests {
         // Flip one bit inside the second record's body: every record is
         // individually checksummed, so replay must fail with Corrupt naming
         // that record — not stop early, not return wrong data.
-        let first_len = 4 + encode_record_body(records[0].shape())
-            .expect("encode")
-            .len();
+        let first_len = 4 + body_len(&records[0]);
         let mut corrupted = full.clone();
         let target = HEADER_LEN as usize + first_len + 10;
         corrupted[target] ^= 0x10;
@@ -902,9 +723,7 @@ mod tests {
         write_records(&dir, 0, &records);
         let path = dir.join(journal_file_name(0));
         let full = std::fs::read(&path).expect("read journal");
-        let last_body_len = encode_record_body(records[3].shape())
-            .expect("encode")
-            .len();
+        let last_body_len = body_len(&records[3]);
         let last_record_len = 4 + last_body_len;
         let prefix_end = full.len() - last_record_len;
         // Every tear point inside the final record, including a bare partial
@@ -971,5 +790,48 @@ mod tests {
             JournalRecord::InsertBatch((0..7).map(edge).collect()).edge_count(),
             7
         );
+    }
+
+    /// The whole journal file for a fixed record sequence, byte for byte, as
+    /// the format has always written it: a refactor of the log code must not
+    /// move a byte.
+    #[test]
+    fn journal_file_bytes_match_the_golden_encoding() {
+        const GOLDEN: &[&str] = &[
+            "48494747534a4e4c", // magic "HIGGSJNL"
+            "01000000",         // version 1
+            "efcdab8967452301", // covering stamp
+            "29000000",         // len 41
+            "01",               // tag insert
+            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
+            "28707d9366cac1a9", // checksum
+            "51000000",         // len 81
+            "02",               // tag insert-batch
+            "0200000000000000", // count 2
+            "0500000000000000060000000000000007000000000000000800000000000000", // edge (5, 6, 7, 8)
+            "09000000000000000a000000000000000b000000000000000c00000000000000", // edge (9, 10, 11, 12)
+            "2f98290a6290d3fa",                                                 // checksum
+            "29000000",                                                         // len 41
+            "03",                                                               // tag delete
+            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
+            "16af8312aeb2e25a",                                                 // checksum
+        ];
+        let dir = temp_dir("golden");
+        let mut journal =
+            Journal::open(&dir, 0, JournalMode::Buffered, 0x0123_4567_89AB_CDEF).expect("open");
+        journal
+            .append_insert(&StreamEdge::new(1, 2, 3, 4))
+            .expect("insert");
+        journal
+            .append_insert_batch(&[StreamEdge::new(5, 6, 7, 8), StreamEdge::new(9, 10, 11, 12)])
+            .expect("batch");
+        journal
+            .append_delete(&StreamEdge::new(1, 2, 3, 4))
+            .expect("delete");
+        drop(journal);
+        let bytes = std::fs::read(dir.join(journal_file_name(0))).expect("read journal");
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN.concat());
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -25,7 +25,17 @@
 //! * [`snapshot`] — versioned, checksummed snapshot / restore persistence
 //!   for summaries and the sharded service (warm restarts),
 //! * [`journal`] — the per-shard write-ahead journal closing the
-//!   crash-durability window between snapshots.
+//!   crash-durability window between snapshots,
+//! * [`history`] — the per-shard, sequence-stamped mutation history of an
+//!   elastic store (the journal and the history share one record framing),
+//! * [`store`] — the unified persistence entry point ([`Store::open`] with
+//!   [`StoreOptions`]): create, recover, restore, reshard, follow,
+//! * [`reshard`] — changing a service's shard count by refolding its
+//!   history, offline or online,
+//! * [`replica`] — warm read-only followers that ship the leader's journals
+//!   ([`Follower`]),
+//! * [`serving`] — the multi-client serving layer with query admission and
+//!   plan coalescing ([`HiggsService`], [`ServiceClient`]).
 //!
 //! # Quick example
 //!
@@ -466,6 +476,7 @@
 pub mod aggregate;
 pub mod boundary;
 pub mod config;
+mod framing;
 pub mod history;
 pub mod journal;
 pub mod matrix;

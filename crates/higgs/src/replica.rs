@@ -284,6 +284,6 @@ impl Follower {
         self.sync()?;
         let mut config = self.config;
         config.shards = self.shards.len();
-        ShardedHiggs::from_arc_summaries(config, self.shards).map_err(ReplicaError::Config)
+        ShardedHiggs::from_shards(config, self.shards, None).map_err(ReplicaError::Config)
     }
 }

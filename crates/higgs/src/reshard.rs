@@ -34,10 +34,10 @@
 //! fold on a live service behind the writer fence; see its docs for the
 //! commit protocol.
 
-use crate::config::HiggsConfig;
+use crate::config::{HiggsConfig, JournalMode};
 use crate::history::{self, HistoryOp, HistoryOpKind};
-use crate::journal::{Journal, JournalError};
-use crate::shard::{DurableState, ShardedHiggs, MAX_SHARDS};
+use crate::journal::{journal_file_name, JournalError};
+use crate::shard::{DurableState, ShardLog, ShardedHiggs, MAX_SHARDS};
 use crate::snapshot::SnapshotError;
 use crate::tree::HiggsSummary;
 use higgs_common::hashing::shard_of;
@@ -159,6 +159,84 @@ pub(crate) fn fold_history(ops: &[HistoryOp], config: &HiggsConfig) -> Vec<Higgs
     summaries
 }
 
+/// A refolded layout committed into its directory, with the next history
+/// generation armed: what both reshards install as their new writer fleet.
+pub(crate) struct Refold {
+    pub(crate) shards: Vec<Arc<RwLock<HiggsSummary>>>,
+    pub(crate) durable: Arc<DurableState>,
+    pub(crate) logs: Vec<ShardLog>,
+    /// One past the highest recorded sequence number.
+    pub(crate) next_seq: u64,
+}
+
+/// Where a [`refold`] failed, relative to its commit point.
+pub(crate) enum RefoldError {
+    /// Nothing was committed: the directory still holds the old layout.
+    Uncommitted(ReshardError),
+    /// The directory holds the new layout, but its logs could not be armed.
+    Committed(ReshardError),
+}
+
+impl RefoldError {
+    fn into_inner(self) -> ReshardError {
+        match self {
+            RefoldError::Uncommitted(e) | RefoldError::Committed(e) => e,
+        }
+    }
+}
+
+/// The step both reshards share: reads `dir`'s full history, folds it at
+/// `config.shards`, commits the refolded snapshot into `dir` (manifest
+/// written last: the commit point), arms history generation `gen` with
+/// journals stamped for the new manifest (the old ones are reset as stale),
+/// and removes the journals of retired shard slots.
+pub(crate) fn refold(
+    dir: &Path,
+    config: &HiggsConfig,
+    mode: JournalMode,
+    gen: u64,
+) -> Result<Refold, RefoldError> {
+    let ops = history::read_history(dir).map_err(|e| RefoldError::Uncommitted(e.into()))?;
+    // `read_history` sorts by sequence number: the last op holds the highest.
+    let next_seq = ops.last().map_or(0, |op| op.seq + 1);
+    let shards: Vec<Arc<RwLock<HiggsSummary>>> = fold_history(&ops, config)
+        .into_iter()
+        .map(|s| Arc::new(RwLock::new(s)))
+        .collect();
+    // A failure inside leaves no manifest behind, so recovery still sees the
+    // old layout.
+    crate::snapshot::write_snapshot_files(dir, &shards)
+        .map_err(|e| RefoldError::Uncommitted(e.into()))?;
+    let durable = Arc::new(DurableState {
+        dir: dir.to_path_buf(),
+        mode,
+        history_gen: Some(gen),
+    });
+    let logs = crate::snapshot::manifest_tail_checksum(dir)
+        .map_err(ReshardError::from)
+        .and_then(|covering| {
+            (0..config.shards)
+                .map(|s| durable.arm(s, covering).map_err(ReshardError::from))
+                .collect()
+        })
+        .map_err(RefoldError::Committed)?;
+    // Journals of retired shard slots are superseded by the committed
+    // snapshot; best-effort removal (a leftover is reset by `Journal::open`
+    // if the count ever grows past it again).
+    for path in (config.shards..)
+        .map(|s| dir.join(journal_file_name(s)))
+        .take_while(|path| path.exists())
+    {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(Refold {
+        shards,
+        durable,
+        logs,
+        next_seq,
+    })
+}
+
 /// The offline reshard: refolds `dir`'s elastic history at `new_shards`,
 /// commits the refolded snapshot into `dir`, and opens the directory as a
 /// durable elastic service at the new width. Shared by
@@ -167,14 +245,14 @@ pub(crate) fn fold_history(ops: &[HistoryOp], config: &HiggsConfig) -> Vec<Higgs
 pub(crate) fn open_resharded(
     dir: &Path,
     new_shards: usize,
-    mode: crate::config::JournalMode,
+    mode: JournalMode,
 ) -> Result<ShardedHiggs, ReshardError> {
     if new_shards == 0 || new_shards > MAX_SHARDS {
         return Err(ReshardError::InvalidShardCount {
             requested: new_shards,
         });
     }
-    if mode == crate::config::JournalMode::Off {
+    if mode == JournalMode::Off {
         return Err(ReshardError::HistoryUnavailable {
             detail: "an elastic service requires journaling (JournalMode::Off given): \
                      history cannot be maintained without the durable write path"
@@ -212,48 +290,14 @@ pub(crate) fn open_resharded(
             }
             other => ReshardError::Snapshot(other),
         })?;
-    let ops = history::read_history(dir)?;
-    let next_seq = history::max_history_seq(dir)?.map_or(0, |s| s + 1);
     let mut config = stored;
     config.shards = new_shards;
     config.journal_mode = mode;
-    let shards: Vec<Arc<RwLock<HiggsSummary>>> = fold_history(&ops, &config)
-        .into_iter()
-        .map(|s| Arc::new(RwLock::new(s)))
-        .collect();
-    // Commit point: manifest written last. From here the directory is at the
-    // new width; journals stamped for the old manifest are reset on open.
-    crate::snapshot::write_snapshot_files(dir, &shards)?;
-    let covering = crate::snapshot::manifest_tail_checksum(dir)?;
-    let journals = (0..new_shards)
-        .map(|s| Journal::open(dir, s, mode, covering).map(Some))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ReshardError::from)?;
-    let histories = (0..new_shards)
-        .map(|s| crate::history::HistoryLog::open(dir, old_gen + 1, s, mode).map(Some))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ReshardError::from)?;
-    // Journals of retired shard slots are superseded by the snapshot just
-    // committed; best-effort removal (a leftover is reset by `Journal::open`
-    // if the count ever grows past it again).
-    let mut stale = new_shards;
-    loop {
-        let path = dir.join(crate::journal::journal_file_name(stale));
-        if !path.exists() {
-            break;
-        }
-        let _ = std::fs::remove_file(&path);
-        stale += 1;
-    }
-    let durable = Arc::new(DurableState {
-        dir: dir.to_path_buf(),
-        mode,
-        history_gen: Some(old_gen + 1),
-    });
+    let refold = refold(dir, &config, mode, old_gen + 1).map_err(RefoldError::into_inner)?;
     let service =
-        ShardedHiggs::from_arc_summaries_with(config, shards, Some(durable), journals, histories)
+        ShardedHiggs::from_shards(config, refold.shards, Some((refold.durable, refold.logs)))
             .map_err(|e| ReshardError::Snapshot(SnapshotError::Config(e)))?;
-    service.resume_seq(next_seq);
+    service.resume_seq(refold.next_seq);
     Ok(service)
 }
 
@@ -276,10 +320,6 @@ impl ShardedHiggs {
         dir: impl AsRef<Path>,
         new_shards: usize,
     ) -> Result<Self, ReshardError> {
-        open_resharded(
-            dir.as_ref(),
-            new_shards,
-            crate::config::JournalMode::Buffered,
-        )
+        open_resharded(dir.as_ref(), new_shards, JournalMode::Buffered)
     }
 }

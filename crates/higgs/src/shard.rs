@@ -67,7 +67,7 @@
 use crate::config::{ConfigError, HiggsConfig, JournalMode};
 use crate::history::HistoryLog;
 use crate::journal::{failpoint, Journal, JournalError};
-use crate::reshard::{fold_history, ReshardError};
+use crate::reshard::{RefoldError, ReshardError};
 use crate::snapshot::SnapshotError;
 use crate::tree::HiggsSummary;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -79,7 +79,7 @@ use higgs_common::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -248,6 +248,82 @@ pub(crate) struct DurableState {
     /// be resharded. A reshard retires the whole writer set and opens
     /// generation `+ 1`; see the [`history`](crate::history) module docs.
     pub(crate) history_gen: Option<u64>,
+}
+
+impl DurableState {
+    /// Arms shard `shard`'s log sink: its journal, stamped with (or
+    /// validated against) the covering manifest checksum `covering`, and on
+    /// an elastic store its history log of the current generation. Each file
+    /// is created if absent, and re-armed in place (a torn tail trimmed, a
+    /// stale journal reset) if present.
+    pub(crate) fn arm(&self, shard: usize, covering: u64) -> Result<ShardLog, JournalError> {
+        Ok(ShardLog {
+            journal: Journal::open(&self.dir, shard, self.mode, covering)?,
+            history: self
+                .history_gen
+                .map(|gen| HistoryLog::open(&self.dir, gen, shard, self.mode))
+                .transpose()?,
+        })
+    }
+}
+
+/// One durable shard's log sink, owned by its writer thread: the write-ahead
+/// journal plus, on an elastic store, the history log.
+#[derive(Debug)]
+pub(crate) struct ShardLog {
+    journal: Journal,
+    history: Option<HistoryLog>,
+}
+
+impl ShardLog {
+    /// Records one mutation before it is applied (flushes and fences are not
+    /// recorded). History is appended **before** the journal, so on-disk
+    /// history is always a superset of `snapshot ∪ journal`, which is what
+    /// lets resharding fold history alone. A failure after the history
+    /// append re-drives the command through supervision, and the duplicate
+    /// history record is collapsed on read (see [`crate::history`]).
+    fn record(&mut self, command: &ShardCommand) -> Result<(), JournalError> {
+        let history = &mut self.history;
+        match command {
+            ShardCommand::Insert(edge, seq) => {
+                if let Some(h) = history {
+                    h.append_insert(*seq, edge)?;
+                }
+                self.journal.append_insert(edge)
+            }
+            ShardCommand::InsertBatch(edges, seqs) => {
+                if let Some(h) = history {
+                    h.append_insert_batch(edges, seqs)?;
+                }
+                self.journal.append_insert_batch(edges)
+            }
+            ShardCommand::Delete(edge, seq) => {
+                if let Some(h) = history {
+                    h.append_delete(*seq, edge)?;
+                }
+                self.journal.append_delete(edge)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Best-effort sync of both logs at a fence: durability of the fenced
+    /// prefix comes from the snapshot the fence guards, and the reshard path
+    /// that reads history behind the fence goes through the same filesystem,
+    /// not the disk.
+    fn sync(&mut self) {
+        let _ = self.journal.sync();
+        if let Some(h) = self.history.as_mut() {
+            let _ = h.sync();
+        }
+    }
+
+    /// Rotates the journal after a snapshot covering it became durable:
+    /// truncated and stamped with the new manifest's checksum. History is
+    /// never rotated.
+    fn rotate(&mut self, covering: u64) -> Result<(), JournalError> {
+        self.journal.truncate(covering)
+    }
 }
 
 /// Everything a writer thread needs, bundled so a supervisor can hand an
@@ -691,33 +767,6 @@ fn apply(summary: &mut HiggsSummary, command: ShardCommand) {
     }
 }
 
-/// Write-ahead journals one command. Flushes are not journaled (no durable
-/// effect); mutations are appended **before** they are applied, so a crash
-/// between the two replays the mutation instead of losing it.
-fn journal_command(journal: &mut Journal, command: &ShardCommand) -> Result<(), JournalError> {
-    match command {
-        ShardCommand::Insert(edge, _) => journal.append_insert(edge),
-        ShardCommand::InsertBatch(edges, _) => journal.append_insert_batch(edges),
-        ShardCommand::Delete(edge, _) => journal.append_delete(edge),
-        _ => Ok(()),
-    }
-}
-
-/// Appends one command to the elastic history log, sequence stamps included.
-/// Ordered **before** the journal append (and therefore before the apply):
-/// on-disk history is always a superset of `snapshot ∪ journal`, which is
-/// what lets resharding fold history alone. A failure after the history
-/// append re-drives the command through supervision, and the duplicate
-/// history record is collapsed on read (see [`crate::history`]).
-fn history_command(history: &mut HistoryLog, command: &ShardCommand) -> Result<(), JournalError> {
-    match command {
-        ShardCommand::Insert(edge, seq) => history.append_insert(*seq, edge),
-        ShardCommand::InsertBatch(edges, seqs) => history.append_insert_batch(edges, seqs),
-        ShardCommand::Delete(edge, seq) => history.append_delete(*seq, edge),
-        _ => Ok(()),
-    }
-}
-
 /// How a writer came out of a snapshot fence (see [`ShardCommand::Fence`]).
 enum FenceOutcome {
     /// The fence completed; the writer keeps serving.
@@ -740,8 +789,7 @@ enum FenceOutcome {
 /// holder never hangs on a failing writer.
 fn fence_writer(
     ctx: &WriterContext,
-    journal: &mut Option<Journal>,
-    history: &mut Option<HistoryLog>,
+    log: &mut Option<ShardLog>,
     ready: Sender<()>,
     resume: Receiver<Option<u64>>,
 ) -> FenceOutcome {
@@ -767,21 +815,13 @@ fn fence_writer(
         let _ = ready.send(());
         return FenceOutcome::FlushPanicked;
     }
-    if let Some(j) = journal.as_mut() {
-        // Best-effort: durability of the fenced prefix comes from the
-        // snapshot the fence guards, not from this sync.
-        let _ = j.sync();
-    }
-    if let Some(h) = history.as_mut() {
-        // Likewise best-effort: history appends already left process buffers
-        // (per-append flush); the reshard path that reads history behind
-        // this fence goes through the same filesystem, not the disk.
-        let _ = h.sync();
+    if let Some(log) = log.as_mut() {
+        log.sync();
     }
     let _ = ready.send(());
     let ok = match resume.recv() {
-        Ok(Some(covering)) => match journal.as_mut() {
-            Some(j) => j.truncate(covering).is_ok(),
+        Ok(Some(covering)) => match log.as_mut() {
+            Some(log) => log.rotate(covering).is_ok(),
             None => true,
         },
         // Snapshot failed or the fence holder is gone: keep the journal.
@@ -896,13 +936,13 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
     let _guard = guard;
     if let Some(durable) = ctx.durable.clone() {
         match rebuild_shard(&durable, &ctx) {
-            Ok((journal, history)) => {
+            Ok(log) => {
                 record_recovery_error(&ctx, None);
                 // ORDERING: Release publishes the rebuilt summary (already
                 // swapped in under the write lock) before readers that
                 // Acquire the Healthy flag can route queries here again.
                 ctx.health[ctx.shard_index].store(HEALTH_HEALTHY, Ordering::Release);
-                writer_loop(ctx, Some(journal), history, carryover);
+                writer_loop(ctx, Some(log), carryover);
                 return;
             }
             Err(e) => record_recovery_error(&ctx, Some(e.to_string())),
@@ -916,34 +956,24 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
     degraded_drain(&ctx);
 }
 
-/// Rebuilds one shard's summary from snapshot + journal replay and reopens
-/// its journal for appending. The rebuilt summary replaces the (possibly
+/// Rebuilds one shard's summary from snapshot + journal replay and re-arms
+/// its log sink. The rebuilt summary replaces the (possibly
 /// partially-mutated) live one, so a half-applied batch from the failed
 /// writer is wiped and re-applied exactly once via the journal. A failure
 /// propagates the typed [`SnapshotError`] (journal errors wrapped as
 /// [`SnapshotError::Journal`]) so the caller can record *why* the shard
 /// stayed degraded instead of collapsing every cause into silence.
-fn rebuild_shard(
-    durable: &DurableState,
-    ctx: &WriterContext,
-) -> Result<(Journal, Option<HistoryLog>), SnapshotError> {
+fn rebuild_shard(durable: &DurableState, ctx: &WriterContext) -> Result<ShardLog, SnapshotError> {
     let mut summary =
         crate::snapshot::load_shard_summary(&durable.dir, ctx.shard_index, &ctx.config)?;
     let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)?;
-    let records = crate::journal::replay(&durable.dir, ctx.shard_index, covering)
+    crate::journal::replay_into(&durable.dir, ctx.shard_index, covering, &mut summary)
         .map_err(SnapshotError::Journal)?;
-    crate::journal::apply_records(&mut summary, records);
-    let journal = Journal::open(&durable.dir, ctx.shard_index, durable.mode, covering)
+    let log = durable
+        .arm(ctx.shard_index, covering)
         .map_err(SnapshotError::Journal)?;
-    let history = match durable.history_gen {
-        Some(gen) => Some(
-            HistoryLog::open(&durable.dir, gen, ctx.shard_index, durable.mode)
-                .map_err(SnapshotError::Journal)?,
-        ),
-        None => None,
-    };
     *ctx.shard.write().expect("shard lock poisoned") = summary;
-    Ok((journal, history))
+    Ok(log)
 }
 
 /// Serve loop of a permanently degraded shard: mutations are dropped (there
@@ -972,12 +1002,37 @@ fn degraded_drain(ctx: &WriterContext) {
     }
 }
 
-fn writer_loop(
-    ctx: WriterContext,
-    mut journal: Option<Journal>,
-    mut history: Option<HistoryLog>,
-    initial: Option<ShardCommand>,
-) {
+/// Records one dequeued mutation (or flush) and applies it under the shard
+/// write lock, taking the lock into `held` if the caller does not hold it
+/// yet. Returns `false` once the writer failed: the lock is released and the
+/// failure handed to supervision, and the caller must return.
+fn record_and_apply<'a>(
+    ctx: &'a WriterContext,
+    log: &mut Option<ShardLog>,
+    held: &mut Option<RwLockWriteGuard<'a, HiggsSummary>>,
+    command: ShardCommand,
+) -> bool {
+    if let Some(log) = log.as_mut() {
+        if log.record(&command).is_err() {
+            // Not recorded, not applied: hand the command to the replacement
+            // so it is re-driven in order.
+            *held = None;
+            supervise_failure(ctx, Some(command));
+            return false;
+        }
+    }
+    let summary = held.get_or_insert_with(|| ctx.shard.write().expect("shard lock poisoned"));
+    if catch_unwind(AssertUnwindSafe(|| apply(summary, command))).is_err() {
+        // Already recorded: recovery replay re-applies it onto a rebuilt
+        // summary, so no carryover.
+        *held = None;
+        supervise_failure(ctx, None);
+        return false;
+    }
+    true
+}
+
+fn writer_loop(ctx: WriterContext, mut log: Option<ShardLog>, initial: Option<ShardCommand>) {
     let mut next = initial;
     'serve: loop {
         let command = match next.take() {
@@ -990,7 +1045,7 @@ fn writer_loop(
         match command {
             ShardCommand::Shutdown => break 'serve,
             ShardCommand::Fence { ready, resume } => {
-                match fence_writer(&ctx, &mut journal, &mut history, ready, resume) {
+                match fence_writer(&ctx, &mut log, ready, resume) {
                     FenceOutcome::Resumed => {}
                     FenceOutcome::RotationFailed => {
                         mark_degraded(&ctx);
@@ -1024,34 +1079,14 @@ fn writer_loop(
                     // unblocks the flusher).
                     continue 'serve;
                 }
-                if let Some(h) = history.as_mut() {
-                    if history_command(h, &command).is_err() {
-                        // Not recorded, not applied: hand the command to the
-                        // replacement so it is re-driven in order. (If the
-                        // failure hit after the bytes landed, the re-driven
-                        // duplicate is collapsed on read.)
-                        supervise_failure(&ctx, Some(command));
-                        return;
-                    }
-                }
-                if let Some(j) = journal.as_mut() {
-                    if journal_command(j, &command).is_err() {
-                        // Not journaled, not applied: hand the command to
-                        // the replacement so it is re-driven in order.
-                        supervise_failure(&ctx, Some(command));
-                        return;
-                    }
-                }
-                let mut summary = ctx.shard.write().expect("shard lock poisoned");
-                if catch_unwind(AssertUnwindSafe(|| apply(&mut summary, command))).is_err() {
-                    // Already journaled: recovery replay re-applies it onto
-                    // a rebuilt summary, so no carryover.
-                    drop(summary);
-                    supervise_failure(&ctx, None);
+                // The head command is recorded before the lock is taken;
+                // whatever else is already queued is then recorded and
+                // applied under it, bounded so concurrent readers are not
+                // starved.
+                let mut held = None;
+                if !record_and_apply(&ctx, &mut log, &mut held, command) {
                     return;
                 }
-                // Apply whatever else is already queued while we hold the
-                // lock, bounded so concurrent readers are not starved.
                 for _ in 0..WRITER_COALESCE {
                     match ctx.rx.try_recv() {
                         Ok(ShardCommand::Shutdown) => break 'serve,
@@ -1061,25 +1096,7 @@ fn writer_loop(
                             break;
                         }
                         Ok(coalesced) => {
-                            if let Some(h) = history.as_mut() {
-                                if history_command(h, &coalesced).is_err() {
-                                    drop(summary);
-                                    supervise_failure(&ctx, Some(coalesced));
-                                    return;
-                                }
-                            }
-                            if let Some(j) = journal.as_mut() {
-                                if journal_command(j, &coalesced).is_err() {
-                                    drop(summary);
-                                    supervise_failure(&ctx, Some(coalesced));
-                                    return;
-                                }
-                            }
-                            if catch_unwind(AssertUnwindSafe(|| apply(&mut summary, coalesced)))
-                                .is_err()
-                            {
-                                drop(summary);
-                                supervise_failure(&ctx, None);
+                            if !record_and_apply(&ctx, &mut log, &mut held, coalesced) {
                                 return;
                             }
                         }
@@ -1106,16 +1123,15 @@ struct WriterSet {
     recovery_errors: Arc<Vec<Mutex<Option<String>>>>,
 }
 
-/// Spawns one writer thread per shard with an empty queue, arming each with
-/// its journal (durable mode) and elastic history log. Fresh supervision
+/// Spawns one writer thread per shard with an empty queue, handing each its
+/// armed log sink (`None` when the service is not durable). Fresh supervision
 /// state (health board, respawn registry/budget, recovery-error slots) is
 /// allocated per fleet — a reshard starts the new fleet with a clean slate.
 fn spawn_writer_set(
     config: HiggsConfig,
     shards: &[Arc<RwLock<HiggsSummary>>],
     durable: Option<Arc<DurableState>>,
-    journals: Vec<Option<Journal>>,
-    histories: Vec<Option<HistoryLog>>,
+    logs: Vec<Option<ShardLog>>,
     discard: Arc<std::sync::atomic::AtomicBool>,
     census: &WriterCensus,
 ) -> WriterSet {
@@ -1132,9 +1148,7 @@ fn spawn_writer_set(
         Arc::new((0..num_shards).map(|_| AtomicU32::new(0)).collect());
     let recovery_errors: Arc<Vec<Mutex<Option<String>>>> =
         Arc::new((0..num_shards).map(|_| Mutex::new(None)).collect());
-    for (shard_index, ((shard, journal), history)) in
-        shards.iter().zip(journals).zip(histories).enumerate()
-    {
+    for (shard_index, (shard, log)) in shards.iter().zip(logs).enumerate() {
         let (tx, rx) = match config.ingest_queue_cap {
             Some(cap) => bounded::<ShardCommand>(cap),
             None => unbounded::<ShardCommand>(),
@@ -1160,7 +1174,7 @@ fn spawn_writer_set(
             if let Some(core) = pin_core {
                 let _ = higgs_common::affinity::pin_to_core(core);
             }
-            writer_loop(ctx, journal, history, None)
+            writer_loop(ctx, log, None)
         }));
         senders.push(tx);
     }
@@ -1195,67 +1209,33 @@ impl ShardedHiggs {
         let summaries = (0..config.shards)
             .map(|_| HiggsSummary::new(config))
             .collect();
-        Self::from_summaries(config, summaries)
+        Self::from_summaries(config, summaries, None)
     }
 
-    /// Assembles a non-durable service around pre-built per-shard summaries
-    /// (fresh ones for [`try_new`](Self::try_new), restored ones for
-    /// snapshot restore).
+    /// Assembles a service around pre-built per-shard summaries (fresh ones
+    /// for [`try_new`](Self::try_new), recovered ones for the store's open
+    /// paths); see [`from_shards`](Self::from_shards).
     pub(crate) fn from_summaries(
         config: HiggsConfig,
         summaries: Vec<HiggsSummary>,
-    ) -> Result<Self, ConfigError> {
-        let n = summaries.len();
-        Self::from_summaries_with(
-            config,
-            summaries,
-            None,
-            (0..n).map(|_| None).collect(),
-            (0..n).map(|_| None).collect(),
-        )
-    }
-
-    /// Assembles a service around pre-built summaries, arming each shard's
-    /// writer with its journal (durable mode) and elastic history log.
-    pub(crate) fn from_summaries_with(
-        config: HiggsConfig,
-        summaries: Vec<HiggsSummary>,
-        durable: Option<Arc<DurableState>>,
-        journals: Vec<Option<Journal>>,
-        histories: Vec<Option<HistoryLog>>,
+        durable: Option<(Arc<DurableState>, Vec<ShardLog>)>,
     ) -> Result<Self, ConfigError> {
         let shards = summaries
             .into_iter()
             .map(|s| Arc::new(RwLock::new(s)))
             .collect();
-        Self::from_arc_summaries_with(config, shards, durable, journals, histories)
-    }
-
-    /// Assembles a non-durable service around **shared** summaries — the
-    /// promotion path of a [`Follower`](crate::Follower), whose summaries
-    /// are already Arc-wrapped from the replica apply loop.
-    pub(crate) fn from_arc_summaries(
-        config: HiggsConfig,
-        shards: Vec<Arc<RwLock<HiggsSummary>>>,
-    ) -> Result<Self, ConfigError> {
-        let n = shards.len();
-        Self::from_arc_summaries_with(
-            config,
-            shards,
-            None,
-            (0..n).map(|_| None).collect(),
-            (0..n).map(|_| None).collect(),
-        )
+        Self::from_shards(config, shards, durable)
     }
 
     /// Shared assembly core: spawns one writer thread per shard with an
-    /// empty queue.
-    pub(crate) fn from_arc_summaries_with(
+    /// empty queue. `durable` carries the durable state and one armed log
+    /// sink per shard; `None` assembles a non-durable service (also the
+    /// promotion path of a [`Follower`](crate::Follower), whose summaries
+    /// are already shared with the replica apply loop).
+    pub(crate) fn from_shards(
         config: HiggsConfig,
         shards: Vec<Arc<RwLock<HiggsSummary>>>,
-        durable: Option<Arc<DurableState>>,
-        journals: Vec<Option<Journal>>,
-        histories: Vec<Option<HistoryLog>>,
+        durable: Option<(Arc<DurableState>, Vec<ShardLog>)>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         if shards.len() != config.shards {
@@ -1263,14 +1243,17 @@ impl ShardedHiggs {
                 shards: shards.len(),
             });
         }
+        let (durable, logs) = match durable {
+            Some((state, logs)) => (Some(state), logs.into_iter().map(Some).collect()),
+            None => (None, shards.iter().map(|_| None).collect()),
+        };
         let discard = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let census = WriterCensus::default();
         let set = spawn_writer_set(
             config,
             &shards,
             durable.clone(),
-            journals,
-            histories,
+            logs,
             discard.clone(),
             &census,
         );
@@ -1500,9 +1483,10 @@ impl ShardedHiggs {
     /// 4. A snapshot of the folded summaries is committed (manifest written
     ///    last) — this is the atomic commit point. A crash before it leaves
     ///    the old layout intact; a crash after it recovers at the new width.
-    /// 5. The old writer fleet is released and retired; a new fleet opens
-    ///    journals stamped with the new manifest and history logs at the
-    ///    next generation, and the router swaps to the new senders.
+    /// 5. Journals are re-armed stamped with the new manifest and history
+    ///    logs opened at the next generation; the old writer fleet is
+    ///    released and retired, a new fleet takes over those logs, and the
+    ///    router swaps to the new senders.
     ///
     /// Surviving [`IngestHandle`] clones keep working across the swap — the
     /// sequence counter and flush clock carry over, only the routing table
@@ -1538,7 +1522,6 @@ impl ShardedHiggs {
         if let Some(shard) = self.first_degraded_shard() {
             return Err(ReshardError::Degraded { shard });
         }
-        let old_n = self.shards.len();
         // 1. Block new sends for the duration of the swap. Local clone of the
         // router Arc so the guard does not borrow `self`.
         let router = self.handle.router.clone();
@@ -1551,43 +1534,71 @@ impl ShardedHiggs {
             fence.release(None);
             return Err(ReshardError::Degraded { shard });
         }
-        // 3.–4. Fold history at the new width and commit the snapshot. Any
-        // failure in here is pre-commit: release the fence and resume
-        // unchanged. (The interrupted `write_snapshot_files` never wrote the
-        // manifest, so recovery still sees the old layout.)
+        // 3.–5. Fold history at the new width, commit the snapshot and arm
+        // the next generation. The parked fleet writes nothing more, so its
+        // journals can be re-armed under it. Release with "keep the
+        // journals" either way: the retiring writers must not rotate
+        // against the new manifest.
         let mut new_config = self.config;
         new_config.shards = new_shards;
-        let folded = crate::history::read_history(&durable.dir)
-            .map_err(ReshardError::from)
-            .and_then(|ops| {
-                let shards: Vec<Arc<RwLock<HiggsSummary>>> = fold_history(&ops, &new_config)
-                    .into_iter()
-                    .map(|s| Arc::new(RwLock::new(s)))
-                    .collect();
-                crate::snapshot::write_snapshot_files(&durable.dir, &shards)
-                    .map_err(ReshardError::Snapshot)?;
-                Ok(shards)
-            });
-        let new_summaries = match folded {
-            Ok(shards) => shards,
-            Err(e) => {
-                fence.release(None);
+        let refold = crate::reshard::refold(&durable.dir, &new_config, durable.mode, old_gen + 1);
+        fence.release(None);
+        let refold = match refold {
+            Ok(refold) => refold,
+            // Pre-commit: the old fleet resumes unchanged.
+            Err(RefoldError::Uncommitted(e)) => return Err(e),
+            Err(RefoldError::Committed(e)) => {
+                // The directory has already moved to the new width, so the
+                // live service cannot roll back: park it degraded and let a
+                // reopen recover.
+                self.retire_writers(&mut senders_guard);
+                for slot in self.health.iter() {
+                    // ORDERING: Release — pairs with the Acquire loads in
+                    // `shard_health`; see `mark_degraded`.
+                    slot.store(HEALTH_DEGRADED, Ordering::Release);
+                }
                 return Err(e);
             }
         };
-        // 5. Release with "keep the journals": the retiring writers must not
-        // rotate against the new manifest. The journals are reset instead
-        // when reopened below — `Journal::open` treats a stamp that does not
-        // match the covering manifest as stale and truncates, the exact
-        // crash-window path recovery already exercises.
-        fence.release(None);
-        for sender in senders_guard.iter() {
+        self.retire_writers(&mut senders_guard);
+        let set = spawn_writer_set(
+            new_config,
+            &refold.shards,
+            Some(refold.durable.clone()),
+            refold.logs.into_iter().map(Some).collect(),
+            self.discard.clone(),
+            &self.census,
+        );
+        *senders_guard = set.senders;
+        self.shards = refold.shards;
+        self.writers = set.writers;
+        self.health = set.health;
+        self.respawned = set.respawned;
+        self.respawn_attempts = set.respawn_attempts;
+        self.recovery_errors = set.recovery_errors;
+        self.durable = Some(refold.durable);
+        self.config = new_config;
+        drop(senders_guard);
+        Ok(())
+    }
+
+    /// Retires the current writer fleet: a Shutdown marker (FIFO: behind
+    /// everything already enqueued) ends each writer loop even when
+    /// surviving [`IngestHandle`] clones keep the channels open, and every
+    /// writer is joined. `senders` is the router's table, taken under its
+    /// write lock and left empty.
+    fn retire_writers(&mut self, senders: &mut Vec<Sender<ShardCommand>>) {
+        for sender in senders.iter() {
             let _ = sender.send(ShardCommand::Shutdown);
         }
-        senders_guard.clear();
+        senders.clear();
         for writer in self.writers.drain(..) {
             let _ = writer.join();
         }
+        // Respawned recovery writers consume the same queues, so the
+        // Shutdown markers end them too; a respawning writer registers its
+        // replacement before exiting, so once a generation is joined any
+        // successor is already visible here.
         loop {
             let drained: Vec<JoinHandle<()>> = {
                 let mut registry = self.respawned.lock().expect("respawn registry poisoned");
@@ -1600,72 +1611,6 @@ impl ShardedHiggs {
                 let _ = writer.join();
             }
         }
-        // Arm the new fleet. Failures from here on are post-commit: the
-        // directory has already moved to the new width, so the live service
-        // cannot roll back — park it degraded and let a reopen recover.
-        type ArmedPersistence = (Vec<Option<Journal>>, Vec<Option<HistoryLog>>);
-        let armed = (|| -> Result<ArmedPersistence, ReshardError> {
-            let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)
-                .map_err(ReshardError::Snapshot)?;
-            let journals = (0..new_shards)
-                .map(|s| {
-                    Journal::open(&durable.dir, s, durable.mode, covering)
-                        .map(Some)
-                        .map_err(ReshardError::from)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let histories = (0..new_shards)
-                .map(|s| {
-                    HistoryLog::open(&durable.dir, old_gen + 1, s, durable.mode)
-                        .map(Some)
-                        .map_err(ReshardError::from)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((journals, histories))
-        })();
-        let (journals, histories) = match armed {
-            Ok(v) => v,
-            Err(e) => {
-                for slot in self.health.iter() {
-                    // ORDERING: Release — pairs with the Acquire loads in
-                    // `shard_health`; see `mark_degraded`.
-                    slot.store(HEALTH_DEGRADED, Ordering::Release);
-                }
-                return Err(e);
-            }
-        };
-        // Shrinking: journals for retired shard slots are superseded by the
-        // committed snapshot; remove them so a later reopen at the new width
-        // does not trip over stale stamps. Best-effort — a stale file left
-        // behind is reset by `Journal::open` if the count ever grows again.
-        for s in new_shards..old_n {
-            let _ = std::fs::remove_file(durable.dir.join(crate::journal::journal_file_name(s)));
-        }
-        let new_durable = Arc::new(DurableState {
-            dir: durable.dir.clone(),
-            mode: durable.mode,
-            history_gen: Some(old_gen + 1),
-        });
-        let set = spawn_writer_set(
-            new_config,
-            &new_summaries,
-            Some(new_durable.clone()),
-            journals,
-            histories,
-            self.discard.clone(),
-            &self.census,
-        );
-        *senders_guard = set.senders;
-        self.shards = new_summaries;
-        self.writers = set.writers;
-        self.health = set.health;
-        self.respawned = set.respawned;
-        self.respawn_attempts = set.respawn_attempts;
-        self.recovery_errors = set.recovery_errors;
-        self.durable = Some(new_durable);
-        self.config = new_config;
-        drop(senders_guard);
-        Ok(())
     }
 }
 
@@ -1752,36 +1697,11 @@ impl Drop for WriterFence {
 
 impl Drop for ShardedHiggs {
     fn drop(&mut self) {
-        // A Shutdown marker (FIFO: behind everything this service enqueued)
-        // ends each writer loop even when surviving IngestHandle clones keep
-        // the channels open — relying on channel disconnection alone would
-        // deadlock the join below in that case.
-        {
-            let mut senders = self.handle.router.write().expect("router lock poisoned");
-            for sender in senders.iter() {
-                let _ = sender.send(ShardCommand::Shutdown);
-            }
-            senders.clear();
-        }
-        for writer in self.writers.drain(..) {
-            let _ = writer.join();
-        }
-        // Respawned recovery writers consume the same queues, so the
-        // Shutdown markers end them too; a respawning writer registers its
-        // replacement before exiting, so once a generation is joined any
-        // successor is already visible here.
-        loop {
-            let drained: Vec<JoinHandle<()>> = {
-                let mut registry = self.respawned.lock().expect("respawn registry poisoned");
-                registry.drain(..).collect()
-            };
-            if drained.is_empty() {
-                break;
-            }
-            for writer in drained {
-                let _ = writer.join();
-            }
-        }
+        // Relying on channel disconnection alone would deadlock the joins
+        // while an IngestHandle clone is still alive.
+        let router = self.handle.router.clone();
+        let mut senders = router.write().expect("router lock poisoned");
+        self.retire_writers(&mut senders);
     }
 }
 

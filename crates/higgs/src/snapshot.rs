@@ -919,9 +919,8 @@ pub(crate) fn restore_summaries(
     // discarded rather than double-applied.
     let covering = manifest_tail_checksum(dir)?;
     for (index, summary) in summaries.iter_mut().enumerate() {
-        let records =
-            crate::journal::replay(dir, index, covering).map_err(SnapshotError::Journal)?;
-        crate::journal::apply_records(summary, records);
+        crate::journal::replay_into(dir, index, covering, summary)
+            .map_err(SnapshotError::Journal)?;
     }
     Ok((config, summaries))
 }

@@ -34,8 +34,7 @@
 //! migration table from the removed constructors.
 
 use crate::config::{HiggsConfig, JournalMode};
-use crate::history::{self, HistoryLog};
-use crate::journal::Journal;
+use crate::history;
 use crate::replica::{Follower, ReplicaError};
 use crate::reshard::ReshardError;
 use crate::shard::{DurableState, ShardedHiggs};
@@ -184,7 +183,7 @@ impl Store {
                     });
                 }
                 let (stored, summaries) = crate::snapshot::restore_summaries(&dir)?;
-                Ok(ShardedHiggs::from_summaries(stored, summaries)?)
+                Ok(ShardedHiggs::from_summaries(stored, summaries, None)?)
             }
         }
     }
@@ -264,43 +263,29 @@ fn open_durable(
             .collect();
         // No manifest, so journals (if any) must carry the zero stamp.
         for (s, summary) in summaries.iter_mut().enumerate() {
-            let records = crate::journal::replay(dir, s, 0).map_err(SnapshotError::Journal)?;
-            crate::journal::apply_records(summary, records);
+            crate::journal::replay_into(dir, s, 0, summary).map_err(SnapshotError::Journal)?;
         }
         summaries
     };
-    let durable = (config.journal_mode != JournalMode::Off).then(|| {
-        Arc::new(DurableState {
+    let durable = if config.journal_mode == JournalMode::Off {
+        None
+    } else {
+        let state = Arc::new(DurableState {
             dir: dir.to_path_buf(),
             mode: config.journal_mode,
             // Reopening appends to the current generation (its torn tail,
             // if any, is trimmed on open); only a reshard advances it.
             history_gen: elastic.then(|| history_gen.unwrap_or(0)),
-        })
-    });
-    let journals = match &durable {
-        Some(state) => {
-            // Stamp (or validate) each journal against the manifest
-            // currently in the directory; a journal left stale by an
-            // interrupted rotation is reset here, right after the replay
-            // above discarded its records.
-            let covering = crate::snapshot::manifest_tail_checksum(dir)?;
-            (0..config.shards)
-                .map(|s| Journal::open(dir, s, state.mode, covering).map(Some))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(SnapshotError::Journal)?
-        }
-        None => (0..config.shards).map(|_| None).collect(),
-    };
-    let histories = match durable.as_ref().and_then(|d| d.history_gen) {
-        Some(gen) => (0..config.shards)
-            .map(|s| {
-                HistoryLog::open(dir, gen, s, config.journal_mode)
-                    .map(Some)
-                    .map_err(SnapshotError::Journal)
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        None => (0..config.shards).map(|_| None).collect(),
+        });
+        // Stamp (or validate) each journal against the manifest currently
+        // in the directory; a journal left stale by an interrupted rotation
+        // is reset here, right after the replay above discarded its records.
+        let covering = crate::snapshot::manifest_tail_checksum(dir)?;
+        let logs = (0..config.shards)
+            .map(|s| state.arm(s, covering))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(SnapshotError::Journal)?;
+        Some((state, logs))
     };
     // New mutations must stamp above everything already on disk, so the
     // reconstructed global order stays a total order across restarts.
@@ -312,8 +297,7 @@ fn open_durable(
         0
     };
     let service =
-        ShardedHiggs::from_summaries_with(config, summaries, durable, journals, histories)
-            .map_err(SnapshotError::Config)?;
+        ShardedHiggs::from_summaries(config, summaries, durable).map_err(SnapshotError::Config)?;
     service.resume_seq(next_seq);
     Ok(service)
 }

@@ -159,6 +159,7 @@ impl LintConfig {
                 ("crates/higgs/src/replica.rs".into(), "ReplicaError".into()),
             ],
             durability_paths: vec![
+                "crates/higgs/src/framing.rs".into(),
                 "crates/higgs/src/journal.rs".into(),
                 "crates/higgs/src/snapshot.rs".into(),
                 "crates/higgs/src/history.rs".into(),

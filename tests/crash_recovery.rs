@@ -5,8 +5,8 @@
 //!
 //! Every scenario follows the same shape: build a *control* service that
 //! never faults, run a workload through a *faulty* service with one armed
-//! failpoint (journal append error, snapshot write error, or an apply
-//! panic), let supervision recover the writer, and require the faulty
+//! failpoint (journal or history append error, snapshot write error, or an
+//! apply panic), let supervision recover the writer, and require the faulty
 //! service — and a cold restart from its durable directory — to answer
 //! **bit-identically** to the control. Failpoints are counted and
 //! single-shot, so each run kills the writer at exactly the same point:
@@ -213,6 +213,66 @@ fn journal_append_failure_loses_no_acknowledged_mutation() {
         std::fs::remove_dir_all(&dir).expect("cleanup");
         fail::reset();
     }
+}
+
+/// On an elastic store the history append comes first, so a history append
+/// failure degrades the writer before the command reached the journal or the
+/// summary; the command is carried over to the replacement writer, which
+/// records and applies it. An online reshard and a cold restart then rebuild
+/// from the history and the snapshot it commits, so a carryover record lost
+/// from, or counted twice in, either log shows up in their answers.
+#[test]
+fn history_append_failure_loses_no_acknowledged_mutation() {
+    let _guard = chaos_guard();
+    let edges = workload(400);
+    let expected = control_answers(2, &edges);
+    let expected_resharded = control_answers(3, &edges);
+    let dir = temp_dir("history-append-fail");
+
+    let mut service = Store::open(StoreOptions::durable(durable_config(2), &dir).elastic(true))
+        .expect("elastic durable service");
+    let handle = service.ingest_handle();
+    fail::configure(
+        "history::append",
+        5,
+        fail::Action::Error("injected history fault".into()),
+    );
+    for e in &edges {
+        handle.insert(e).expect("live ingest");
+    }
+    service.flush();
+    assert!(
+        fail::hits("history::append") >= 5,
+        "the instrumented history append was never reached"
+    );
+    await_all_healthy(&service);
+    assert_eq!(
+        service.shard_respawn_counts().iter().sum::<u32>(),
+        1,
+        "exactly one writer failed and was respawned"
+    );
+    assert_eq!(
+        service.query_batch(&probes()),
+        expected,
+        "recovery after a history append fault must be bit-identical"
+    );
+
+    service.reshard(3).expect("online reshard");
+    assert_eq!(
+        service.query_batch(&probes()),
+        expected_resharded,
+        "the refolded history must hold the carried-over mutation exactly once"
+    );
+    drop(service);
+    let reborn = Store::open(StoreOptions::durable(durable_config(3), &dir)).expect("cold restart");
+    assert_eq!(
+        reborn.query_batch(&probes()),
+        expected_resharded,
+        "restart after a history append fault and a reshard"
+    );
+    drop(reborn);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    fail::reset();
 }
 
 /// A failed snapshot must leave the journals untouched (the rotation fence

@@ -1,6 +1,5 @@
 //! Deletion behaviour across every summary (Fig. 18 exercises deletion
-//! throughput; these tests pin down its semantics), plus serde round-trips of
-//! the experiment data types used by the harness.
+//! throughput; these tests pin down its semantics).
 
 use higgs::{HiggsConfig, HiggsSummary};
 use higgs_baselines::{Horae, HoraeConfig, Pgss, PgssConfig};
