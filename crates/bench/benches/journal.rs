@@ -1,7 +1,7 @@
 //! Criterion bench for the write-ahead journal: what durability costs on
 //! the ingest path, and how fast a crashed service comes back.
 //!
-//! Four ids, all at 2 shards over the same synthetic stream:
+//! Five ids, all at 2 shards over the same synthetic stream:
 //!
 //! * `ingest/off` — the no-journal baseline: a durable service with
 //!   [`JournalMode::Off`] pays directory recovery but writes nothing.
@@ -15,6 +15,13 @@
 //! * `recover/buffered` — cold-start recovery: `Store::open` over a
 //!   directory holding journal tails only (no snapshot), i.e. full replay
 //!   with checksum verification plus shard rebuild.
+//! * `recover/elastic_snapshot` — the reopen of an elastic store, the shape
+//!   the end-to-end `durable` workload reopens: `Store::open` over a
+//!   directory holding a snapshot of the first half of the stream, the
+//!   second half as journal tails, and the whole stream as history. It
+//!   restores, replays and re-arms both shards in parallel, and re-arming
+//!   reads each history file once, for its torn tail and its highest
+//!   sequence number.
 //!
 //! Recovery correctness is asserted (replayed item count matches the
 //! ingested stream) before any number is trusted. All ids feed
@@ -127,6 +134,39 @@ fn bench_journal(c: &mut Criterion) {
         },
     );
     let _ = std::fs::remove_dir_all(&recover_dir);
+
+    // Elastic reopen: snapshot + journal tail + history. A clean directory
+    // is left unchanged by an open (no torn tail to trim, no stale journal
+    // to reset), so every timed open does the same work.
+    let elastic_dir = fresh_dir("recover-elastic", 0);
+    let elastic =
+        || StoreOptions::durable(config(JournalMode::Buffered), &elastic_dir).elastic(true);
+    {
+        let mut seed = Store::open(elastic()).expect("seed elastic service");
+        let (first, second) = edges.split_at(edges.len() / 2);
+        seed.insert_all(first);
+        seed.snapshot_to_dir(&elastic_dir).expect("seed snapshot");
+        seed.insert_all(second);
+        seed.flush();
+    }
+    group.bench_function("recover/elastic_snapshot", |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let start = Instant::now();
+                let recovered = Store::open(elastic()).expect("elastic reopen");
+                total += start.elapsed();
+                assert_eq!(
+                    recovered.total_items(),
+                    EDGES,
+                    "snapshot + replay must rebuild the full stream"
+                );
+                drop(recovered);
+            }
+            total
+        })
+    });
+    let _ = std::fs::remove_dir_all(&elastic_dir);
     group.finish();
 }
 

@@ -4,16 +4,31 @@
 //!
 //! A log file is a header (magic, version, and in a *stamped* format the
 //! covering-snapshot checksum) followed by records framed as
-//! `len u32 LE | body`, where the body is `tag u8 | payload | FNV-1a u64`
-//! (see the journal's module docs for the byte layout). This module writes
-//! and validates the header, re-arms an existing file for appending, does the
-//! framed append and the sync, and owns the one frame scanner,
-//! [`scan_frames`], with the torn-tail and interior-corruption rules the
-//! journal's module docs state.
+//! `len u32 LE | body | checksum u64 LE`, where `len` counts the body and the
+//! checksum and the body is `tag u8 | payload` (see the journal's module docs
+//! for the byte layout). This module writes and validates the header, re-arms
+//! an existing file for appending, does the framed append and the sync, and
+//! owns the one frame scanner, [`scan_frames`], with the torn-tail and
+//! interior-corruption rules the journal's module docs state.
+//!
+//! # Frame checksum (format version 2)
+//!
+//! Each frame's checksum ([`frame_checksum`]) is taken over the finished
+//! body slice in one pass, a word at a time: the state starts at the FNV-1a
+//! offset basis xored with the body length, each 8-byte little-endian word
+//! is folded in by one step (xor the word, multiply by an odd constant,
+//! rotate), the 0–7 tail bytes are folded in singly by the same step, and
+//! a final avalanche mixes the state. Every step is a bijection of the state
+//! for a fixed input and of the input for a fixed state, and the avalanche is
+//! a bijection too, so two bodies of one length that differ in a single
+//! aligned word (any bit flips confined to it) or in a single tail byte
+//! always checksum differently. Version 1 folded every byte through the
+//! byte-serial FNV-1a of the shared codec; its files are refused with the
+//! typed "unsupported … format version" error. Snapshot files keep FNV-1a.
 
 use crate::config::JournalMode;
 use crate::journal::{failpoint, JournalError};
-use higgs_common::codec::{CodecError, Decoder, Encoder};
+use higgs_common::codec::CodecError;
 use higgs_common::StreamEdge;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -104,10 +119,9 @@ pub(crate) struct LogFile {
     format: &'static LogFormat,
     sink: BufWriter<File>,
     mode: JournalMode,
-    shard: usize,
     path: PathBuf,
-    /// Scratch buffer each append encodes its body into.
-    body: Vec<u8>,
+    /// Scratch buffer each append assembles its frame in.
+    frame: Vec<u8>,
     /// Records appended since the last `fsync` (drives `SyncEveryN`).
     appended_since_sync: u32,
 }
@@ -122,8 +136,11 @@ impl LogFile {
     ///   stale and reset to an empty log carrying `stamp`.
     /// * Otherwise the file is extended in place after any torn trailing
     ///   record (a crash mid-append) is trimmed, so new records always start
-    ///   at a clean record boundary. `check` runs on every complete body on
-    ///   the way; its error is typed corruption.
+    ///   at a clean record boundary. Every complete frame on the way has its
+    ///   checksum verified and its body handed to `check` (the caller's
+    ///   decoder, which also gathers what it needs, such as the history's
+    ///   highest sequence number), so re-arming is a full verified read of
+    ///   the file; a failure is typed corruption.
     ///
     /// `mode` must not be [`JournalMode::Off`] (callers gate on the mode
     /// before arming a log).
@@ -177,9 +194,8 @@ impl LogFile {
             format,
             sink: BufWriter::new(file),
             mode,
-            shard,
             path,
-            body: Vec::new(),
+            frame: Vec::new(),
             appended_since_sync: 0,
         })
     }
@@ -190,29 +206,23 @@ impl LogFile {
     }
 
     /// Appends one record: `encode` writes the body's tag and payload, the
-    /// per-record checksum and the length prefix are added here, and the
-    /// frame is flushed to the OS (and `fsync`ed per the mode) before this
-    /// returns.
-    pub(crate) fn append(
-        &mut self,
-        encode: impl FnOnce(&mut Encoder<&mut Vec<u8>>) -> Result<(), CodecError>,
-    ) -> Result<(), JournalError> {
+    /// length prefix and the [`frame_checksum`] are added here, and the frame
+    /// is flushed to the OS (and `fsync`ed per the mode) before this returns.
+    pub(crate) fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), JournalError> {
         failpoint!(self.format.append_failpoint, |msg: String| {
             JournalError::Io(std::io::Error::other(msg))
         });
-        self.body.clear();
-        let mut enc = Encoder::new(&mut self.body);
-        encode(&mut enc)
-            .and_then(|()| enc.finish_with_checksum().map(drop))
-            .map_err(|e| JournalError::Corrupt {
-                shard: self.shard,
-                record: 0,
-                detail: format!("{} encode failed: {e}", self.format.name),
-            })?;
-        debug_assert!(self.body.len() as u64 <= u64::from(MAX_RECORD_BYTES));
-        self.sink
-            .write_all(&(self.body.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&self.body)?;
+        // The whole frame is assembled in the scratch buffer: a placeholder
+        // length prefix, the body, then the checksum and the real prefix.
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; 4]);
+        encode(&mut self.frame);
+        let checksum = frame_checksum(&self.frame[4..]);
+        self.frame.extend_from_slice(&checksum.to_le_bytes());
+        let len = self.frame.len() - 4;
+        debug_assert!(len as u64 <= u64::from(MAX_RECORD_BYTES));
+        self.frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.sink.write_all(&self.frame)?;
         // Out of process buffers before the caller applies the mutation.
         self.sink.flush()?;
         if let JournalMode::SyncEveryN(n) = self.mode {
@@ -278,14 +288,16 @@ pub(crate) fn open_reader(
 }
 
 /// The frame scanner behind every log read: reads frames from `source`
-/// (positioned at byte offset `start`, which must be a record boundary) and
-/// hands each complete body, in append order, to `on_body`, which decodes and
-/// verifies it. Returns the **clean-end offset**: one past the last complete
-/// record, beyond which only a torn tail (if anything) remains.
+/// (positioned at byte offset `start`, which must be a record boundary),
+/// verifies each complete frame's [`frame_checksum`], and hands its body
+/// (tag and payload, the checksum stripped), in append order, to `on_body`,
+/// which decodes it. Returns the **clean-end offset**: one past the last
+/// complete record, beyond which only a torn tail (if anything) remains.
 ///
 /// A torn tail ends the scan cleanly. A length prefix outside
-/// `(0, MAX_RECORD_BYTES]`, or an `on_body` error on a fully present body, is
-/// [`JournalError::Corrupt`] naming the record's index counted from `start`.
+/// `(8, MAX_RECORD_BYTES]`, a checksum mismatch or an `on_body` error on a
+/// fully present frame is [`JournalError::Corrupt`] naming the record's index
+/// counted from `start`.
 pub(crate) fn scan_frames<R: Read>(
     source: &mut R,
     format: &LogFormat,
@@ -295,8 +307,13 @@ pub(crate) fn scan_frames<R: Read>(
 ) -> Result<u64, JournalError> {
     let mut clean_end = start;
     let mut record: u64 = 0;
-    let mut body = Vec::new();
+    let mut frame = Vec::new();
     loop {
+        let corrupt = |detail: String| JournalError::Corrupt {
+            shard,
+            record,
+            detail,
+        };
         // Clean EOF at a record boundary ends the log; a partial prefix is a
         // torn tail.
         let mut len_buf = [0u8; 4];
@@ -304,30 +321,32 @@ pub(crate) fn scan_frames<R: Read>(
             break;
         }
         let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            return Err(JournalError::Corrupt {
-                shard,
-                record,
-                detail: format!(
-                    "{} record length {len} outside (0, {MAX_RECORD_BYTES}]",
-                    format.name
-                ),
-            });
+        if len <= CHECKSUM_LEN || len > MAX_RECORD_BYTES {
+            return Err(corrupt(format!(
+                "{} record length {len} outside ({CHECKSUM_LEN}, {MAX_RECORD_BYTES}]",
+                format.name
+            )));
         }
-        body.resize(len as usize, 0);
-        match source.read_exact(&mut body) {
+        frame.resize(len as usize, 0);
+        match source.read_exact(&mut frame) {
             Ok(()) => {}
-            // Fewer than `len` body bytes on disk: torn tail, clean stop.
+            // Fewer than `len` bytes on disk: torn tail, clean stop.
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(JournalError::Io(e)),
         }
         // All `len` bytes are present, so any verification failure is real
         // corruption, even on the final record.
-        on_body(&body).map_err(|e| JournalError::Corrupt {
-            shard,
-            record,
-            detail: e.to_string(),
-        })?;
+        let (body, stored) = frame.split_at(frame.len() - CHECKSUM_LEN as usize);
+        let mut stored_le = [0u8; 8];
+        stored_le.copy_from_slice(stored);
+        let (stored, computed) = (u64::from_le_bytes(stored_le), frame_checksum(body));
+        if stored != computed {
+            return Err(corrupt(format!(
+                "{} checksum mismatch: stored {stored:#018x}, computed {computed:#018x}",
+                format.name
+            )));
+        }
+        on_body(body).map_err(|e| corrupt(e.to_string()))?;
         record += 1;
         clean_end += 4 + u64::from(len);
     }
@@ -350,43 +369,238 @@ fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std::io::Result
     Ok(true)
 }
 
-/// Encodes one edge as four LE `u64`s (source, destination, weight,
-/// timestamp), the layout both logs' payloads share.
-pub(crate) fn put_edge<W: Write>(
-    enc: &mut Encoder<W>,
-    edge: &StreamEdge,
-) -> Result<(), CodecError> {
-    enc.put_u64(edge.src)?;
-    enc.put_u64(edge.dst)?;
-    enc.put_u64(edge.weight)?;
-    enc.put_u64(edge.timestamp)
+/// Multiplier of the checksum step: odd, so multiplying by it is a
+/// bijection modulo 2^64 (the 64-bit golden-ratio constant).
+const CHECKSUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Initial checksum state before the body length is folded in (the FNV-1a
+/// offset basis).
+const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Byte length of the checksum that closes every frame.
+const CHECKSUM_LEN: u32 = 8;
+
+/// One checksum step: folds `input` (a little-endian word, or one tail byte)
+/// into `state`. A bijection in each argument with the other fixed; the
+/// rotation carries the high bits, which a multiply never moves down, into
+/// the low bits the next multiply spreads.
+#[inline(always)]
+fn checksum_step(state: u64, input: u64) -> u64 {
+    (state ^ input).wrapping_mul(CHECKSUM_MUL).rotate_left(29)
 }
 
-/// Decodes one edge written by [`put_edge`].
-pub(crate) fn get_edge<R: Read>(dec: &mut Decoder<R>) -> Result<StreamEdge, CodecError> {
-    Ok(StreamEdge {
-        src: dec.get_u64()?,
-        dst: dec.get_u64()?,
-        weight: dec.get_u64()?,
-        timestamp: dec.get_u64()?,
-    })
-}
-
-/// Verifies the trailing checksum of a body decoded by `dec` and that the
-/// decode consumed the whole body: the last step of both codecs' decoders.
-pub(crate) fn finish_body(
-    dec: &mut Decoder<&[u8]>,
-    body: &[u8],
-    name: &str,
-) -> Result<(), CodecError> {
-    dec.verify_checksum()?;
-    // `bytes_read` includes the trailing checksum the verify consumed.
-    if dec.bytes_read() != body.len() as u64 {
-        return Err(CodecError::Invalid(format!(
-            "{name} record declared {} body bytes but {} were consumed",
-            body.len(),
-            dec.bytes_read()
-        )));
+/// The frame checksum of a log record body (see the [module docs](self)):
+/// one step per 8-byte little-endian word, the tail bytes folded in singly,
+/// then the 64-bit MurmurHash3 finaliser as the avalanche.
+pub(crate) fn frame_checksum(body: &[u8]) -> u64 {
+    let mut state = CHECKSUM_SEED ^ body.len() as u64;
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        state = checksum_step(state, u64::from_le_bytes(le));
     }
-    Ok(())
+    for &byte in words.remainder() {
+        state = checksum_step(state, u64::from(byte));
+    }
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    state ^ (state >> 33)
+}
+
+/// Appends `v` to a record body in little-endian order.
+pub(crate) fn put_u64(body: &mut Vec<u8>, v: u64) {
+    body.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends one edge as four LE `u64`s (source, destination, weight,
+/// timestamp), the layout both logs' payloads share.
+pub(crate) fn put_edge(body: &mut Vec<u8>, edge: &StreamEdge) {
+    put_u64(body, edge.src);
+    put_u64(body, edge.dst);
+    put_u64(body, edge.weight);
+    put_u64(body, edge.timestamp);
+}
+
+/// A little-endian cursor over one checksum-verified record body: the read
+/// side of [`put_u64`] and [`put_edge`], shared by both logs' decoders.
+pub(crate) struct BodyReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> BodyReader<'a> {
+    /// A cursor at the start of `body`.
+    pub(crate) fn new(body: &'a [u8]) -> Self {
+        Self { rest: body }
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// Reads one byte.
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    /// Reads a little-endian `u64`.
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    /// Reads a count that must not exceed `limit` (guards against a corrupt
+    /// count driving a huge allocation).
+    pub(crate) fn count(&mut self, limit: u64, what: &str) -> Result<usize, CodecError> {
+        let count = self.u64()?;
+        if count > limit {
+            return Err(CodecError::Invalid(format!(
+                "{what} length {count} exceeds limit {limit}"
+            )));
+        }
+        Ok(count as usize)
+    }
+
+    /// Reads one edge written by [`put_edge`].
+    pub(crate) fn edge(&mut self) -> Result<StreamEdge, CodecError> {
+        Ok(StreamEdge {
+            src: self.u64()?,
+            dst: self.u64()?,
+            weight: self.u64()?,
+            timestamp: self.u64()?,
+        })
+    }
+
+    /// Checks that the decode consumed the whole body: the last step of
+    /// both codecs' decoders.
+    pub(crate) fn finish(self, name: &str) -> Result<(), CodecError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Invalid(format!(
+                "{name} record body has {} trailing bytes",
+                self.rest.len()
+            )))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The frame checksum written out plainly, as the module docs state it:
+    /// each word assembled byte by byte with shifts, the tail bytes folded
+    /// one at a time, then the MurmurHash3 finaliser.
+    fn reference_checksum(body: &[u8]) -> u64 {
+        let step = |state: u64, input: u64| {
+            (state ^ input)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(29)
+        };
+        let mut state = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
+        let whole = body.len() / 8 * 8;
+        for start in (0..whole).step_by(8) {
+            let mut word = 0u64;
+            for (k, &byte) in body[start..start + 8].iter().enumerate() {
+                word |= u64::from(byte) << (8 * k);
+            }
+            state = step(state, word);
+        }
+        for &byte in &body[whole..] {
+            state = step(state, u64::from(byte));
+        }
+        state ^= state >> 33;
+        state = state.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        state ^= state >> 33;
+        state = state.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        state ^ (state >> 33)
+    }
+
+    /// A deterministic pseudo-random body of `len` bytes.
+    fn body(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        for len in 1..=80 {
+            let original = body(len, len as u64);
+            let sum = frame_checksum(&original);
+            for bit in 0..len * 8 {
+                let mut flipped = original.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(frame_checksum(&flipped), sum, "len {len}, bit {bit}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn checksum_matches_the_plain_reference(
+            body in proptest::collection::vec(0u8..=255, 1..601),
+        ) {
+            proptest::prop_assert_eq!(frame_checksum(&body), reference_checksum(&body));
+        }
+
+        /// Each step is a bijection of the word for a fixed state and of the
+        /// state for a fixed word, so a change confined to one aligned word
+        /// (or, past the last whole word, to one tail byte) always changes
+        /// the checksum.
+        #[test]
+        fn every_change_confined_to_one_word_is_detected(
+            body in proptest::collection::vec(0u8..=255, 1..601),
+            pick in 0usize..600,
+            mask in 1u64..=u64::MAX,
+        ) {
+            let mut changed = body.clone();
+            let words = body.len() / 8;
+            let tail = body.len() % 8;
+            let slot = pick % (words + tail);
+            if slot < words {
+                for (k, byte) in changed[slot * 8..slot * 8 + 8].iter_mut().enumerate() {
+                    *byte ^= (mask >> (8 * k)) as u8;
+                }
+            } else {
+                // `mask` is nonzero, so one of its bytes is; use the lowest.
+                let byte = (mask >> (8 * (mask.trailing_zeros() / 8))) as u8;
+                changed[words * 8 + slot - words] ^= byte;
+            }
+            proptest::prop_assert_ne!(changed, body.clone());
+            proptest::prop_assert_ne!(frame_checksum(&changed), frame_checksum(&body));
+        }
+
+        #[test]
+        fn swapping_two_distinct_words_is_detected(
+            body in proptest::collection::vec(0u8..=255, 16..601),
+            first in 0usize..75,
+            second in 0usize..75,
+        ) {
+            let words = body.len() / 8;
+            let (i, j) = (first % words, second % words);
+            let (wi, wj) = (&body[i * 8..i * 8 + 8], &body[j * 8..j * 8 + 8]);
+            if wi != wj {
+                let mut swapped = body.clone();
+                swapped[i * 8..i * 8 + 8].copy_from_slice(wj);
+                swapped[j * 8..j * 8 + 8].copy_from_slice(wi);
+                proptest::prop_assert_ne!(frame_checksum(&swapped), frame_checksum(&body));
+            }
+        }
+    }
 }

@@ -44,7 +44,7 @@
 //!
 //! There is no covering-snapshot stamp — history outlives every snapshot.
 //! This module is the history record codec; the header, the framing
-//! (`len u32 LE | tag u8 | payload | FNV-1a u64`), re-arming, appending,
+//! (`len u32 LE | tag u8 | payload | checksum u64 LE`), re-arming, appending,
 //! syncing and the torn-tail rules live in the crate's framing core, shared
 //! with the [`journal`](crate::journal). The payload carries sequence
 //! numbers: tag 1 = insert (`seq` + edge), tag 2 = insert-batch (count +
@@ -52,6 +52,19 @@
 //! mid-append) is trimmed on re-arm and skipped on read — the torn record
 //! was never acknowledged; interior corruption is a typed
 //! [`JournalError::Corrupt`].
+//!
+//! **Format version 2** checksums each record a word at a time (one multiply
+//! step per 8 bytes, tail bytes folded singly, a final avalanche; see the
+//! framing core's docs), which detects every change confined to one aligned
+//! 8-byte word of a record. Version 1 used the byte-serial FNV-1a of the
+//! snapshot codec; a version-1 file is refused with a typed "unsupported
+//! history format version" [`JournalError::Corrupt`].
+//!
+//! Re-arming a file for appending ([`HistoryLog::open`]) verifies and
+//! decodes every complete record on its way to the torn tail, and hands the
+//! file's highest sequence number to the store's open path, so a reopen reads
+//! each current-generation byte once and only the older, immutable
+//! generations a second time.
 //!
 //! # Duplicate sequence numbers
 //!
@@ -63,9 +76,9 @@
 //! storage corruption and fail typed.
 
 use crate::config::JournalMode;
-use crate::framing::{self, get_edge, put_edge, LogFile, LogFormat, MAX_BATCH_EDGES};
+use crate::framing::{self, put_edge, put_u64, BodyReader, LogFile, LogFormat, MAX_BATCH_EDGES};
 use crate::journal::JournalError;
-use higgs_common::codec::{CodecError, Decoder};
+use higgs_common::codec::CodecError;
 use higgs_common::StreamEdge;
 use std::path::{Path, PathBuf};
 
@@ -73,8 +86,9 @@ use std::path::{Path, PathBuf};
 pub const HISTORY_MAGIC: &[u8; 8] = b"HIGGSHIS";
 
 /// Current history format version. Bumped on any layout change; readers
-/// refuse newer-than-supported files instead of guessing.
-pub const HISTORY_FORMAT_VERSION: u32 = 1;
+/// refuse any other version instead of guessing. Version 2 replaced the
+/// byte-serial FNV-1a record checksum with the word-at-a-time one.
+pub const HISTORY_FORMAT_VERSION: u32 = 2;
 
 /// The history log's header and diagnostics, as the framing core reads them.
 /// History carries no covering-snapshot stamp: it is never rotated.
@@ -136,10 +150,10 @@ impl HistoryLog {
     /// Opens (creating if absent) generation `gen`, shard `shard`'s history
     /// log in `dir` for appending. A fresh or torn-header file gets a clean
     /// header written and synced; an existing log — the post-crash re-arm
-    /// path — is extended in place after its header is validated and any
-    /// torn trailing record is trimmed back to the last complete frame.
-    /// Re-arming does not checksum-verify the records it skips; that stays
-    /// the read side's job ([`read_history`]).
+    /// path — is extended in place after its header is validated, every
+    /// complete record is checksum-verified and decoded, and any torn
+    /// trailing record is trimmed back to the last complete frame. Interior
+    /// corruption fails typed.
     ///
     /// `mode` must not be [`JournalMode::Off`] (elastic stores require a
     /// journaling mode; callers gate before constructing).
@@ -149,9 +163,24 @@ impl HistoryLog {
         shard: usize,
         mode: JournalMode,
     ) -> Result<Self, JournalError> {
+        Self::arm(dir, gen, shard, mode).map(|(log, _)| log)
+    }
+
+    /// [`open`](Self::open), also returning the highest sequence number the
+    /// file already held (`None` when it held no record). The re-arm scan
+    /// decodes every complete record anyway, so this costs no second read.
+    pub(crate) fn arm(
+        dir: &Path,
+        gen: u64,
+        shard: usize,
+        mode: JournalMode,
+    ) -> Result<(Self, Option<u64>), JournalError> {
         let path = dir.join(history_file_name(gen, shard));
-        let log = LogFile::arm(&FORMAT, path, shard, mode, 0, |_| Ok(()))?;
-        Ok(Self { log })
+        let mut max = None;
+        let log = LogFile::arm(&FORMAT, path, shard, mode, 0, |body| {
+            decode_body(body, |op| max = max.max(Some(op.seq)))
+        })?;
+        Ok((Self { log }, max))
     }
 
     /// Path of the history file (diagnostics and tests).
@@ -161,10 +190,10 @@ impl HistoryLog {
 
     /// Appends a single-insert record.
     pub fn append_insert(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.log.append(|enc| {
-            enc.put_u8(TAG_INSERT)?;
-            enc.put_u64(seq)?;
-            put_edge(enc, edge)
+        self.log.append(|body| {
+            body.push(TAG_INSERT);
+            put_u64(body, seq);
+            put_edge(body, edge);
         })
     }
 
@@ -176,23 +205,23 @@ impl HistoryLog {
         seqs: &[u64],
     ) -> Result<(), JournalError> {
         debug_assert_eq!(edges.len(), seqs.len(), "parallel seq/edge arrays");
-        self.log.append(|enc| {
-            enc.put_u8(TAG_INSERT_BATCH)?;
-            enc.put_u64(edges.len() as u64)?;
+        self.log.append(|body| {
+            body.reserve(9 + 40 * edges.len());
+            body.push(TAG_INSERT_BATCH);
+            put_u64(body, edges.len() as u64);
             for (edge, seq) in edges.iter().zip(seqs) {
-                enc.put_u64(*seq)?;
-                put_edge(enc, edge)?;
+                put_u64(body, *seq);
+                put_edge(body, edge);
             }
-            Ok(())
         })
     }
 
     /// Appends a delete record.
     pub fn append_delete(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.log.append(|enc| {
-            enc.put_u8(TAG_DELETE)?;
-            enc.put_u64(seq)?;
-            put_edge(enc, edge)
+        self.log.append(|body| {
+            body.push(TAG_DELETE);
+            put_u64(body, seq);
+            put_edge(body, edge);
         })
     }
 
@@ -203,24 +232,24 @@ impl HistoryLog {
     }
 }
 
-/// Decodes one history record body into its ops, verifying the per-record
-/// checksum. On an error `ops` may end with part of the record; every caller
-/// discards it.
-fn decode_body(body: &[u8], ops: &mut Vec<HistoryOp>) -> Result<(), CodecError> {
-    let mut dec = Decoder::new(body);
-    let mut op = |dec: &mut Decoder<&[u8]>, kind| -> Result<(), CodecError> {
-        let seq = dec.get_u64()?;
-        ops.push(HistoryOp {
+/// Decodes one history record body (its checksum already verified by the
+/// frame scanner), handing each op to `visit` in record order. On an error
+/// `visit` may have seen part of the record; every caller discards it.
+fn decode_body(body: &[u8], mut visit: impl FnMut(HistoryOp)) -> Result<(), CodecError> {
+    let mut dec = BodyReader::new(body);
+    let mut op = |dec: &mut BodyReader<'_>, kind| -> Result<(), CodecError> {
+        let seq = dec.u64()?;
+        visit(HistoryOp {
             seq,
             kind,
-            edge: get_edge(dec)?,
+            edge: dec.edge()?,
         });
         Ok(())
     };
-    match dec.get_u8()? {
+    match dec.u8()? {
         TAG_INSERT => op(&mut dec, HistoryOpKind::Insert)?,
         TAG_INSERT_BATCH => {
-            let count = dec.get_len(MAX_BATCH_EDGES, "history batch edge count")?;
+            let count = dec.count(MAX_BATCH_EDGES, "history batch edge count")?;
             for _ in 0..count {
                 op(&mut dec, HistoryOpKind::Insert)?;
             }
@@ -232,7 +261,7 @@ fn decode_body(body: &[u8], ops: &mut Vec<HistoryOp>) -> Result<(), CodecError> 
             )))
         }
     }
-    framing::finish_body(&mut dec, body, FORMAT.name)
+    dec.finish(FORMAT.name)
 }
 
 /// Every `(generation, shard)` history file currently in `dir`, discovered by
@@ -282,7 +311,11 @@ pub(crate) fn max_history_gen(dir: &Path) -> Result<Option<u64>, JournalError> {
 /// an empty stream.
 pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
     let mut ops = Vec::new();
-    scan_history(dir, |body| decode_body(body, &mut ops))?;
+    scan_history(
+        dir,
+        |_, _| true,
+        |body| decode_body(body, |op| ops.push(op)),
+    )?;
     // Per-file append order is *not* globally seq-ascending (nor strictly
     // per-file: the routing-time seq stamp and the channel send race), so
     // the global order is reconstructed by sorting. Kind/edge break seq ties
@@ -308,30 +341,34 @@ pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
     Ok(ops)
 }
 
-/// The highest sequence number recorded anywhere in `dir`'s history, or
-/// `None` when no history exists. Re-arming an elastic store resumes its
-/// sequence counter past this, so post-restart mutations sort after every
-/// recorded one.
-pub(crate) fn max_history_seq(dir: &Path) -> Result<Option<u64>, JournalError> {
+/// The highest sequence number recorded in the history files of `dir` that
+/// `include(generation, shard)` selects, or `None` when they hold none. An
+/// elastic store resumes its sequence counter past the maximum over these and
+/// the files it re-arms ([`HistoryLog::arm`] reports theirs), so
+/// post-restart mutations sort after every recorded one.
+pub(crate) fn max_history_seq(
+    dir: &Path,
+    include: impl Fn(u64, usize) -> bool,
+) -> Result<Option<u64>, JournalError> {
     let mut max = None;
-    let mut frame = Vec::new();
-    scan_history(dir, |body| {
-        frame.clear();
-        decode_body(body, &mut frame)?;
-        max = max.max(frame.iter().map(|op| op.seq).max());
-        Ok(())
+    scan_history(dir, include, |body| {
+        decode_body(body, |op| max = max.max(Some(op.seq)))
     })?;
     Ok(max)
 }
 
-/// Hands every complete record body of every history file in `dir` to
-/// `on_body`, file by file. A torn tail ends a file cleanly; interior
-/// corruption fails typed.
+/// Hands every complete record body of every history file in `dir` that
+/// `include(generation, shard)` selects to `on_body`, file by file. A torn
+/// tail ends a file cleanly; interior corruption fails typed.
 fn scan_history(
     dir: &Path,
+    include: impl Fn(u64, usize) -> bool,
     mut on_body: impl FnMut(&[u8]) -> Result<(), CodecError>,
 ) -> Result<(), JournalError> {
-    for (_, shard, path) in history_files(dir)? {
+    for (gen, shard, path) in history_files(dir)? {
+        if !include(gen, shard) {
+            continue;
+        }
         if let Some((mut reader, _)) = framing::open_reader(&FORMAT, &path, shard)? {
             framing::scan_frames(
                 &mut reader,
@@ -411,7 +448,8 @@ mod tests {
         g1.append_insert(1, &edge(1)).expect("append");
         drop(g1);
         assert_eq!(max_history_gen(&dir).expect("gens"), Some(1));
-        assert_eq!(max_history_seq(&dir).expect("seqs"), Some(1));
+        assert_eq!(max_history_seq(&dir, |_, _| true).expect("seqs"), Some(1));
+        assert_eq!(max_history_seq(&dir, |g, _| g == 0).expect("g0"), Some(0));
         let ops = read_history(&dir).expect("read");
         assert_eq!(ops, vec![insert(0), insert(1)]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -538,25 +576,93 @@ mod tests {
         std::fs::write(dir.join("journal-000.higgs"), b"not history").expect("write");
         std::fs::write(dir.join("history-xyz.higgs"), b"bad name").expect("write");
         assert_eq!(read_history(&dir).expect("unrelated files"), Vec::new());
-        assert_eq!(max_history_seq(&dir).expect("no seqs"), None);
+        assert_eq!(max_history_seq(&dir, |_, _| true).expect("no seqs"), None);
         let gone = dir.join("no-such-subdir");
         assert_eq!(read_history(&gone).expect("missing dir"), Vec::new());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    /// The whole history file for a fixed record sequence, byte for byte, as
-    /// the format has always written it: a refactor of the log code must not
-    /// move a byte.
+    /// The maximum the re-arm scan reports is the one a full read computes,
+    /// on files of random records (singles, batches and deletes with random,
+    /// unordered sequence numbers) torn at a random byte.
+    #[test]
+    fn arm_reports_the_same_maximum_as_a_full_read_on_torn_files() {
+        let dir = temp_dir("arm-max");
+        let path = dir.join(history_file_name(0, 0));
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for case in 0..40 {
+            let _ = std::fs::remove_file(&path);
+            let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
+            for _ in 0..1 + next(12) {
+                match next(3) {
+                    0 => log.append_insert(next(10_000), &edge(case)),
+                    1 => {
+                        let n = 1 + next(6);
+                        let edges: Vec<StreamEdge> = (0..n).map(edge).collect();
+                        let seqs: Vec<u64> = (0..n).map(|_| next(10_000)).collect();
+                        log.append_insert_batch(&edges, &seqs)
+                    }
+                    _ => log.append_delete(next(10_000), &edge(case)),
+                }
+                .expect("append");
+            }
+            drop(log);
+            let full = std::fs::read(&path).expect("read");
+            let cut = HEADER_LEN + next(full.len() as u64 - HEADER_LEN + 1);
+            std::fs::write(&path, &full[..cut as usize]).expect("tear");
+            let read = max_history_seq(&dir, |_, _| true).expect("full read");
+            let (_, armed) = HistoryLog::arm(&dir, 0, 0, JournalMode::Buffered).expect("arm");
+            assert_eq!(armed, read, "case {case}, cut at byte {cut}");
+            // Re-arming the trimmed file again reports the same maximum.
+            let (_, again) = HistoryLog::arm(&dir, 0, 0, JournalMode::Buffered).expect("re-arm");
+            assert_eq!(again, read, "case {case}, second arm");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn version_1_history_is_refused_typed() {
+        let dir = temp_dir("v1");
+        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
+        log.append_insert(0, &edge(0)).expect("append");
+        drop(log);
+        let path = dir.join(history_file_name(0, 0));
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        for err in [
+            read_history(&dir).expect_err("read refuses version 1"),
+            HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect_err("arm refuses version 1"),
+        ] {
+            assert!(
+                matches!(&err, JournalError::Corrupt { detail, .. }
+                    if detail.contains("unsupported history format version 1")),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// The whole history file for a fixed record sequence, byte for byte, at
+    /// format version 2: a refactor of the log code must not move a byte.
+    /// The checksums were cross-checked against an independent
+    /// implementation of the frame checksum.
     #[test]
     fn history_file_bytes_match_the_golden_encoding() {
         const GOLDEN: &[&str] = &[
             "4849474753484953", // magic "HIGGSHIS"
-            "01000000",         // version 1
+            "02000000",         // version 2
             "31000000",         // len 49
             "01",               // tag insert
             "0700000000000000", // seq 7
             "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "0fcb212b5093ee44", // checksum
+            "6f6b771359870a5f", // checksum
             "61000000",         // len 97
             "02",               // tag insert-batch
             "0200000000000000", // count 2
@@ -564,12 +670,12 @@ mod tests {
             "0500000000000000060000000000000007000000000000000800000000000000", // edge (5, 6, 7, 8)
             "0900000000000000", // seq 9
             "09000000000000000a000000000000000b000000000000000c00000000000000", // edge (9, 10, 11, 12)
-            "4e1b638089756fec",                                                 // checksum
+            "615faa00178cd636",                                                 // checksum
             "31000000",                                                         // len 49
             "03",                                                               // tag delete
             "0a00000000000000",                                                 // seq 10
             "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "9c1db34fe77a0912",                                                 // checksum
+            "34bc394eee694497",                                                 // checksum
         ];
         let dir = temp_dir("golden");
         let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");

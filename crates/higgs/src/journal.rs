@@ -38,12 +38,20 @@
 //! verifiable up to an arbitrary torn point:
 //!
 //! ```text
-//! len (u32 LE) | body (len bytes) = tag u8 | payload | FNV-1a checksum (u64 LE)
+//! len (u32 LE) | tag u8 | payload | checksum (u64 LE)
 //! ```
 //!
-//! with the payload encoded by [`higgs_common::codec::Encoder`] (tag 1 =
-//! insert: one edge; tag 2 = insert-batch: count + edges; tag 3 = delete:
-//! one edge; an edge is four LE `u64`s).
+//! where `len` counts every byte after it; the checksum covers the tag and
+//! the payload (the record *body*). The payload is plain
+//! little-endian (tag 1 = insert: one edge; tag 2 = insert-batch: `u64`
+//! count + edges; tag 3 = delete: one edge; an edge is four LE `u64`s).
+//!
+//! **Format version 2** checksums each body a word at a time (one multiply
+//! step per 8 bytes, tail bytes folded singly, a final avalanche; see the
+//! framing core's docs), so any change confined to one aligned 8-byte word of
+//! a body is always detected. Version 1 ran the byte-serial FNV-1a of the
+//! snapshot codec over every body byte; a version-1 journal is refused with
+//! a typed "unsupported journal format version" [`JournalError::Corrupt`].
 //!
 //! # Torn tails vs. interior corruption
 //!
@@ -73,9 +81,9 @@
 //! double-apply: recovery sees the stale stamp and discards the journal.
 
 use crate::config::JournalMode;
-use crate::framing::{self, get_edge, put_edge, LogFile, LogFormat, MAX_BATCH_EDGES};
+use crate::framing::{self, put_edge, put_u64, BodyReader, LogFile, LogFormat, MAX_BATCH_EDGES};
 use crate::tree::HiggsSummary;
-use higgs_common::codec::{CodecError, Decoder, Encoder};
+use higgs_common::codec::CodecError;
 use higgs_common::StreamEdge;
 use std::fmt;
 use std::io::{Seek, SeekFrom};
@@ -85,8 +93,9 @@ use std::path::Path;
 pub const JOURNAL_MAGIC: &[u8; 8] = b"HIGGSJNL";
 
 /// Current journal format version. Bumped on any layout change; replay
-/// refuses newer-than-supported files instead of guessing.
-pub const JOURNAL_FORMAT_VERSION: u32 = 1;
+/// refuses any other version instead of guessing. Version 2 replaced the
+/// byte-serial FNV-1a record checksum with the word-at-a-time one.
+pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 
 /// The journal's header and diagnostics, as the framing core reads them.
 const FORMAT: LogFormat = LogFormat {
@@ -219,23 +228,24 @@ enum RecordShape<'a> {
 }
 
 impl RecordShape<'_> {
-    /// Encodes the record's tag and payload (the framing core appends the
-    /// checksum). Shared by the owned and borrowed append paths so both
-    /// produce identical bytes.
-    fn encode(self, enc: &mut Encoder<&mut Vec<u8>>) -> Result<(), CodecError> {
+    /// Encodes the record's tag and payload (the framing core adds the
+    /// length prefix and the checksum). Shared by the owned and borrowed
+    /// append paths so both produce identical bytes.
+    fn encode(self, body: &mut Vec<u8>) {
         match self {
             RecordShape::Insert(edge) => {
-                enc.put_u8(TAG_INSERT)?;
-                put_edge(enc, edge)
+                body.push(TAG_INSERT);
+                put_edge(body, edge);
             }
             RecordShape::InsertBatch(edges) => {
-                enc.put_u8(TAG_INSERT_BATCH)?;
-                enc.put_u64(edges.len() as u64)?;
-                edges.iter().try_for_each(|edge| put_edge(enc, edge))
+                body.reserve(9 + 32 * edges.len());
+                body.push(TAG_INSERT_BATCH);
+                put_u64(body, edges.len() as u64);
+                edges.iter().for_each(|edge| put_edge(body, edge));
             }
             RecordShape::Delete(edge) => {
-                enc.put_u8(TAG_DELETE)?;
-                put_edge(enc, edge)
+                body.push(TAG_DELETE);
+                put_edge(body, edge);
             }
         }
     }
@@ -251,27 +261,28 @@ impl JournalRecord {
         }
     }
 
-    /// Decodes one record body, verifying the per-record checksum.
+    /// Decodes one record body (its checksum already verified by the frame
+    /// scanner).
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Decoder::new(body);
-        let record = match dec.get_u8()? {
-            TAG_INSERT => JournalRecord::Insert(get_edge(&mut dec)?),
+        let mut dec = BodyReader::new(body);
+        let record = match dec.u8()? {
+            TAG_INSERT => JournalRecord::Insert(dec.edge()?),
             TAG_INSERT_BATCH => {
-                let count = dec.get_len(MAX_BATCH_EDGES, "journal batch edge count")?;
+                let count = dec.count(MAX_BATCH_EDGES, "journal batch edge count")?;
                 let mut edges = Vec::with_capacity(count);
                 for _ in 0..count {
-                    edges.push(get_edge(&mut dec)?);
+                    edges.push(dec.edge()?);
                 }
                 JournalRecord::InsertBatch(edges)
             }
-            TAG_DELETE => JournalRecord::Delete(get_edge(&mut dec)?),
+            TAG_DELETE => JournalRecord::Delete(dec.edge()?),
             other => {
                 return Err(CodecError::Invalid(format!(
                     "unknown journal record tag {other}"
                 )))
             }
         };
-        framing::finish_body(&mut dec, body, FORMAT.name)?;
+        dec.finish(FORMAT.name)?;
         Ok(record)
     }
 
@@ -373,7 +384,7 @@ impl Journal {
     /// `journal::append` failpoint, so fault-injection tests cover singles,
     /// batches and deletes alike.
     fn append_shape(&mut self, shape: RecordShape<'_>) -> Result<(), JournalError> {
-        self.log.append(|enc| shape.encode(enc))
+        self.log.append(|body| shape.encode(body))
     }
 
     /// Flushes and forces everything appended so far to disk (used at the
@@ -512,10 +523,8 @@ mod tests {
     /// Byte length of `record`'s framed body (tag, payload and checksum).
     fn body_len(record: &JournalRecord) -> usize {
         let mut body = Vec::new();
-        let mut enc = Encoder::new(&mut body);
-        record.shape().encode(&mut enc).expect("encode");
-        enc.finish_with_checksum().expect("checksum");
-        body.len()
+        record.shape().encode(&mut body);
+        body.len() + 8
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -642,6 +651,27 @@ mod tests {
         std::fs::write(&path, &bad_version).expect("write");
         let err = replay(&dir, 0, 0).expect_err("future version must be refused");
         assert!(err.to_string().contains("version"), "{err}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn version_1_journal_is_refused_typed() {
+        let dir = temp_dir("v1");
+        write_records(&dir, 0, &sample_records());
+        let path = dir.join(journal_file_name(0));
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        for err in [
+            replay(&dir, 0, 0).expect_err("replay refuses version 1"),
+            Journal::open(&dir, 0, JournalMode::Buffered, 0).expect_err("arm refuses version 1"),
+        ] {
+            assert!(
+                matches!(&err, JournalError::Corrupt { detail, .. }
+                    if detail.contains("unsupported journal format version 1")),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -792,29 +822,30 @@ mod tests {
         );
     }
 
-    /// The whole journal file for a fixed record sequence, byte for byte, as
-    /// the format has always written it: a refactor of the log code must not
-    /// move a byte.
+    /// The whole journal file for a fixed record sequence, byte for byte, at
+    /// format version 2: a refactor of the log code must not move a byte.
+    /// The checksums were cross-checked against an independent
+    /// implementation of the frame checksum.
     #[test]
     fn journal_file_bytes_match_the_golden_encoding() {
         const GOLDEN: &[&str] = &[
             "48494747534a4e4c", // magic "HIGGSJNL"
-            "01000000",         // version 1
+            "02000000",         // version 2
             "efcdab8967452301", // covering stamp
             "29000000",         // len 41
             "01",               // tag insert
             "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "28707d9366cac1a9", // checksum
+            "47b229984fa3203b", // checksum
             "51000000",         // len 81
             "02",               // tag insert-batch
             "0200000000000000", // count 2
             "0500000000000000060000000000000007000000000000000800000000000000", // edge (5, 6, 7, 8)
             "09000000000000000a000000000000000b000000000000000c00000000000000", // edge (9, 10, 11, 12)
-            "2f98290a6290d3fa",                                                 // checksum
+            "1dfb4a5dd8bd36a0",                                                 // checksum
             "29000000",                                                         // len 41
             "03",                                                               // tag delete
             "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "16af8312aeb2e25a",                                                 // checksum
+            "d63321073c38d8b0",                                                 // checksum
         ];
         let dir = temp_dir("golden");
         let mut journal =

@@ -168,7 +168,7 @@ impl Follower {
     /// replayed here; that is what distinguishes a follower bootstrap from a
     /// crash-recovery restore.
     pub(crate) fn bootstrap(dir: &Path) -> Result<Self, ReplicaError> {
-        let (config, summaries) = crate::snapshot::restore_snapshot_summaries(dir)?;
+        let (config, summaries) = crate::snapshot::restore_summaries(dir, false)?;
         let covering = crate::snapshot::manifest_tail_checksum(dir)?;
         let shards: Vec<Arc<RwLock<HiggsSummary>>> = summaries
             .into_iter()

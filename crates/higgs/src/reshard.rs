@@ -216,7 +216,12 @@ pub(crate) fn refold(
         .map_err(ReshardError::from)
         .and_then(|covering| {
             (0..config.shards)
-                .map(|s| durable.arm(s, covering).map_err(ReshardError::from))
+                .map(|s| {
+                    durable
+                        .arm(s, covering)
+                        .map(|(log, _)| log)
+                        .map_err(ReshardError::from)
+                })
                 .collect()
         })
         .map_err(RefoldError::Committed)?;

@@ -68,7 +68,7 @@ use crate::config::{ConfigError, HiggsConfig, JournalMode};
 use crate::history::HistoryLog;
 use crate::journal::{failpoint, Journal, JournalError};
 use crate::reshard::{RefoldError, ReshardError};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{ShardBase, SnapshotError};
 use crate::tree::HiggsSummary;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use higgs_common::hashing::shard_of;
@@ -254,16 +254,24 @@ impl DurableState {
     /// Arms shard `shard`'s log sink: its journal, stamped with (or
     /// validated against) the covering manifest checksum `covering`, and on
     /// an elastic store its history log of the current generation. Each file
-    /// is created if absent, and re-armed in place (a torn tail trimmed, a
-    /// stale journal reset) if present.
-    pub(crate) fn arm(&self, shard: usize, covering: u64) -> Result<ShardLog, JournalError> {
-        Ok(ShardLog {
-            journal: Journal::open(&self.dir, shard, self.mode, covering)?,
-            history: self
-                .history_gen
-                .map(|gen| HistoryLog::open(&self.dir, gen, shard, self.mode))
-                .transpose()?,
-        })
+    /// is created if absent, and re-armed in place (every complete record
+    /// verified, a torn tail trimmed, a stale journal reset) if present.
+    /// Also returns the highest sequence number the history file already
+    /// held (`None` when it held none, or the store is not elastic).
+    pub(crate) fn arm(
+        &self,
+        shard: usize,
+        covering: u64,
+    ) -> Result<(ShardLog, Option<u64>), JournalError> {
+        let journal = Journal::open(&self.dir, shard, self.mode, covering)?;
+        let (history, max_seq) = match self.history_gen {
+            Some(gen) => {
+                let (log, max_seq) = HistoryLog::arm(&self.dir, gen, shard, self.mode)?;
+                (Some(log), max_seq)
+            }
+            None => (None, None),
+        };
+        Ok((ShardLog { journal, history }, max_seq))
     }
 }
 
@@ -964,12 +972,15 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
 /// [`SnapshotError::Journal`]) so the caller can record *why* the shard
 /// stayed degraded instead of collapsing every cause into silence.
 fn rebuild_shard(durable: &DurableState, ctx: &WriterContext) -> Result<ShardLog, SnapshotError> {
-    let mut summary =
-        crate::snapshot::load_shard_summary(&durable.dir, ctx.shard_index, &ctx.config)?;
     let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)?;
-    crate::journal::replay_into(&durable.dir, ctx.shard_index, covering, &mut summary)
-        .map_err(SnapshotError::Journal)?;
-    let log = durable
+    let summary = crate::snapshot::recover_shard(
+        &durable.dir,
+        ctx.shard_index,
+        &ctx.config,
+        ShardBase::Surviving,
+        Some(covering),
+    )?;
+    let (log, _) = durable
         .arm(ctx.shard_index, covering)
         .map_err(SnapshotError::Journal)?;
     *ctx.shard.write().expect("shard lock poisoned") = summary;

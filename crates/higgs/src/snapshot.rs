@@ -50,7 +50,8 @@
 //! ([`SnapshotError::ShardCountMismatch`]), then each shard file's own
 //! checksum **and** its manifest-recorded checksum
 //! ([`SnapshotError::ShardChecksumMismatch`]) before any shard state is
-//! served.
+//! served. The shard files are read in parallel; when several fail, the
+//! lowest failing shard's error is the one reported.
 //!
 //! # Consistency guarantee
 //!
@@ -885,53 +886,117 @@ fn read_shard_summary(path: &Path) -> Result<(HiggsSummary, u64), SnapshotError>
     Ok((summary, checksum))
 }
 
-/// Loads one shard's summary for writer recovery: the shard's snapshot file
-/// when present (its own checksum verified), a fresh summary otherwise.
-/// Unlike full restore this deliberately skips the manifest cross-checks —
-/// recovery must work from whatever intact state survives.
-pub(crate) fn load_shard_summary(
+/// Where [`recover_shard`] starts a shard's summary from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ShardBase {
+    /// A fresh summary: the directory holds no manifest, so a shard file
+    /// there is the leftover of a snapshot that never committed.
+    Fresh,
+    /// The manifest's shard file, which must exist and carry this document
+    /// checksum.
+    Manifest(u64),
+    /// The shard file when present, a fresh summary otherwise, without the
+    /// manifest cross-check: writer recovery rebuilds from whatever intact
+    /// state survives.
+    Surviving,
+}
+
+/// Recovers shard `shard` of `dir`: its summary from `base` (a fresh one is
+/// built from `config`), then, when `covering` is given, its journal tail
+/// replayed on top under that covering stamp (see [`crate::journal`]). The
+/// one per-shard recovery routine behind every open, restore, follower
+/// bootstrap and writer respawn. It only reads, so a failure leaves the
+/// directory as it was.
+pub(crate) fn recover_shard(
     dir: &Path,
     shard: usize,
     config: &HiggsConfig,
+    base: ShardBase,
+    covering: Option<u64>,
 ) -> Result<HiggsSummary, SnapshotError> {
-    match read_shard_summary(&dir.join(shard_file_name(shard))) {
-        Ok((summary, _)) => Ok(summary),
-        Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-            Ok(HiggsSummary::new(*config))
+    let path = dir.join(shard_file_name(shard));
+    let mut summary = match base {
+        ShardBase::Fresh => HiggsSummary::new(*config),
+        ShardBase::Manifest(expected) => {
+            let (summary, checksum) = match read_shard_summary(&path) {
+                Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Err(SnapshotError::MissingShard { shard, path });
+                }
+                other => other?,
+            };
+            if checksum != expected {
+                return Err(SnapshotError::ShardChecksumMismatch {
+                    shard,
+                    manifest: expected,
+                    file: checksum,
+                });
+            }
+            summary
         }
-        Err(e) => Err(e),
-    }
-}
-
-/// Restores per-shard summaries from a snapshot directory and replays each
-/// shard's journal tail on top (the recovery half of the rotation fence: a
-/// mutation lives in exactly one of snapshot or journal, so snapshot +
-/// replay reconstructs the full history). Returns the manifest's config
-/// alongside the summaries; nothing is spawned here.
-pub(crate) fn restore_summaries(
-    dir: &Path,
-) -> Result<(HiggsConfig, Vec<HiggsSummary>), SnapshotError> {
-    let (config, mut summaries) = restore_snapshot_summaries(dir)?;
-    // Journal tail replay: mutations that were journaled after the snapshot
-    // the directory holds (e.g. the process crashed before the next
-    // rotation). A directory without journals replays nothing, and a
-    // journal stamped for an older manifest (interrupted rotation) is
-    // discarded rather than double-applied.
-    let covering = manifest_tail_checksum(dir)?;
-    for (index, summary) in summaries.iter_mut().enumerate() {
-        crate::journal::replay_into(dir, index, covering, summary)
+        ShardBase::Surviving => match read_shard_summary(&path) {
+            Ok((summary, _)) => summary,
+            Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                HiggsSummary::new(*config)
+            }
+            Err(e) => return Err(e),
+        },
+    };
+    if let Some(covering) = covering {
+        crate::journal::replay_into(dir, shard, covering, &mut summary)
             .map_err(SnapshotError::Journal)?;
     }
-    Ok((config, summaries))
+    Ok(summary)
 }
 
-/// The snapshot-only half of [`restore_summaries`]: restores per-shard
-/// summaries from the directory's snapshot **without** replaying journal
-/// tails. This is the bootstrap of a [`Follower`](crate::Follower), which
-/// must apply the leader's journals through its own cursor instead — a
-/// replay here would double-apply every record the cursor then ships.
-pub(crate) fn restore_snapshot_summaries(
+/// Runs `task` once for every shard index in `0..shards`, spread over at
+/// most one scoped thread per core (the caller's thread among them), and
+/// returns the results in shard order — or, when any task fails, the error
+/// of the **lowest** failing shard, whatever order the threads finished in.
+/// A panicking task is re-raised on the caller.
+pub(crate) fn per_shard<T: Send, E: Send>(
+    shards: usize,
+    task: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, shards.max(1));
+    let task = &task;
+    // Worker `w` takes shards `w, w + workers, …`.
+    let run = move |w: usize| -> Vec<(usize, Result<T, E>)> {
+        (w..shards).step_by(workers).map(|s| (s, task(s))).collect()
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || run(w))).collect();
+        let mut done = run(0);
+        for helper in helpers {
+            match helper.join() {
+                Ok(part) => done.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(s, _)| s);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Restores per-shard summaries from a snapshot directory, all shards in
+/// parallel, returning the manifest's config alongside them; nothing is
+/// spawned beyond the scoped recovery threads, and nothing is written.
+///
+/// The manifest is verified first (magic, version, checksum, internal
+/// consistency), then the directory's shard-file census against its count,
+/// then each shard file's own checksum and its manifest-recorded one. With
+/// `replay_journals` each shard's journal tail is replayed on top (the
+/// recovery half of the rotation fence: a mutation lives in exactly one of
+/// snapshot or journal, so snapshot + replay reconstructs the full history;
+/// a journal stamped for an older manifest is discarded rather than
+/// double-applied). A [`Follower`](crate::Follower) bootstraps without the
+/// replay: it applies the leader's journals through its own cursor instead,
+/// and a replay here would double-apply every record the cursor then ships.
+pub(crate) fn restore_summaries(
     dir: &Path,
+    replay_journals: bool,
 ) -> Result<(HiggsConfig, Vec<HiggsSummary>), SnapshotError> {
     let manifest = SnapshotManifest::read_from_dir(dir)?;
     let declared = manifest.shard_count();
@@ -948,24 +1013,15 @@ pub(crate) fn restore_snapshot_summaries(
             found: present,
         });
     }
-    let mut summaries = Vec::with_capacity(declared);
-    for index in 0..declared {
-        let path = dir.join(shard_file_name(index));
-        let (summary, checksum) = match read_shard_summary(&path) {
-            Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(SnapshotError::MissingShard { shard: index, path });
-            }
-            other => other?,
-        };
-        if checksum != manifest.shard_checksums[index] {
-            return Err(SnapshotError::ShardChecksumMismatch {
-                shard: index,
-                manifest: manifest.shard_checksums[index],
-                file: checksum,
-            });
-        }
-        summaries.push(summary);
-    }
+    let covering = if replay_journals {
+        Some(manifest_tail_checksum(dir)?)
+    } else {
+        None
+    };
+    let summaries = per_shard(declared, |s| {
+        let base = ShardBase::Manifest(manifest.shard_checksums[s]);
+        recover_shard(dir, s, &manifest.config, base, covering)
+    })?;
     Ok((manifest.config, summaries))
 }
 
@@ -1443,7 +1499,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("create dir");
         write_snapshot_files(&dir, &[Arc::new(RwLock::new(deferred))]).expect("write");
 
-        let (_, summaries) = restore_snapshot_summaries(&dir).expect("restore");
+        let (_, summaries) = restore_summaries(&dir, false).expect("restore");
         let mut restored = summaries.into_iter().next().expect("one shard");
         let materialised =
             |s: &HiggsSummary| s.internals.iter().flatten().all(|n| n.matrix.is_some());

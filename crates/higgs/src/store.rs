@@ -38,8 +38,7 @@ use crate::history;
 use crate::replica::{Follower, ReplicaError};
 use crate::reshard::ReshardError;
 use crate::shard::{DurableState, ShardedHiggs};
-use crate::snapshot::SnapshotError;
-use crate::tree::HiggsSummary;
+use crate::snapshot::{per_shard, recover_shard, ShardBase, SnapshotError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -142,12 +141,26 @@ impl Store {
     /// per-shard history logs and resumes the global mutation sequence above
     /// everything already recorded.
     ///
-    /// Validation runs in order: the manifest (magic, version, checksum,
-    /// internal consistency), the directory's shard-file census against the
-    /// manifest's count, each shard file's own checksum and its
-    /// manifest-recorded one, then journal tail replay. Nothing is spawned
-    /// until every file validated, so a failed open never leaks writer
-    /// threads.
+    /// Opening runs in two phases, each over all shards in parallel (one
+    /// scoped thread per core at most):
+    ///
+    /// 1. **Recover, writing nothing.** The manifest is validated (magic,
+    ///    version, checksum, internal consistency) and the directory's
+    ///    shard-file census checked against its count; then every shard's
+    ///    file is read and checked against its own checksum and the
+    ///    manifest-recorded one, and its journal tail replayed. On an elastic
+    ///    store the history generations no shard re-arms (those a reshard
+    ///    left behind) are read for their highest sequence number.
+    /// 2. **Arm.** Only once every shard has recovered are the shards' logs
+    ///    armed for appending: each journal and current-generation history
+    ///    file is verified record by record, its torn tail trimmed and a
+    ///    stale journal reset.
+    ///
+    /// When several shards fail, the error reported is the **lowest**
+    /// failing shard's, so a failed open is deterministic, and a failure in
+    /// phase 1 leaves every file in the directory as it was. Nothing is
+    /// spawned until both phases succeeded, so a failed open never leaks
+    /// writer threads.
     pub fn open(options: StoreOptions) -> Result<ShardedHiggs, SnapshotError> {
         let StoreOptions {
             config,
@@ -182,7 +195,7 @@ impl Store {
                             .into(),
                     });
                 }
-                let (stored, summaries) = crate::snapshot::restore_summaries(&dir)?;
+                let (stored, summaries) = crate::snapshot::restore_summaries(&dir, true)?;
                 Ok(ShardedHiggs::from_summaries(stored, summaries, None)?)
             }
         }
@@ -246,8 +259,9 @@ fn open_durable(
             ),
         });
     }
+    // Phase 1: recover every shard in parallel, writing nothing.
     let summaries = if has_snapshot {
-        let (stored, summaries) = crate::snapshot::restore_summaries(dir)?;
+        let (stored, summaries) = crate::snapshot::restore_summaries(dir, true)?;
         if stored.shards != config.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "shard count mismatch: directory holds {} shards, config asks for {}",
@@ -257,45 +271,47 @@ fn open_durable(
         summaries
     } else {
         // No snapshot yet (fresh directory, or a crash before the first
-        // snapshot): fresh summaries, then journal tails on top.
-        let mut summaries: Vec<HiggsSummary> = (0..config.shards)
-            .map(|_| HiggsSummary::new(config))
-            .collect();
-        // No manifest, so journals (if any) must carry the zero stamp.
-        for (s, summary) in summaries.iter_mut().enumerate() {
-            crate::journal::replay_into(dir, s, 0, summary).map_err(SnapshotError::Journal)?;
-        }
-        summaries
+        // snapshot): fresh summaries, then journal tails on top. No
+        // manifest, so journals (if any) must carry the zero stamp.
+        per_shard(config.shards, |s| {
+            recover_shard(dir, s, &config, ShardBase::Fresh, Some(0))
+        })?
     };
-    let durable = if config.journal_mode == JournalMode::Off {
-        None
+    // Reopening appends to the current generation (its torn tail, if any,
+    // is trimmed when armed); only a reshard advances it.
+    let history_gen = elastic.then(|| history_gen.unwrap_or(0));
+    // The history files phase 2 will not arm — every older generation, and
+    // any current-generation file of a shard slot beyond the configured
+    // count — are read here; the armed ones report their own maximum.
+    let unarmed_max = match history_gen {
+        Some(current) => {
+            history::max_history_seq(dir, |gen, shard| gen != current || shard >= config.shards)
+                .map_err(SnapshotError::Journal)?
+        }
+        None => None,
+    };
+    // Phase 2: arm every shard's logs in parallel.
+    let (durable, armed_max) = if config.journal_mode == JournalMode::Off {
+        (None, None)
     } else {
         let state = Arc::new(DurableState {
             dir: dir.to_path_buf(),
             mode: config.journal_mode,
-            // Reopening appends to the current generation (its torn tail,
-            // if any, is trimmed on open); only a reshard advances it.
-            history_gen: elastic.then(|| history_gen.unwrap_or(0)),
+            history_gen,
         });
         // Stamp (or validate) each journal against the manifest currently
         // in the directory; a journal left stale by an interrupted rotation
-        // is reset here, right after the replay above discarded its records.
+        // is reset here, after the replay above discarded its records.
         let covering = crate::snapshot::manifest_tail_checksum(dir)?;
-        let logs = (0..config.shards)
-            .map(|s| state.arm(s, covering))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(SnapshotError::Journal)?;
-        Some((state, logs))
+        let armed =
+            per_shard(config.shards, |s| state.arm(s, covering)).map_err(SnapshotError::Journal)?;
+        let armed_max = armed.iter().filter_map(|&(_, max)| max).max();
+        let logs = armed.into_iter().map(|(log, _)| log).collect();
+        (Some((state, logs)), armed_max)
     };
     // New mutations must stamp above everything already on disk, so the
     // reconstructed global order stays a total order across restarts.
-    let next_seq = if elastic {
-        history::max_history_seq(dir)
-            .map_err(SnapshotError::Journal)?
-            .map_or(0, |s| s + 1)
-    } else {
-        0
-    };
+    let next_seq = unarmed_max.max(armed_max).map_or(0, |s| s + 1);
     let service =
         ShardedHiggs::from_summaries(config, summaries, durable).map_err(SnapshotError::Config)?;
     service.resume_seq(next_seq);

@@ -12,6 +12,7 @@
 //! single-test `writer_thread_leak` binary, whose process-wide census no
 //! sibling test moves.)
 
+use higgs::history;
 use higgs::snapshot::MANIFEST_FILE;
 use higgs::{
     HiggsConfig, JournalMode, OpenMode, ReshardError, ShardedHiggs, SnapshotError, Store,
@@ -240,6 +241,47 @@ fn online_reshard_preserves_acknowledged_mutations_and_handles() {
         "the resharded directory must recover at its new width"
     );
     drop(reborn);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Sequence numbers resume above every generation: after an online reshard
+/// with no later writes the current generation is empty, so a reopen must
+/// take its next number from the older one, and every later reopen must
+/// stamp above everything recorded before it. A collision would make the
+/// merged read fail (two different records sharing a number).
+#[test]
+fn sequence_numbers_resume_above_every_generation() {
+    let (inserts, _) = workload(900);
+    let dir = temp_dir("seq-resume");
+    let mut service = Store::open(StoreOptions::durable(elastic_config(2), &dir).elastic(true))
+        .expect("elastic durable service");
+    service.insert_all(&inserts[..300]);
+    service.flush();
+    service.reshard(3).expect("online reshard");
+    drop(service);
+
+    let mut recorded = history::read_history(&dir).expect("read history");
+    assert_eq!(recorded.len(), 300);
+    for (round, chunk) in inserts[300..].chunks(300).enumerate() {
+        let highest = recorded.last().map(|op| op.seq).expect("history holds ops");
+        let mut service = Store::open(StoreOptions::durable(elastic_config(3), &dir))
+            .expect("reopen the resharded directory");
+        service.insert_all(chunk);
+        service.flush();
+        drop(service);
+        let ops = history::read_history(&dir).expect("merged history stays consistent");
+        let fresh: Vec<StreamEdge> = ops
+            .iter()
+            .filter(|op| op.seq > highest)
+            .map(|op| op.edge)
+            .collect();
+        assert_eq!(
+            fresh, chunk,
+            "round {round}: every new mutation must stamp above the recorded ones, in order"
+        );
+        assert_eq!(ops.len(), recorded.len() + chunk.len(), "round {round}");
+        recorded = ops;
+    }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

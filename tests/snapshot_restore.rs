@@ -6,13 +6,17 @@
 //! to a typed `SnapshotError` (never a panic, never a silently wrong
 //! answer), and a restored-service liveness check.
 
+use higgs::history::history_file_name;
+use higgs::journal::journal_file_name;
 use higgs::snapshot::{shard_file_name, MANIFEST_FILE};
 use higgs::{
-    HiggsConfig, HiggsSummary, ShardedHiggs, SnapshotError, SnapshotManifest, Store, StoreOptions,
+    HiggsConfig, HiggsSummary, JournalMode, ShardedHiggs, SnapshotError, SnapshotManifest, Store,
+    StoreOptions,
 };
 use higgs_common::codec::CodecError;
 use higgs_common::{Query, StreamEdge, TemporalGraphSummary, TimeRange, VertexDirection};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const MAX_T: u64 = 2_000;
@@ -300,6 +304,121 @@ fn missing_shard_file_is_rejected() {
         Err(SnapshotError::MissingShard { shard: 2, .. }) => {}
         other => panic!("missing shard must be typed, got {other:?}"),
     }
+}
+
+/// Every file in `dir`, name → bytes.
+fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("list directory")
+        .map(|entry| {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("read file"))
+        })
+        .collect()
+}
+
+/// A durable (optionally elastic) service at `shards` that snapshotted
+/// `loaded_service`'s stream halfway, then journaled the rest, dropped.
+fn seed_durable_dir(dir: &Path, shards: usize, elastic: bool) -> HiggsConfig {
+    let config = HiggsConfig::builder()
+        .shards(shards)
+        .journal_mode(JournalMode::Buffered)
+        .build()
+        .expect("valid durable configuration");
+    let mut service =
+        Store::open(StoreOptions::durable(config, dir).elastic(elastic)).expect("durable service");
+    let edges: Vec<StreamEdge> = (0..4_000u64)
+        .map(|i| StreamEdge::new(i % 150, (i * 13) % 150, 1 + i % 4, i / 2))
+        .collect();
+    service.insert_all(&edges[..2_000]);
+    service.snapshot_to_dir(dir).expect("snapshot");
+    service.insert_all(&edges[2_000..]);
+    service.flush();
+    config
+}
+
+/// Recovery runs all shards in parallel, yet a failed open reports the
+/// lowest failing shard every time, and writes nothing: the logs are armed
+/// (torn tails trimmed, stale journals reset) only after every shard
+/// validated.
+#[test]
+fn failed_open_is_deterministic_and_writes_nothing() {
+    let dir = TempDir::new("lowest-failure");
+    let config = seed_durable_dir(dir.path(), 4, false);
+    // Swap the files of shards 1 and 3: each is a valid snapshot document,
+    // so both fail only the manifest's checksum cross-check.
+    let (one, three) = (
+        dir.path().join(shard_file_name(1)),
+        dir.path().join(shard_file_name(3)),
+    );
+    let (bytes1, bytes3) = (
+        std::fs::read(&one).expect("read shard 1"),
+        std::fs::read(&three).expect("read shard 3"),
+    );
+    std::fs::write(&one, &bytes3).expect("write shard 1");
+    std::fs::write(&three, &bytes1).expect("write shard 3");
+    // A torn journal tail that arming would trim.
+    let journal = dir.path().join(journal_file_name(0));
+    let mut torn = std::fs::read(&journal).expect("read journal");
+    torn.extend_from_slice(&[0x29, 0x00]);
+    std::fs::write(&journal, &torn).expect("tear journal");
+    let before = dir_contents(dir.path());
+
+    for attempt in 0..20 {
+        for options in [
+            StoreOptions::durable(config, dir.path()),
+            StoreOptions::restore(dir.path()),
+        ] {
+            match Store::open(options) {
+                Err(SnapshotError::ShardChecksumMismatch { shard: 1, .. }) => {}
+                other => panic!("attempt {attempt}: expected shard 1's mismatch, got {other:?}"),
+            }
+            assert!(
+                dir_contents(dir.path()) == before,
+                "attempt {attempt}: a failed open changed the directory"
+            );
+        }
+    }
+}
+
+/// On an elastic directory a failed recovery never reaches the arm phase,
+/// so a torn history tail is still there afterwards.
+#[test]
+fn failed_elastic_open_leaves_the_torn_history_tail() {
+    let dir = TempDir::new("elastic-torn");
+    let config = seed_durable_dir(dir.path(), 2, true);
+    let history = dir.path().join(history_file_name(0, 0));
+    let mut torn = std::fs::read(&history).expect("read history");
+    torn.extend_from_slice(&[0x31, 0x00, 0x00]);
+    std::fs::write(&history, &torn).expect("tear history");
+    let shard = dir.path().join(shard_file_name(1));
+    let mut bytes = std::fs::read(&shard).expect("read shard 1");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&shard, &bytes).expect("corrupt shard 1");
+    let before = dir_contents(dir.path());
+
+    let err = Store::open(StoreOptions::durable(config, dir.path()).elastic(true))
+        .expect_err("a corrupt shard file fails the open");
+    assert!(
+        matches!(
+            err,
+            SnapshotError::Codec(_)
+                | SnapshotError::Corrupt(_)
+                | SnapshotError::ShardChecksumMismatch { shard: 1, .. }
+        ),
+        "unexpected error: {err:?}"
+    );
+    assert_eq!(
+        std::fs::read(&history).expect("read history"),
+        torn,
+        "the torn history tail must survive a failed open"
+    );
+    assert!(
+        dir_contents(dir.path()) == before,
+        "a failed open changed the directory"
+    );
 }
 
 #[test]
