@@ -1,7 +1,8 @@
 //! Criterion bench for the write-ahead journal: what durability costs on
 //! the ingest path, and how fast a crashed service comes back.
 //!
-//! Five ids, all at 2 shards over the same synthetic stream:
+//! Seven ids over the same synthetic stream, all but the last two at 2
+//! shards:
 //!
 //! * `ingest/off` — the no-journal baseline: a durable service with
 //!   [`JournalMode::Off`] pays directory recovery but writes nothing.
@@ -22,13 +23,18 @@
 //!   restores, replays and re-arms both shards in parallel, and re-arming
 //!   reads each history file once, for its torn tail and its highest
 //!   sequence number.
+//! * `snapshot/write` — one summary holding the whole stream encoded as a
+//!   snapshot document into memory: the format's encoder and checksum,
+//!   without the disk.
+//! * `snapshot/restore` — that document decoded and verified back into a
+//!   summary.
 //!
 //! Recovery correctness is asserted (replayed item count matches the
 //! ingested stream) before any number is trusted. All ids feed
 //! `BENCH_journal.json` for the CI perf-regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use higgs::{HiggsConfig, JournalMode, Store, StoreOptions};
+use higgs::{HiggsConfig, HiggsSummary, JournalMode, Store, StoreOptions};
 use higgs_common::{StreamEdge, TemporalGraphSummary};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -167,6 +173,31 @@ fn bench_journal(c: &mut Criterion) {
         })
     });
     let _ = std::fs::remove_dir_all(&elastic_dir);
+
+    // Snapshot codec: one summary holding the stream, encoded to and
+    // decoded from memory, so the ids time the format and not the disk.
+    let mut summary = HiggsSummary::new(HiggsConfig::paper_default());
+    summary.insert_all(&edges);
+    let mut document = Vec::new();
+    summary.write_snapshot(&mut document).expect("snapshot");
+    group.bench_function("snapshot/write", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(document.len());
+            black_box(summary.write_snapshot(&mut out).expect("snapshot"));
+            out
+        })
+    });
+    group.bench_function("snapshot/restore", |b| {
+        b.iter(|| {
+            let restored = HiggsSummary::read_snapshot(&mut document.as_slice()).expect("restore");
+            assert_eq!(
+                restored.total_items(),
+                EDGES,
+                "restore must keep every item"
+            );
+            restored
+        })
+    });
     group.finish();
 }
 

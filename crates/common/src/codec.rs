@@ -1,54 +1,30 @@
-//! Binary encoding substrate for persistence: little-endian primitive
-//! encode/decode over `std::io`, length-prefixed sections, and a running
-//! FNV-1a checksum.
+//! Binary encoding substrate for persistence: little-endian primitives
+//! appended to an in-memory buffer, a bounds-checked cursor that reads them
+//! back from a byte slice, and length-prefixed sections.
 //!
 //! The workspace has no serialisation dependency, so snapshot and log files
 //! are written with this small, fully deterministic codec. Design points:
 //!
 //! * **Little-endian, fixed-width integers.** Every primitive is written in
-//!   LE byte order at its natural width, so a snapshot is byte-identical
-//!   across platforms and re-encoding an unchanged structure reproduces the
-//!   file bit for bit (the property the snapshot round-trip tests pin down).
+//!   LE byte order at its natural width, so a file is byte-identical across
+//!   platforms and re-encoding an unchanged structure reproduces it bit for
+//!   bit (the property the snapshot round-trip tests pin down).
+//! * **Whole documents in memory.** Writers encode into one `Vec<u8>` and
+//!   hand it to the sink in one write; readers decode from a slice holding
+//!   the whole document. A count read from the bytes can therefore be
+//!   checked against the bytes actually present ([`Reader::items`]) before
+//!   anything is allocated for it.
 //! * **Length-prefixed sections.** Aggregates are framed as
-//!   `tag: u16 | len: u64 | payload` via [`Encoder::section`] /
-//!   [`Decoder::section_header`]. A reader can verify it consumed exactly
-//!   `len` bytes ([`Decoder::expect_section_end`]) and a future format
-//!   version can skip unknown trailing sections without understanding them.
-//! * **Running FNV-1a checksum.** Both sides fold every byte into a 64-bit
-//!   FNV-1a state ([`Encoder::checksum`] / [`Decoder::checksum`]); writers
-//!   finish a file with [`Encoder::finish_with_checksum`] and readers verify
-//!   with [`Decoder::verify_checksum`], so truncation and bit corruption are
-//!   detected before any partially decoded structure is used.
+//!   `tag: u16 | len: u64 | payload` via [`begin_section`] / [`end_section`]
+//!   and [`Reader::section_header`]. A reader can verify it consumed exactly
+//!   `len` bytes ([`Reader::expect_section_end`]).
 //!
-//! The codec itself is version-agnostic: file magic and version numbers are
-//! the caller's concern (see the `snapshot` module of the `higgs` crate for
-//! the format built on top of this layer).
+//! The codec carries no checksum and no version: file magic, versions and
+//! checksums are the caller's concern (see the `snapshot` and `framing`
+//! modules of the `higgs` crate for the formats built on top of this layer).
 
+use crate::edge::StreamEdge;
 use std::fmt;
-use std::io::{Read, Write};
-
-/// Offset basis of 64-bit FNV-1a.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// Prime of 64-bit FNV-1a.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a state (checksum of a whole buffer when
-/// started from the default state).
-#[inline]
-pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut hash = state;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// The initial FNV-1a state both codec halves start from.
-#[inline]
-pub fn fnv1a_init() -> u64 {
-    FNV_OFFSET
-}
 
 /// Why an encode or decode operation failed.
 #[derive(Debug)]
@@ -91,173 +67,157 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// Checksumming little-endian writer over any [`Write`] sink.
-#[derive(Debug)]
-pub struct Encoder<W: Write> {
-    sink: W,
-    checksum: u64,
-    written: u64,
+/// Appends a `u16` in little-endian order.
+#[inline]
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
-impl<W: Write> Encoder<W> {
-    /// Wraps `sink`, starting a fresh checksum.
-    pub fn new(sink: W) -> Self {
+/// Appends a `u32` in little-endian order.
+#[inline]
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64` in little-endian order.
+#[inline]
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `i64` in little-endian two's-complement order.
+#[inline]
+pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `bool` as one byte (`0` / `1`).
+#[inline]
+pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
+    buf.push(u8::from(v));
+}
+
+/// Appends one edge as four LE `u64`s (source, destination, weight,
+/// timestamp).
+#[inline]
+pub fn put_edge(buf: &mut Vec<u8>, edge: &StreamEdge) {
+    put_u64(buf, edge.src);
+    put_u64(buf, edge.dst);
+    put_u64(buf, edge.weight);
+    put_u64(buf, edge.timestamp);
+}
+
+/// Opens a section: appends `tag` and a placeholder length, returning the
+/// offset [`end_section`] patches once the payload is written.
+#[inline]
+pub fn begin_section(buf: &mut Vec<u8>, tag: u16) -> usize {
+    put_u16(buf, tag);
+    put_u64(buf, 0);
+    buf.len()
+}
+
+/// Closes the section [`begin_section`] opened at `payload_start`: writes the
+/// payload's byte length into its header.
+#[inline]
+pub fn end_section(buf: &mut [u8], payload_start: usize) {
+    let len = (buf.len() - payload_start) as u64;
+    if let Some(field) = buf
+        .get_mut(..payload_start)
+        .and_then(|head| head.last_chunk_mut::<8>())
+    {
+        *field = len.to_le_bytes();
+    }
+}
+
+/// A little-endian cursor over an in-memory document: the read side of the
+/// `put_*` helpers. Every read is bounds-checked; running out of bytes is
+/// [`CodecError::UnexpectedEof`].
+#[derive(Clone, Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+    consumed: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
         Self {
-            sink,
-            checksum: fnv1a_init(),
-            written: 0,
+            rest: bytes,
+            consumed: 0,
         }
     }
 
-    /// The running FNV-1a checksum over every byte written so far.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
+    /// Bytes read so far.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.consumed
     }
 
-    /// Number of bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.written
+    /// Bytes left to read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
     }
 
-    /// Writes raw bytes, folding them into the checksum.
-    pub fn put_bytes(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.sink.write_all(bytes)?;
-        self.checksum = fnv1a(self.checksum, bytes);
-        self.written += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Writes one byte.
-    pub fn put_u8(&mut self, v: u8) -> Result<(), CodecError> {
-        self.put_bytes(&[v])
-    }
-
-    /// Writes a `u16` in little-endian order.
-    pub fn put_u16(&mut self, v: u16) -> Result<(), CodecError> {
-        self.put_bytes(&v.to_le_bytes())
-    }
-
-    /// Writes a `u32` in little-endian order.
-    pub fn put_u32(&mut self, v: u32) -> Result<(), CodecError> {
-        self.put_bytes(&v.to_le_bytes())
-    }
-
-    /// Writes a `u64` in little-endian order.
-    pub fn put_u64(&mut self, v: u64) -> Result<(), CodecError> {
-        self.put_bytes(&v.to_le_bytes())
-    }
-
-    /// Writes an `i64` in little-endian two's-complement order.
-    pub fn put_i64(&mut self, v: i64) -> Result<(), CodecError> {
-        self.put_bytes(&v.to_le_bytes())
-    }
-
-    /// Writes a `bool` as one byte (`0` / `1`).
-    pub fn put_bool(&mut self, v: bool) -> Result<(), CodecError> {
-        self.put_u8(u8::from(v))
-    }
-
-    /// Writes a length-prefixed section: `tag | len | payload`. The payload
-    /// is a fully pre-encoded byte buffer (build it with an in-memory
-    /// [`Encoder`] over a `Vec<u8>`), so the length prefix is always exact.
-    pub fn section(&mut self, tag: u16, payload: &[u8]) -> Result<(), CodecError> {
-        self.put_u16(tag)?;
-        self.put_u64(payload.len() as u64)?;
-        self.put_bytes(payload)
-    }
-
-    /// Appends the running checksum as the final `u64` of the document and
-    /// returns it. The checksum field itself is (necessarily) not covered by
-    /// the checksum; [`Decoder::verify_checksum`] mirrors that.
-    pub fn finish_with_checksum(&mut self) -> Result<u64, CodecError> {
-        let checksum = self.checksum;
-        self.sink.write_all(&checksum.to_le_bytes())?;
-        self.written += 8;
-        Ok(checksum)
-    }
-
-    /// Flushes and returns the underlying sink.
-    pub fn into_inner(mut self) -> Result<W, CodecError> {
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-/// Checksumming little-endian reader over any [`Read`] source.
-#[derive(Debug)]
-pub struct Decoder<R: Read> {
-    source: R,
-    checksum: u64,
-    read: u64,
-}
-
-impl<R: Read> Decoder<R> {
-    /// Wraps `source`, starting a fresh checksum.
-    pub fn new(source: R) -> Self {
-        Self {
-            source,
-            checksum: fnv1a_init(),
-            read: 0,
+    /// Reads the next `n` bytes as a slice of the document.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.rest.len() {
+            return Err(CodecError::UnexpectedEof);
         }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        self.consumed += n;
+        Ok(head)
     }
 
-    /// The running FNV-1a checksum over every byte read so far.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-
-    /// Number of bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.read
-    }
-
-    /// Reads exactly `buf.len()` bytes, folding them into the checksum.
-    pub fn get_bytes(&mut self, buf: &mut [u8]) -> Result<(), CodecError> {
-        self.source.read_exact(buf)?;
-        self.checksum = fnv1a(self.checksum, buf);
-        self.read += buf.len() as u64;
-        Ok(())
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEof)?;
+        self.rest = rest;
+        self.consumed += N;
+        Ok(*head)
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        let mut buf = [0u8; 1];
-        self.get_bytes(&mut buf)?;
-        Ok(buf[0])
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take::<1>()?[0])
     }
 
     /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        let mut buf = [0u8; 2];
-        self.get_bytes(&mut buf)?;
-        Ok(u16::from_le_bytes(buf))
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        Ok(u16::from_le_bytes(self.take()?))
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        let mut buf = [0u8; 4];
-        self.get_bytes(&mut buf)?;
-        Ok(u32::from_le_bytes(buf))
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        let mut buf = [0u8; 8];
-        self.get_bytes(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     /// Reads a little-endian two's-complement `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        let mut buf = [0u8; 8];
-        self.get_bytes(&mut buf)?;
-        Ok(i64::from_le_bytes(buf))
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, CodecError> {
+        Ok(i64::from_le_bytes(self.take()?))
     }
 
     /// Reads a `bool` byte, rejecting values other than `0` / `1` (any other
-    /// value means the stream is corrupt or misaligned).
-    pub fn get_bool(&mut self) -> Result<bool, CodecError> {
-        match self.get_u8()? {
+    /// value means the document is corrupt or misaligned).
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(CodecError::Invalid(format!(
@@ -266,31 +226,63 @@ impl<R: Read> Decoder<R> {
         }
     }
 
-    /// Reads a `usize`-bounded length field: a `u64` that must not exceed
-    /// `limit` (guards against corrupt lengths driving huge allocations).
-    pub fn get_len(&mut self, limit: u64, what: &str) -> Result<usize, CodecError> {
-        let len = self.get_u64()?;
-        if len > limit {
+    /// Reads a count that must not exceed `limit` (guards against a corrupt
+    /// count driving a huge allocation).
+    #[inline]
+    pub fn count(&mut self, limit: u64, what: &str) -> Result<usize, CodecError> {
+        let count = self.u64()?;
+        if count > limit {
             return Err(CodecError::Invalid(format!(
-                "{what} length {len} exceeds limit {limit}"
+                "{what} length {count} exceeds limit {limit}"
             )));
         }
-        Ok(len as usize)
+        Ok(count as usize)
+    }
+
+    /// Reads a [`count`](Self::count) of items that each take at least
+    /// `item_bytes` bytes, and checks that many could still follow: a count
+    /// the rest of the document cannot hold is a truncation, reported before
+    /// the caller allocates for it.
+    #[inline]
+    pub fn items(
+        &mut self,
+        limit: u64,
+        item_bytes: usize,
+        what: &str,
+    ) -> Result<usize, CodecError> {
+        let count = self.count(limit, what)?;
+        if count.saturating_mul(item_bytes) > self.rest.len() {
+            return Err(CodecError::UnexpectedEof);
+        }
+        Ok(count)
+    }
+
+    /// Reads one edge written by [`put_edge`].
+    #[inline]
+    pub fn edge(&mut self) -> Result<StreamEdge, CodecError> {
+        Ok(StreamEdge {
+            src: self.u64()?,
+            dst: self.u64()?,
+            weight: self.u64()?,
+            timestamp: self.u64()?,
+        })
     }
 
     /// Reads a section header, returning `(tag, payload length)`. Callers
-    /// decode the payload with the same decoder (the checksum keeps running)
-    /// and then check consumption with [`expect_section_end`](Self::expect_section_end).
+    /// decode the payload with the same cursor and then check consumption
+    /// with [`expect_section_end`](Self::expect_section_end).
+    #[inline]
     pub fn section_header(&mut self) -> Result<(u16, u64), CodecError> {
-        let tag = self.get_u16()?;
-        let len = self.get_u64()?;
+        let tag = self.u16()?;
+        let len = self.u64()?;
         Ok((tag, len))
     }
 
     /// Verifies that exactly `len` payload bytes were consumed since
-    /// `start` (= [`bytes_read`](Self::bytes_read) right after the header).
-    pub fn expect_section_end(&self, start: u64, len: u64, tag: u16) -> Result<(), CodecError> {
-        let consumed = self.read - start;
+    /// `start` (= [`position`](Self::position) right after the header).
+    #[inline]
+    pub fn expect_section_end(&self, start: usize, len: u64, tag: u16) -> Result<(), CodecError> {
+        let consumed = (self.consumed - start) as u64;
         if consumed != len {
             return Err(CodecError::Invalid(format!(
                 "section {tag:#06x} declared {len} payload bytes but {consumed} were consumed"
@@ -299,21 +291,19 @@ impl<R: Read> Decoder<R> {
         Ok(())
     }
 
-    /// Reads the trailing checksum `u64` (not folded into the running state)
-    /// and compares it with the state accumulated so far. Returns the stored
-    /// checksum on success.
-    pub fn verify_checksum(&mut self) -> Result<u64, CodecError> {
-        let expected = self.checksum;
-        let mut buf = [0u8; 8];
-        self.source.read_exact(&mut buf)?;
-        self.read += 8;
-        let stored = u64::from_le_bytes(buf);
-        if stored != expected {
-            return Err(CodecError::Invalid(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {expected:#018x}"
-            )));
+    /// Checks that the decode consumed the whole input: the last step of a
+    /// decoder that owns its whole slice (a log record body, named `name`
+    /// in the error).
+    #[inline]
+    pub fn finish(self, name: &str) -> Result<(), CodecError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Invalid(format!(
+                "{name} record body has {} trailing bytes",
+                self.rest.len()
+            )))
         }
-        Ok(stored)
     }
 }
 
@@ -324,112 +314,74 @@ mod tests {
     #[test]
     fn primitives_round_trip_little_endian() {
         let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.put_u8(0xAB).unwrap();
-        enc.put_u16(0x1234).unwrap();
-        enc.put_u32(0xDEAD_BEEF).unwrap();
-        enc.put_u64(0x0123_4567_89AB_CDEF).unwrap();
-        enc.put_i64(-42).unwrap();
-        enc.put_bool(true).unwrap();
-        enc.put_bool(false).unwrap();
-        let written = enc.bytes_written();
-        let _ = enc;
-        assert_eq!(written, buf.len() as u64);
+        buf.push(0xAB);
+        put_u16(&mut buf, 0x1234);
+        put_u32(&mut buf, 0xDEAD_BEEF);
+        put_u64(&mut buf, 0x0123_4567_89AB_CDEF);
+        put_i64(&mut buf, -42);
+        put_bool(&mut buf, true);
+        put_bool(&mut buf, false);
+        let edge = StreamEdge::new(1, 2, 3, 4);
+        put_edge(&mut buf, &edge);
+        assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 8 + 2 + 32);
         // LE spot check: the u16 bytes follow the u8 lowest-byte-first.
         assert_eq!(&buf[..3], &[0xAB, 0x34, 0x12]);
 
-        let mut dec = Decoder::new(buf.as_slice());
-        assert_eq!(dec.get_u8().unwrap(), 0xAB);
-        assert_eq!(dec.get_u16().unwrap(), 0x1234);
-        assert_eq!(dec.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(dec.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(dec.get_i64().unwrap(), -42);
-        assert!(dec.get_bool().unwrap());
-        assert!(!dec.get_bool().unwrap());
-        assert_eq!(dec.bytes_read(), written);
-    }
-
-    #[test]
-    fn encoder_and_decoder_checksums_agree() {
-        let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.put_u64(7).unwrap();
-        enc.put_bytes(b"higgs").unwrap();
-        let enc_sum = enc.checksum();
-        enc.finish_with_checksum().unwrap();
-        let _ = enc;
-
-        let mut dec = Decoder::new(buf.as_slice());
-        dec.get_u64().unwrap();
-        let mut name = [0u8; 5];
-        dec.get_bytes(&mut name).unwrap();
-        assert_eq!(dec.checksum(), enc_sum);
-        assert_eq!(dec.verify_checksum().unwrap(), enc_sum);
-    }
-
-    #[test]
-    fn corrupted_byte_fails_checksum_verification() {
-        let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.put_u64(1234).unwrap();
-        enc.finish_with_checksum().unwrap();
-        let _ = enc;
-        buf[3] ^= 0x40; // flip one payload bit
-
-        let mut dec = Decoder::new(buf.as_slice());
-        dec.get_u64().unwrap();
-        let err = dec.verify_checksum().unwrap_err();
-        assert!(matches!(err, CodecError::Invalid(_)), "{err}");
-        assert!(err.to_string().contains("checksum mismatch"));
+        let mut dec = Reader::new(&buf);
+        assert_eq!(dec.u8().unwrap(), 0xAB);
+        assert_eq!(dec.u16().unwrap(), 0x1234);
+        assert_eq!(dec.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(dec.u64().unwrap(), 0x0123_4567_89AB_CDEF);
+        assert_eq!(dec.i64().unwrap(), -42);
+        assert!(dec.bool().unwrap());
+        assert!(!dec.bool().unwrap());
+        assert_eq!(dec.edge().unwrap(), edge);
+        assert_eq!(dec.position(), buf.len());
+        dec.finish("test").unwrap();
     }
 
     #[test]
     fn truncated_input_reports_unexpected_eof() {
         let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.put_u64(1).unwrap();
-        let _ = enc;
+        put_u64(&mut buf, 1);
         buf.truncate(5);
-        let mut dec = Decoder::new(buf.as_slice());
+        let mut dec = Reader::new(&buf);
+        assert!(matches!(dec.u64().unwrap_err(), CodecError::UnexpectedEof));
         assert!(matches!(
-            dec.get_u64().unwrap_err(),
+            dec.bytes(6).unwrap_err(),
             CodecError::UnexpectedEof
         ));
+        assert_eq!(dec.bytes(5).unwrap(), &buf[..]);
     }
 
     #[test]
     fn sections_frame_payloads_exactly() {
-        let mut payload = Vec::new();
-        let mut inner = Encoder::new(&mut payload);
-        inner.put_u32(99).unwrap();
-        inner.put_bool(true).unwrap();
-        let _ = inner;
-
         let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.section(0x0042, &payload).unwrap();
-        let _ = enc;
+        let start = begin_section(&mut buf, 0x0042);
+        put_u32(&mut buf, 99);
+        put_bool(&mut buf, true);
+        end_section(&mut buf, start);
 
-        let mut dec = Decoder::new(buf.as_slice());
+        let mut dec = Reader::new(&buf);
         let (tag, len) = dec.section_header().unwrap();
         assert_eq!(tag, 0x0042);
         assert_eq!(len, 5);
-        let start = dec.bytes_read();
-        assert_eq!(dec.get_u32().unwrap(), 99);
-        assert!(dec.get_bool().unwrap());
+        let start = dec.position();
+        assert_eq!(dec.u32().unwrap(), 99);
+        assert!(dec.bool().unwrap());
         dec.expect_section_end(start, len, tag).unwrap();
     }
 
     #[test]
     fn section_length_mismatch_is_detected() {
         let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.section(7, &[1, 2, 3, 4]).unwrap();
-        let _ = enc;
-        let mut dec = Decoder::new(buf.as_slice());
+        let start = begin_section(&mut buf, 7);
+        buf.extend_from_slice(&[1, 2, 3, 4]);
+        end_section(&mut buf, start);
+        let mut dec = Reader::new(&buf);
         let (tag, len) = dec.section_header().unwrap();
-        let start = dec.bytes_read();
-        let _ = dec.get_u8().unwrap(); // consume only 1 of 4 payload bytes
+        let start = dec.position();
+        let _ = dec.u8().unwrap(); // consume only 1 of 4 payload bytes
         let err = dec.expect_section_end(start, len, tag).unwrap_err();
         assert!(err.to_string().contains("declared 4"));
     }
@@ -437,28 +389,23 @@ mod tests {
     #[test]
     fn bounded_lengths_reject_huge_values() {
         let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf);
-        enc.put_u64(u64::MAX).unwrap();
-        let _ = enc;
-        let mut dec = Decoder::new(buf.as_slice());
-        let err = dec.get_len(1 << 20, "leaf count").unwrap_err();
+        put_u64(&mut buf, u64::MAX);
+        let err = Reader::new(&buf).count(1 << 20, "leaf count").unwrap_err();
         assert!(err.to_string().contains("leaf count"));
+        // Within the limit, but more items than the remaining bytes hold.
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 3);
+        buf.extend_from_slice(&[0; 16]);
+        assert!(matches!(
+            Reader::new(&buf).items(1 << 20, 8, "slots").unwrap_err(),
+            CodecError::UnexpectedEof
+        ));
+        assert_eq!(Reader::new(&buf).items(1 << 20, 5, "slots").unwrap(), 3);
     }
 
     #[test]
     fn bool_bytes_other_than_zero_or_one_are_invalid() {
-        let mut dec = Decoder::new([7u8].as_slice());
-        assert!(matches!(
-            dec.get_bool().unwrap_err(),
-            CodecError::Invalid(_)
-        ));
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(fnv1a_init(), b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(fnv1a_init(), b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(fnv1a_init(), b"foobar"), 0x8594_4171_f739_67e8);
+        let mut dec = Reader::new(&[7u8]);
+        assert!(matches!(dec.bool().unwrap_err(), CodecError::Invalid(_)));
     }
 }

@@ -14,9 +14,9 @@
 //!   can share query plans) and composed path/subgraph queries,
 //! * an exact ground-truth store ([`ExactTemporalGraph`]) for measuring
 //!   average absolute / relative error,
-//! * the binary persistence codec ([`codec`]): checksummed little-endian
-//!   encode/decode with length-prefixed sections, the substrate of the
-//!   `higgs` crate's snapshot format,
+//! * the binary persistence codec ([`codec`]): little-endian encode into a
+//!   buffer and bounds-checked decode from a slice, with length-prefixed
+//!   sections, the substrate of the `higgs` crate's snapshot and log formats,
 //! * synthetic workload generators reproducing the skewed, bursty character
 //!   of the paper's datasets (Lkml, Wikipedia-talk, Stackoverflow),
 //! * the error / throughput / latency / space metrics of Section VI, and
@@ -50,7 +50,7 @@ pub mod query;
 pub mod simd;
 pub mod time;
 
-pub use codec::{CodecError, Decoder, Encoder};
+pub use codec::CodecError;
 pub use edge::{GraphStream, StreamEdge, StreamStats, VertexId, Weight};
 pub use exact::ExactTemporalGraph;
 pub use hashing::{

@@ -9,7 +9,15 @@
 //! for the byte layout). This module writes and validates the header, re-arms
 //! an existing file for appending, does the framed append and the sync, and
 //! owns the one frame scanner, [`scan_frames`], with the torn-tail and
-//! interior-corruption rules the journal's module docs state.
+//! interior-corruption rules the journal's module docs state. Record bodies
+//! are encoded and decoded with the little-endian primitives of
+//! [`higgs_common::codec`].
+//!
+//! Re-arming is split in two so a reopen reads each file once: [`scan_log`]
+//! verifies a file read-only and reports what it found as a [`LogScan`], and
+//! [`LogFile::arm_scanned`] opens it for appending from that report without
+//! reading it again (writing a fresh header, restamping a stale file or
+//! trimming a torn tail).
 //!
 //! # Frame checksum (format version 2)
 //!
@@ -22,14 +30,14 @@
 //! for a fixed input and of the input for a fixed state, and the avalanche is
 //! a bijection too, so two bodies of one length that differ in a single
 //! aligned word (any bit flips confined to it) or in a single tail byte
-//! always checksum differently. Version 1 folded every byte through the
-//! byte-serial FNV-1a of the shared codec; its files are refused with the
-//! typed "unsupported … format version" error. Snapshot files keep FNV-1a.
+//! always checksum differently. Version 1 folded every byte through a
+//! byte-serial FNV-1a; its files are refused with the typed "unsupported …
+//! format version" error. Snapshot files (format version 2) close with this
+//! same checksum, taken over the whole document.
 
 use crate::config::JournalMode;
 use crate::journal::{failpoint, JournalError};
 use higgs_common::codec::CodecError;
-use higgs_common::StreamEdge;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -42,7 +50,7 @@ use std::path::{Path, PathBuf};
 pub(crate) const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// Upper bound on the edge count of one insert-batch record (decode-side
-/// allocation guard, mirroring the snapshot module's `MAX_PREALLOC`).
+/// allocation guard).
 pub(crate) const MAX_BATCH_EDGES: u64 = 1 << 16;
 
 /// Byte length of the magic + version prefix every header starts with.
@@ -127,67 +135,61 @@ pub(crate) struct LogFile {
 }
 
 impl LogFile {
-    /// Opens (creating if absent) shard `shard`'s log at `path` for
-    /// appending.
+    /// Opens shard `shard`'s log at `path` for appending from what a
+    /// [`scan_log`] of it under the same `stamp` found, without reading it
+    /// again:
     ///
-    /// * A fresh file, or one shorter than its header, gets a clean header
-    ///   (carrying `stamp` in a stamped format) written and synced.
-    /// * An existing file of a stamped format whose stamp is not `stamp` is
-    ///   stale and reset to an empty log carrying `stamp`.
-    /// * Otherwise the file is extended in place after any torn trailing
-    ///   record (a crash mid-append) is trimmed, so new records always start
-    ///   at a clean record boundary. Every complete frame on the way has its
-    ///   checksum verified and its body handed to `check` (the caller's
-    ///   decoder, which also gathers what it needs, such as the history's
-    ///   highest sequence number), so re-arming is a full verified read of
-    ///   the file; a failure is typed corruption.
+    /// * [`LogScan::Empty`]: a clean header (carrying `stamp` in a stamped
+    ///   format) is written and synced.
+    /// * [`LogScan::Stale`]: the file is reset to an empty log carrying
+    ///   `stamp`.
+    /// * [`LogScan::Clean`]: the file is extended in place after any torn
+    ///   trailing record (a crash mid-append) is trimmed, so new records
+    ///   always start at a clean record boundary. Appending after torn
+    ///   partial bytes would make the *next* scan stop at (or report Corrupt
+    ///   for) the tear, silently discarding every record appended after it.
     ///
-    /// `mode` must not be [`JournalMode::Off`] (callers gate on the mode
-    /// before arming a log).
-    pub(crate) fn arm(
+    /// The file must not have changed since the scan; one shorter than the
+    /// scan's clean end is typed corruption. `mode` must not be
+    /// [`JournalMode::Off`] (callers gate on the mode before arming a log).
+    pub(crate) fn arm_scanned(
         format: &'static LogFormat,
         path: PathBuf,
         shard: usize,
         mode: JournalMode,
         stamp: u64,
-        check: impl FnMut(&[u8]) -> Result<(), CodecError>,
+        scan: LogScan,
     ) -> Result<Self, JournalError> {
         debug_assert!(mode != JournalMode::Off, "Off never arms a log");
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len < format.header_len() {
-            // The file is in append mode, so each write lands at EOF.
-            file.set_len(0)?;
-            file.write_all(format.magic)?;
-            file.write_all(&format.version.to_le_bytes())?;
-            if format.stamped {
-                file.write_all(&stamp.to_le_bytes())?;
+        // Append mode: every write lands at EOF.
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        match scan {
+            LogScan::Empty => {
+                file.set_len(0)?;
+                file.write_all(format.magic)?;
+                file.write_all(&format.version.to_le_bytes())?;
+                if format.stamped {
+                    file.write_all(&stamp.to_le_bytes())?;
+                }
+                file.sync_all()?;
             }
-            file.sync_all()?;
-        } else {
-            let stored = format.read_header(&mut file, shard)?;
-            if format.stamped && stored != stamp {
-                restamp(&mut file, stamp)?;
-            } else {
-                // Appending after torn partial bytes would make the *next*
-                // scan stop at (or report Corrupt for) the tear, silently
-                // discarding every record appended after it.
-                let clean_end = scan_frames(
-                    &mut BufReader::new(&mut file),
-                    format,
-                    shard,
-                    format.header_len(),
-                    check,
-                )?;
+            LogScan::Stale => restamp(&mut file, stamp)?,
+            LogScan::Clean { clean_end } => {
+                let len = file.metadata()?.len();
+                if len < clean_end {
+                    return Err(JournalError::Corrupt {
+                        shard,
+                        record: 0,
+                        detail: format!(
+                            "{} file shrank to {len} bytes after a scan verified {clean_end}",
+                            format.name
+                        ),
+                    });
+                }
                 if clean_end < len {
                     file.set_len(clean_end)?;
                     file.sync_all()?;
                 }
-                file.seek(SeekFrom::End(0))?;
             }
         }
         Ok(Self {
@@ -285,6 +287,46 @@ pub(crate) fn open_reader(
     }
     let stamp = format.read_header(&mut file, shard)?;
     Ok(Some((BufReader::new(file), stamp)))
+}
+
+/// What a read-only verifying scan of one log file found ([`scan_log`]):
+/// everything [`LogFile::arm_scanned`] needs to open the file for appending
+/// without reading it again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LogScan {
+    /// The file is missing or shorter than its header: nothing was ever
+    /// recorded.
+    Empty,
+    /// A stamped file carrying another stamp than the one scanned for: its
+    /// records predate the covering snapshot, which already holds them.
+    Stale,
+    /// Every complete record verified; nothing but a torn tail lies past
+    /// `clean_end`.
+    Clean {
+        /// One past the last complete record ([`scan_frames`]' return).
+        clean_end: u64,
+    },
+}
+
+/// Verifies shard `shard`'s log at `path` read-only, handing every complete
+/// record body, in append order, to `on_body`: its header is validated and,
+/// unless the file is missing, short or (in a stamped format) stamped other
+/// than `stamp`, every frame is scanned under [`scan_frames`]' rules.
+pub(crate) fn scan_log(
+    format: &LogFormat,
+    path: &Path,
+    shard: usize,
+    stamp: u64,
+    on_body: impl FnMut(&[u8]) -> Result<(), CodecError>,
+) -> Result<LogScan, JournalError> {
+    let Some((mut reader, stored)) = open_reader(format, path, shard)? else {
+        return Ok(LogScan::Empty);
+    };
+    if format.stamped && stored != stamp {
+        return Ok(LogScan::Stale);
+    }
+    let clean_end = scan_frames(&mut reader, format, shard, format.header_len(), on_body)?;
+    Ok(LogScan::Clean { clean_end })
 }
 
 /// The frame scanner behind every log read: reads frames from `source`
@@ -408,87 +450,6 @@ pub(crate) fn frame_checksum(body: &[u8]) -> u64 {
     state ^= state >> 33;
     state = state.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     state ^ (state >> 33)
-}
-
-/// Appends `v` to a record body in little-endian order.
-pub(crate) fn put_u64(body: &mut Vec<u8>, v: u64) {
-    body.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends one edge as four LE `u64`s (source, destination, weight,
-/// timestamp), the layout both logs' payloads share.
-pub(crate) fn put_edge(body: &mut Vec<u8>, edge: &StreamEdge) {
-    put_u64(body, edge.src);
-    put_u64(body, edge.dst);
-    put_u64(body, edge.weight);
-    put_u64(body, edge.timestamp);
-}
-
-/// A little-endian cursor over one checksum-verified record body: the read
-/// side of [`put_u64`] and [`put_edge`], shared by both logs' decoders.
-pub(crate) struct BodyReader<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> BodyReader<'a> {
-    /// A cursor at the start of `body`.
-    pub(crate) fn new(body: &'a [u8]) -> Self {
-        Self { rest: body }
-    }
-
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        let (head, rest) = self
-            .rest
-            .split_first_chunk::<N>()
-            .ok_or(CodecError::UnexpectedEof)?;
-        self.rest = rest;
-        Ok(*head)
-    }
-
-    /// Reads one byte.
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take::<1>()?[0])
-    }
-
-    /// Reads a little-endian `u64`.
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    /// Reads a count that must not exceed `limit` (guards against a corrupt
-    /// count driving a huge allocation).
-    pub(crate) fn count(&mut self, limit: u64, what: &str) -> Result<usize, CodecError> {
-        let count = self.u64()?;
-        if count > limit {
-            return Err(CodecError::Invalid(format!(
-                "{what} length {count} exceeds limit {limit}"
-            )));
-        }
-        Ok(count as usize)
-    }
-
-    /// Reads one edge written by [`put_edge`].
-    pub(crate) fn edge(&mut self) -> Result<StreamEdge, CodecError> {
-        Ok(StreamEdge {
-            src: self.u64()?,
-            dst: self.u64()?,
-            weight: self.u64()?,
-            timestamp: self.u64()?,
-        })
-    }
-
-    /// Checks that the decode consumed the whole body: the last step of
-    /// both codecs' decoders.
-    pub(crate) fn finish(self, name: &str) -> Result<(), CodecError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(CodecError::Invalid(format!(
-                "{name} record body has {} trailing bytes",
-                self.rest.len()
-            )))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -56,15 +56,17 @@
 //! **Format version 2** checksums each record a word at a time (one multiply
 //! step per 8 bytes, tail bytes folded singly, a final avalanche; see the
 //! framing core's docs), which detects every change confined to one aligned
-//! 8-byte word of a record. Version 1 used the byte-serial FNV-1a of the
-//! snapshot codec; a version-1 file is refused with a typed "unsupported
-//! history format version" [`JournalError::Corrupt`].
+//! 8-byte word of a record. Version 1 used a byte-serial FNV-1a; a version-1
+//! file is refused with a typed "unsupported history format version"
+//! [`JournalError::Corrupt`].
 //!
 //! Re-arming a file for appending ([`HistoryLog::open`]) verifies and
-//! decodes every complete record on its way to the torn tail, and hands the
-//! file's highest sequence number to the store's open path, so a reopen reads
-//! each current-generation byte once and only the older, immutable
-//! generations a second time.
+//! decodes every complete record on its way to the torn tail. The store's
+//! open path splits that in two: a read-only scan (`HistoryLog::scan`)
+//! runs beside the shards' snapshot restores and journal replays and reports
+//! the file's clean end and highest sequence number, and arming then trusts
+//! that report (`HistoryLog::arm_scanned`). So a reopen reads each history
+//! byte once, off the writers' critical path.
 //!
 //! # Duplicate sequence numbers
 //!
@@ -76,9 +78,9 @@
 //! storage corruption and fail typed.
 
 use crate::config::JournalMode;
-use crate::framing::{self, put_edge, put_u64, BodyReader, LogFile, LogFormat, MAX_BATCH_EDGES};
+use crate::framing::{self, LogFile, LogFormat, LogScan, MAX_BATCH_EDGES};
 use crate::journal::JournalError;
-use higgs_common::codec::CodecError;
+use higgs_common::codec::{put_edge, put_u64, CodecError, Reader};
 use higgs_common::StreamEdge;
 use std::path::{Path, PathBuf};
 
@@ -163,24 +165,42 @@ impl HistoryLog {
         shard: usize,
         mode: JournalMode,
     ) -> Result<Self, JournalError> {
-        Self::arm(dir, gen, shard, mode).map(|(log, _)| log)
+        let (scan, _) = Self::scan(dir, gen, shard)?;
+        Self::arm_scanned(dir, gen, shard, mode, scan)
     }
 
-    /// [`open`](Self::open), also returning the highest sequence number the
-    /// file already held (`None` when it held no record). The re-arm scan
-    /// decodes every complete record anyway, so this costs no second read.
-    pub(crate) fn arm(
+    /// Verifies generation `gen`, shard `shard`'s history file read-only:
+    /// every complete record's checksum and decode, its clean end, and the
+    /// highest sequence number it holds (`None` when it holds no record).
+    /// Writes nothing, so the store's open runs it beside the shard
+    /// recoveries.
+    pub(crate) fn scan(
+        dir: &Path,
+        gen: u64,
+        shard: usize,
+    ) -> Result<(LogScan, Option<u64>), JournalError> {
+        let path = dir.join(history_file_name(gen, shard));
+        let mut max = None;
+        let scan = framing::scan_log(&FORMAT, &path, shard, 0, |body| {
+            decode_body(body, |op| max = max.max(Some(op.seq)))
+        })?;
+        Ok((scan, max))
+    }
+
+    /// Opens generation `gen`, shard `shard`'s history log for appending
+    /// from what a [`scan`](Self::scan) of it found, without reading it
+    /// again: a fresh header for a missing file, a trimmed torn tail
+    /// otherwise.
+    pub(crate) fn arm_scanned(
         dir: &Path,
         gen: u64,
         shard: usize,
         mode: JournalMode,
-    ) -> Result<(Self, Option<u64>), JournalError> {
+        scan: LogScan,
+    ) -> Result<Self, JournalError> {
         let path = dir.join(history_file_name(gen, shard));
-        let mut max = None;
-        let log = LogFile::arm(&FORMAT, path, shard, mode, 0, |body| {
-            decode_body(body, |op| max = max.max(Some(op.seq)))
-        })?;
-        Ok((Self { log }, max))
+        let log = LogFile::arm_scanned(&FORMAT, path, shard, mode, 0, scan)?;
+        Ok(Self { log })
     }
 
     /// Path of the history file (diagnostics and tests).
@@ -236,8 +256,8 @@ impl HistoryLog {
 /// frame scanner), handing each op to `visit` in record order. On an error
 /// `visit` may have seen part of the record; every caller discards it.
 fn decode_body(body: &[u8], mut visit: impl FnMut(HistoryOp)) -> Result<(), CodecError> {
-    let mut dec = BodyReader::new(body);
-    let mut op = |dec: &mut BodyReader<'_>, kind| -> Result<(), CodecError> {
+    let mut dec = Reader::new(body);
+    let mut op = |dec: &mut Reader<'_>, kind| -> Result<(), CodecError> {
         let seq = dec.u64()?;
         visit(HistoryOp {
             seq,
@@ -344,7 +364,7 @@ pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
 /// The highest sequence number recorded in the history files of `dir` that
 /// `include(generation, shard)` selects, or `None` when they hold none. An
 /// elastic store resumes its sequence counter past the maximum over these and
-/// the files it re-arms ([`HistoryLog::arm`] reports theirs), so
+/// the files it re-arms ([`HistoryLog::scan`] reports theirs), so
 /// post-restart mutations sort after every recorded one.
 pub(crate) fn max_history_seq(
     dir: &Path,
@@ -369,15 +389,7 @@ fn scan_history(
         if !include(gen, shard) {
             continue;
         }
-        if let Some((mut reader, _)) = framing::open_reader(&FORMAT, &path, shard)? {
-            framing::scan_frames(
-                &mut reader,
-                &FORMAT,
-                shard,
-                FORMAT.header_len(),
-                &mut on_body,
-            )?;
-        }
+        framing::scan_log(&FORMAT, &path, shard, 0, &mut on_body)?;
     }
     Ok(())
 }
@@ -617,11 +629,15 @@ mod tests {
             let cut = HEADER_LEN + next(full.len() as u64 - HEADER_LEN + 1);
             std::fs::write(&path, &full[..cut as usize]).expect("tear");
             let read = max_history_seq(&dir, |_, _| true).expect("full read");
-            let (_, armed) = HistoryLog::arm(&dir, 0, 0, JournalMode::Buffered).expect("arm");
-            assert_eq!(armed, read, "case {case}, cut at byte {cut}");
-            // Re-arming the trimmed file again reports the same maximum.
-            let (_, again) = HistoryLog::arm(&dir, 0, 0, JournalMode::Buffered).expect("re-arm");
-            assert_eq!(again, read, "case {case}, second arm");
+            let (scan, scanned) = HistoryLog::scan(&dir, 0, 0).expect("scan");
+            assert_eq!(scanned, read, "case {case}, cut at byte {cut}");
+            drop(HistoryLog::arm_scanned(&dir, 0, 0, JournalMode::Buffered, scan).expect("arm"));
+            // Arming trimmed the torn tail: the file now ends at the scan's
+            // clean end, and scanning it again reports the same maximum.
+            let (again, rescanned) = HistoryLog::scan(&dir, 0, 0).expect("re-scan");
+            assert_eq!(rescanned, read, "case {case}, second scan");
+            let len = std::fs::metadata(&path).expect("stat").len();
+            assert_eq!(again, LogScan::Clean { clean_end: len }, "case {case}");
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -49,9 +49,9 @@
 //! **Format version 2** checksums each body a word at a time (one multiply
 //! step per 8 bytes, tail bytes folded singly, a final avalanche; see the
 //! framing core's docs), so any change confined to one aligned 8-byte word of
-//! a body is always detected. Version 1 ran the byte-serial FNV-1a of the
-//! snapshot codec over every body byte; a version-1 journal is refused with
-//! a typed "unsupported journal format version" [`JournalError::Corrupt`].
+//! a body is always detected. Version 1 ran a byte-serial FNV-1a over every
+//! body byte; a version-1 journal is refused with a typed "unsupported
+//! journal format version" [`JournalError::Corrupt`].
 //!
 //! # Torn tails vs. interior corruption
 //!
@@ -79,11 +79,19 @@
 //! new manifest's checksum into the journal header, so even a crash *inside*
 //! the commit window (manifest durable, journals not yet truncated) cannot
 //! double-apply: recovery sees the stale stamp and discards the journal.
+//!
+//! The fence does **not** fsync the journal. A successful snapshot truncates
+//! it, so the fenced records never need to be on disk: the snapshot files,
+//! synced before the manifest is written, hold them. A failed snapshot
+//! leaves the journal exactly as its [`JournalMode`] left it, with the
+//! durability that mode promises. (The elastic history log *is* synced at
+//! the fence, because after the rotation it holds the only raw copy of the
+//! fenced mutations; see [`crate::history`].)
 
 use crate::config::JournalMode;
-use crate::framing::{self, put_edge, put_u64, BodyReader, LogFile, LogFormat, MAX_BATCH_EDGES};
+use crate::framing::{self, LogFile, LogFormat, LogScan, MAX_BATCH_EDGES};
 use crate::tree::HiggsSummary;
-use higgs_common::codec::CodecError;
+use higgs_common::codec::{put_edge, put_u64, CodecError, Reader};
 use higgs_common::StreamEdge;
 use std::fmt;
 use std::io::{Seek, SeekFrom};
@@ -264,7 +272,7 @@ impl JournalRecord {
     /// Decodes one record body (its checksum already verified by the frame
     /// scanner).
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = BodyReader::new(body);
+        let mut dec = Reader::new(body);
         let record = match dec.u8()? {
             TAG_INSERT => JournalRecord::Insert(dec.edge()?),
             TAG_INSERT_BATCH => {
@@ -342,10 +350,23 @@ impl Journal {
         mode: JournalMode,
         covering: u64,
     ) -> Result<Self, JournalError> {
+        let scan = replay_with(dir, shard, covering, drop)?;
+        Self::arm_scanned(dir, shard, mode, covering, scan)
+    }
+
+    /// Opens shard `shard`'s journal in `dir` for appending from what a
+    /// replay under the same `covering` stamp found ([`replay_into`]'s
+    /// return), without reading the file again: a fresh header for a missing
+    /// file, a reset for a stale one, a trimmed torn tail otherwise.
+    pub(crate) fn arm_scanned(
+        dir: &Path,
+        shard: usize,
+        mode: JournalMode,
+        covering: u64,
+        scan: LogScan,
+    ) -> Result<Self, JournalError> {
         let path = dir.join(journal_file_name(shard));
-        let log = LogFile::arm(&FORMAT, path, shard, mode, covering, |body| {
-            JournalRecord::decode_body(body).map(drop)
-        })?;
+        let log = LogFile::arm_scanned(&FORMAT, path, shard, mode, covering, scan)?;
         Ok(Self { log })
     }
 
@@ -387,8 +408,9 @@ impl Journal {
         self.log.append(|body| shape.encode(body))
     }
 
-    /// Flushes and forces everything appended so far to disk (used at the
-    /// snapshot fence, regardless of mode).
+    /// Flushes and forces everything appended so far to disk, regardless of
+    /// mode. The snapshot fence does not need this (see the module docs'
+    /// *Rotation fence*).
     pub fn sync(&mut self) -> Result<(), JournalError> {
         self.log.sync()
     }
@@ -424,39 +446,35 @@ pub fn replay(dir: &Path, shard: usize, covering: u64) -> Result<Vec<JournalReco
 
 /// Replays shard `shard`'s journal straight into `summary`, record by record
 /// in append order (the second half of `snapshot + journal tail replay`
-/// recovery), under [`replay`]'s rules. On an error the summary holds a
-/// prefix of the journal and must be discarded.
+/// recovery), under [`replay`]'s rules, and returns what the scan found, so
+/// [`Journal::arm_scanned`] can open the file for appending without reading
+/// it again. On an error the summary holds a prefix of the journal and must
+/// be discarded.
 pub(crate) fn replay_into(
     dir: &Path,
     shard: usize,
     covering: u64,
     summary: &mut HiggsSummary,
-) -> Result<(), JournalError> {
+) -> Result<LogScan, JournalError> {
     replay_with(dir, shard, covering, |record| record.apply_to(summary))
 }
 
-/// Hands every record [`replay`] would return to `visit`, in append order.
+/// Hands every record [`replay`] would return to `visit`, in append order,
+/// and returns what the scan found. A stale journal (stamped for another
+/// manifest) hands over nothing: the crash hit between the manifest becoming
+/// durable and the rotation truncating it, so every record is already inside
+/// the snapshot, and replaying would double-apply.
 fn replay_with(
     dir: &Path,
     shard: usize,
     covering: u64,
     mut visit: impl FnMut(JournalRecord),
-) -> Result<(), JournalError> {
+) -> Result<LogScan, JournalError> {
     let path = dir.join(journal_file_name(shard));
-    let Some((mut reader, stamp)) = framing::open_reader(&FORMAT, &path, shard)? else {
-        return Ok(());
-    };
-    if stamp != covering {
-        // Stale: the crash hit between the manifest becoming durable and
-        // the rotation truncating this journal. Every record here is
-        // already inside the snapshot; replaying would double-apply.
-        return Ok(());
-    }
-    framing::scan_frames(&mut reader, &FORMAT, shard, HEADER_LEN, |body| {
+    framing::scan_log(&FORMAT, &path, shard, covering, |body| {
         visit(JournalRecord::decode_body(body)?);
         Ok(())
-    })?;
-    Ok(())
+    })
 }
 
 /// One incremental read of a journal's tail: everything a warm follower needs

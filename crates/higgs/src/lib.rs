@@ -345,13 +345,14 @@
 //! or not at all (the per-shard-prefix semantics concurrent readers
 //! already get).
 //!
-//! **Verification.** Every file closes with an FNV-1a checksum; restore
-//! verifies magic, format version, section framing, structural invariants,
-//! per-file checksums, and the manifest's shard census before any state is
-//! served — each failure is a typed [`SnapshotError`], never a panic or a
-//! silently wrong answer. The format version is bumped on layout changes
-//! and newer-than-supported files are refused (see the [`snapshot`] module
-//! docs for the full layout and versioning policy).
+//! **Verification.** Every file closes with a word-at-a-time checksum of
+//! all its bytes; restore verifies magic, format version, section framing,
+//! structural invariants, per-file checksums, and the manifest's shard
+//! census before any state is served — each failure is a typed
+//! [`SnapshotError`], never a panic or a silently wrong answer. The format
+//! version is bumped on layout changes and files of any other version are
+//! refused (see the [`snapshot`] module docs for the full layout, check
+//! order and versioning policy).
 //!
 //! Runtime state (plan cache, plan counters) is not persisted: a restored
 //! summary starts with a cold plan cache but the persisted mutation epoch,

@@ -159,8 +159,7 @@ pub struct Entry {
 pub type OffsetFilter = Option<(u32, u32)>;
 
 /// One occupied slot, materialised from the three SoA columns: the packed
-/// match key plus payload. Crate-visible so the snapshot codec can persist
-/// the occupied slots in the same on-disk shape as before the SoA split.
+/// match key plus payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Slot {
     /// `fp_src` in the high 32 bits, `fp_dst` in the low 32 bits.
@@ -186,9 +185,18 @@ fn pack_idx(i: usize, j: usize) -> u16 {
 /// Packs the MMB index pair and time offset into a tag word: index pair in
 /// bits 32..48, offset in the low 32 bits (the layout
 /// [`higgs_common::sum_matching`] range-checks offsets against).
+/// Crate-visible so the snapshot codec can rebuild tags from its index-pair
+/// and offset columns.
 #[inline]
-fn pack_tag(idx: u16, time_offset: u32) -> u64 {
+pub(crate) fn pack_tag(idx: u16, time_offset: u32) -> u64 {
     (u64::from(idx) << 32) | u64::from(time_offset)
+}
+
+/// Splits a tag word back into its index pair and time offset (the inverse
+/// of [`pack_tag`]).
+#[inline]
+pub(crate) fn unpack_tag(tag: u64) -> (u16, u32) {
+    ((tag >> 32) as u16, tag as u32)
 }
 
 /// Tag bits holding the full index pair.
@@ -338,6 +346,23 @@ impl Writable {
 /// A writable matrix's key, tag and weight columns and its bookkeeping, as
 /// sealing hands them back.
 type Slab = (Vec<u64>, Vec<u64>, Vec<i64>, Box<Writable>);
+
+/// A sealed matrix's key, tag and weight columns and its start offsets.
+type SealedParts = (Vec<u64>, Vec<u64>, Vec<i64>, Vec<u32>);
+
+/// A matrix's content in the sealed form, borrowed from a sealed matrix and
+/// compacted from a writable one: what the snapshot codec persists.
+#[derive(Debug)]
+pub(crate) struct SealedColumns<'a> {
+    /// The `d² + 1` bucket start offsets into the columns.
+    pub(crate) starts: Cow<'a, [u32]>,
+    /// Packed fingerprint pairs, one per occupied slot, in bucket order.
+    pub(crate) keys: Cow<'a, [u64]>,
+    /// Packed index pairs and time offsets (see [`pack_tag`]).
+    pub(crate) tags: Cow<'a, [u64]>,
+    /// Accumulated weights.
+    pub(crate) weights: Cow<'a, [i64]>,
+}
 
 /// Hash of an entry identity: the packed fingerprint pair, the wrapped base
 /// addresses and the time offset, mixed by two multiplications (the table
@@ -512,36 +537,16 @@ impl CompressedMatrix {
 
     /// The compaction both [`seal`](Self::seal) and `seal_recycling` run:
     /// copies the occupied slots, in bucket order, into exactly-sized
-    /// columns with `d² + 1` start offsets, installs them, and returns the
-    /// writable columns and bookkeeping it replaced. `None`, leaving the
-    /// matrix unchanged, when it is sealed already or its slot count does
-    /// not fit the `u32` offsets.
-    // LINT-ALLOW(hot-path-panic): a writable bucket `k` has
-    // `counts[k] <= bucket_entries`, so `k·b .. k·b + counts[k]` lies inside
-    // the `b · d²`-slot columns.
+    /// columns with `d² + 1` start offsets ([`compacted`](Self::compacted)),
+    /// installs them, and returns the writable columns and bookkeeping it
+    /// replaced. `None`, leaving the matrix unchanged, when it is sealed
+    /// already or its slot count does not fit the `u32` offsets.
     fn seal_returning_slab(&mut self) -> Option<Slab> {
         let Occupancy::Writable(writable) = &self.occupancy else {
             return None;
         };
-        let total = u32::try_from(self.stored).ok()?;
-        let b = self.bucket_entries;
-        let mut keys = Vec::with_capacity(self.stored);
-        let mut tags = Vec::with_capacity(self.stored);
-        let mut weights = Vec::with_capacity(self.stored);
-        let mut starts = Vec::with_capacity(writable.counts.len() + 1);
-        for (bucket, &len) in writable.counts.iter().enumerate() {
-            // Fits: the running count never exceeds `total`.
-            starts.push(keys.len() as u32);
-            // Slot by slot: most buckets are empty, and a slice copy per
-            // bucket costs a call even then.
-            for p in bucket * b..bucket * b + len as usize {
-                keys.push(self.keys[p]);
-                tags.push(self.tags[p]);
-                weights.push(self.weights[p]);
-            }
-        }
-        starts.push(total);
-        debug_assert_eq!(keys.len(), self.stored);
+        u32::try_from(self.stored).ok()?;
+        let (keys, tags, weights, starts) = self.compacted(writable);
         self.spill.shrink_to_fit();
         let Occupancy::Writable(writable) =
             std::mem::replace(&mut self.occupancy, Occupancy::Starts(starts))
@@ -554,6 +559,36 @@ impl CompressedMatrix {
             std::mem::replace(&mut self.weights, weights),
             writable,
         ))
+    }
+
+    /// The sealed form's columns of a writable matrix with bookkeeping
+    /// `writable`: the occupied slots, in bucket order, in exactly-sized
+    /// columns, and the `d² + 1` start offsets.
+    // LINT-ALLOW(hot-path-panic): a writable bucket `k` has
+    // `counts[k] <= bucket_entries`, so `k·b .. k·b + counts[k]` lies inside
+    // the `b · d²`-slot columns.
+    #[inline(always)]
+    fn compacted(&self, writable: &Writable) -> SealedParts {
+        let b = self.bucket_entries;
+        let mut keys = Vec::with_capacity(self.stored);
+        let mut tags = Vec::with_capacity(self.stored);
+        let mut weights = Vec::with_capacity(self.stored);
+        let mut starts = Vec::with_capacity(writable.counts.len() + 1);
+        // Every offset fits: `Writable::new` keeps the slot count, and so
+        // `stored`, below `u32::MAX`.
+        for (bucket, &len) in writable.counts.iter().enumerate() {
+            starts.push(keys.len() as u32);
+            // Slot by slot: most buckets are empty, and a slice copy per
+            // bucket costs a call even then.
+            for p in bucket * b..bucket * b + len as usize {
+                keys.push(self.keys[p]);
+                tags.push(self.tags[p]);
+                weights.push(self.weights[p]);
+            }
+        }
+        starts.push(self.stored as u32);
+        debug_assert_eq!(keys.len(), self.stored);
+        (keys, tags, weights, starts)
     }
 
     /// Turns a sealed matrix writable again: scatters each bucket's slots
@@ -1216,10 +1251,10 @@ impl CompressedMatrix {
     // --- snapshot support (crate-internal) --------------------------------
     //
     // The snapshot codec (`crate::snapshot`) persists a matrix as its
-    // per-bucket occupancy counts plus only the occupied slots as
-    // materialised `Slot` records, in bucket order, and the spill list. That
-    // is the sealed form's content, so either form encodes to the same
-    // bytes, and decoding builds the sealed form directly.
+    // per-bucket occupancy counts plus only the occupied slots, as columns
+    // in bucket order, and the spill list. That is the sealed form's
+    // content, so either form encodes to the same bytes, and decoding builds
+    // the sealed form directly.
 
     /// Number of MMB mapping addresses per vertex (`r`).
     pub(crate) fn mapping(&self) -> u32 {
@@ -1231,19 +1266,25 @@ impl CompressedMatrix {
         self.bucket_entries
     }
 
-    /// The per-bucket occupancy counts, indexed by `row · d + col`: borrowed
-    /// from a writable matrix, derived from a sealed one's offsets.
-    pub(crate) fn bucket_lens(&self) -> Cow<'_, [u8]> {
+    /// The sealed form's columns: borrowed from a sealed matrix, compacted
+    /// from a writable one (a copy of its occupied slots only).
+    pub(crate) fn sealed_columns(&self) -> SealedColumns<'_> {
         match &self.occupancy {
-            Occupancy::Writable(writable) => Cow::Borrowed(&writable.counts),
-            // Each bucket spans at most `bucket_entries <= 255` slots.
-            Occupancy::Starts(starts) => Cow::Owned(
-                starts
-                    .iter()
-                    .zip(starts.iter().skip(1))
-                    .map(|(from, to)| (to - from) as u8)
-                    .collect(),
-            ),
+            Occupancy::Starts(starts) => SealedColumns {
+                starts: Cow::Borrowed(starts),
+                keys: Cow::Borrowed(&self.keys),
+                tags: Cow::Borrowed(&self.tags),
+                weights: Cow::Borrowed(&self.weights),
+            },
+            Occupancy::Writable(writable) => {
+                let (keys, tags, weights, starts) = self.compacted(writable);
+                SealedColumns {
+                    starts: Cow::Owned(starts),
+                    keys: Cow::Owned(keys),
+                    tags: Cow::Owned(tags),
+                    weights: Cow::Owned(weights),
+                }
+            }
         }
     }
 
@@ -1252,18 +1293,19 @@ impl CompressedMatrix {
         &self.spill
     }
 
-    /// Builds a sealed matrix from persisted state: the geometry, the
-    /// per-bucket occupancy counts, the occupied slots in bucket order
-    /// (`occupied.len()` must equal the sum of `lens`), and the spill list.
-    /// Allocates only what the slots need. A geometry
+    /// Builds a sealed matrix from persisted state, taking ownership of the
+    /// decoded columns: the geometry, the per-bucket occupancy counts
+    /// (`lens`, `d²` of them), the occupied slots' key, tag and weight
+    /// columns in bucket order (each as long as `lens` sums to), and the
+    /// spill list. Allocates only the start offsets. A geometry
     /// [`CompressedMatrix::new`] would reject, a count table of the wrong
-    /// size, a count above `bucket_entries` or a slot-count mismatch is an
-    /// error, so a corrupt snapshot can never build a structurally
+    /// size, a count above `bucket_entries` or a column-length mismatch is
+    /// an error, so a corrupt snapshot can never build a structurally
     /// inconsistent matrix.
-    pub(crate) fn from_sealed_parts(
+    pub(crate) fn from_sealed_columns(
         (side, layer, bucket_entries, mapping): (u64, u32, usize, u32),
         lens: &[u8],
-        occupied: &[Slot],
+        (keys, tags, weights): (Vec<u64>, Vec<u64>, Vec<i64>),
         spill: Vec<SpillEntry>,
     ) -> Result<Self, String> {
         if !side.is_power_of_two()
@@ -1282,24 +1324,30 @@ impl CompressedMatrix {
                 lens.len()
             ));
         }
-        if let Some(bad) = lens.iter().find(|&&l| l as usize > bucket_entries) {
-            return Err(format!(
-                "bucket occupancy {bad} exceeds bucket_entries {bucket_entries}"
-            ));
-        }
         let mut starts = Vec::with_capacity(lens.len() + 1);
         let mut total = 0u32;
+        let mut widest = 0u8;
         starts.push(0);
         for &len in lens {
+            widest = widest.max(len);
             total = total
                 .checked_add(u32::from(len))
                 .ok_or("occupied slot count overflows the u32 bucket offsets")?;
             starts.push(total);
         }
-        if total as usize != occupied.len() {
+        if widest as usize > bucket_entries {
             return Err(format!(
-                "occupied slot count mismatch: lens sum to {total}, got {} slots",
-                occupied.len()
+                "bucket occupancy {widest} exceeds bucket_entries {bucket_entries}"
+            ));
+        }
+        let stored = total as usize;
+        if keys.len() != stored || tags.len() != stored || weights.len() != stored {
+            return Err(format!(
+                "occupied slot count mismatch: lens sum to {total}, got {} keys, {} tags \
+                 and {} weights",
+                keys.len(),
+                tags.len(),
+                weights.len()
             ));
         }
         Ok(Self {
@@ -1308,21 +1356,24 @@ impl CompressedMatrix {
             bucket_entries,
             mapping,
             seq: AddressSequence::new(side),
-            keys: occupied.iter().map(|s| s.key).collect(),
-            tags: occupied
-                .iter()
-                .map(|s| pack_tag(s.idx, s.time_offset))
-                .collect(),
-            weights: occupied.iter().map(|s| s.weight).collect(),
+            keys,
+            tags,
+            weights,
             occupancy: Occupancy::Starts(starts),
             spill,
-            stored: occupied.len(),
+            stored,
         })
     }
 }
 
 #[cfg(test)]
 impl CompressedMatrix {
+    /// The per-bucket occupancy counts, indexed by `row · d + col`.
+    pub(crate) fn bucket_lens(&self) -> Vec<u8> {
+        let starts = self.sealed_columns().starts;
+        starts.windows(2).map(|w| (w[1] - w[0]) as u8).collect()
+    }
+
     /// The first field in which `self` and `other` differ — geometry,
     /// columns, occupancy, spill list, stored count, or allocation size —
     /// or `None` when they are identical field for field.
@@ -2186,30 +2237,65 @@ mod tests {
     #[test]
     fn sealed_parts_are_validated() {
         let geometry = (4u64, 1u32, 2usize, 2u32);
-        let slot = Slot {
-            key: 1,
-            idx: 0,
-            time_offset: 0,
-            weight: 1,
-        };
+        let columns = |n: usize| (vec![1u64; n], vec![pack_tag(0x0101, 3); n], vec![1i64; n]);
         let mut lens = vec![0u8; 16];
         lens[3] = 1;
-        let m = CompressedMatrix::from_sealed_parts(geometry, &lens, &[slot], Vec::new())
+        let m = CompressedMatrix::from_sealed_columns(geometry, &lens, columns(1), Vec::new())
             .expect("consistent parts");
         assert!(m.is_sealed());
         assert_eq!(m.capacity(), 32);
-        assert_eq!(m.bucket_lens().as_ref(), lens.as_slice());
-        assert!(CompressedMatrix::from_sealed_parts(geometry, &lens, &[], Vec::new()).is_err());
+        assert_eq!(m.bucket_lens(), lens);
+        let entry = m.entries().next().expect("one entry");
+        assert_eq!((entry.0, entry.1), (0, 3));
+        assert_eq!((entry.2.idx_src, entry.2.time_offset), (1, 3));
+        let cases = [
+            (
+                geometry,
+                lens.clone(),
+                columns(0),
+                "slot count below the lens' sum",
+            ),
+            (
+                geometry,
+                lens.clone(),
+                columns(2),
+                "slot count above the lens' sum",
+            ),
+            (
+                geometry,
+                lens[..8].to_vec(),
+                columns(0),
+                "lens table of the wrong size",
+            ),
+            (
+                (6, 1, 2, 2),
+                vec![0; 36],
+                columns(0),
+                "side not a power of two",
+            ),
+        ];
+        for (geometry, lens, columns, why) in cases {
+            assert!(
+                CompressedMatrix::from_sealed_columns(geometry, &lens, columns, Vec::new())
+                    .is_err(),
+                "{why}"
+            );
+        }
+        let (keys, tags, _) = columns(1);
         assert!(
-            CompressedMatrix::from_sealed_parts(geometry, &lens[..8], &[], Vec::new()).is_err()
+            CompressedMatrix::from_sealed_columns(
+                geometry,
+                &lens,
+                (keys, tags, Vec::new()),
+                Vec::new()
+            )
+            .is_err(),
+            "a short weight column"
         );
         lens[3] = 3;
         assert!(
-            CompressedMatrix::from_sealed_parts(geometry, &lens, &[slot; 3], Vec::new()).is_err(),
+            CompressedMatrix::from_sealed_columns(geometry, &lens, columns(3), Vec::new()).is_err(),
             "occupancy above bucket_entries"
-        );
-        assert!(
-            CompressedMatrix::from_sealed_parts((6, 1, 2, 2), &[0; 36], &[], Vec::new()).is_err()
         );
     }
 
@@ -2322,7 +2408,7 @@ mod tests {
                 (m.keys == self.keys, "keys"),
                 (m.tags == self.tags, "tags"),
                 (m.weights == self.weights, "weights"),
-                (m.bucket_lens().as_ref() == self.counts.as_slice(), "counts"),
+                (m.bucket_lens() == self.counts, "counts"),
                 (m.stored == self.stored, "stored"),
             ]
             .into_iter()

@@ -218,8 +218,7 @@ pub(crate) fn refold(
             (0..config.shards)
                 .map(|s| {
                     durable
-                        .arm(s, covering)
-                        .map(|(log, _)| log)
+                        .arm(s, covering, None, None)
                         .map_err(ReshardError::from)
                 })
                 .collect()

@@ -65,6 +65,7 @@
 //! the cache exactly as without it.
 
 use crate::config::{ConfigError, HiggsConfig, JournalMode};
+use crate::framing::LogScan;
 use crate::history::HistoryLog;
 use crate::journal::{failpoint, Journal, JournalError};
 use crate::reshard::{RefoldError, ReshardError};
@@ -186,10 +187,12 @@ enum ShardCommand {
     /// otherwise never join). Commands enqueued after it are dropped.
     Shutdown,
     /// Park the writer at a snapshot fence: finish any pending aggregation,
-    /// sync the journal, acknowledge on `ready`, then block until `resume`
-    /// delivers the verdict. `Some(checksum)` means the snapshot that
-    /// motivated the fence covers every journaled mutation: the journal is
-    /// truncated and stamped with the new manifest's checksum.
+    /// sync the history log (not the journal, which a successful snapshot
+    /// truncates; see `ShardLog::sync`), acknowledge on `ready`, then block
+    /// until `resume` delivers the verdict. `Some(checksum)` means the
+    /// snapshot that motivated the fence covers every journaled mutation:
+    /// the journal is truncated and stamped with the new manifest's
+    /// checksum.
     /// `None` (or a dropped sender) resumes without touching it. After
     /// acting on the verdict the writer acknowledges on `ready` a second
     /// time, making the rotation synchronous for the fence holder.
@@ -254,24 +257,33 @@ impl DurableState {
     /// Arms shard `shard`'s log sink: its journal, stamped with (or
     /// validated against) the covering manifest checksum `covering`, and on
     /// an elastic store its history log of the current generation. Each file
-    /// is created if absent, and re-armed in place (every complete record
-    /// verified, a torn tail trimmed, a stale journal reset) if present.
-    /// Also returns the highest sequence number the history file already
-    /// held (`None` when it held none, or the store is not elastic).
+    /// is created if absent, and re-armed in place (a torn tail trimmed, a
+    /// stale journal reset) if present.
+    ///
+    /// `journal` is what a replay of the journal under `covering` found
+    /// ([`recover_shard`](crate::snapshot::recover_shard)'s report) and
+    /// `history` what a [`HistoryLog::scan`] of the history file found; a
+    /// file with a report is armed from it without being read again, one
+    /// without (`None`) is verified record by record here.
     pub(crate) fn arm(
         &self,
         shard: usize,
         covering: u64,
-    ) -> Result<(ShardLog, Option<u64>), JournalError> {
-        let journal = Journal::open(&self.dir, shard, self.mode, covering)?;
-        let (history, max_seq) = match self.history_gen {
-            Some(gen) => {
-                let (log, max_seq) = HistoryLog::arm(&self.dir, gen, shard, self.mode)?;
-                (Some(log), max_seq)
-            }
-            None => (None, None),
+        journal: Option<LogScan>,
+        history: Option<LogScan>,
+    ) -> Result<ShardLog, JournalError> {
+        let journal = match journal {
+            Some(scan) => Journal::arm_scanned(&self.dir, shard, self.mode, covering, scan)?,
+            None => Journal::open(&self.dir, shard, self.mode, covering)?,
         };
-        Ok((ShardLog { journal, history }, max_seq))
+        let history = match (self.history_gen, history) {
+            (Some(gen), Some(scan)) => Some(HistoryLog::arm_scanned(
+                &self.dir, gen, shard, self.mode, scan,
+            )?),
+            (Some(gen), None) => Some(HistoryLog::open(&self.dir, gen, shard, self.mode)?),
+            (None, _) => None,
+        };
+        Ok(ShardLog { journal, history })
     }
 }
 
@@ -315,12 +327,17 @@ impl ShardLog {
         }
     }
 
-    /// Best-effort sync of both logs at a fence: durability of the fenced
-    /// prefix comes from the snapshot the fence guards, and the reshard path
-    /// that reads history behind the fence goes through the same filesystem,
-    /// not the disk.
+    /// Best-effort sync at a fence, of the history log only: durability of
+    /// the fenced prefix comes from the snapshot the fence guards, and the
+    /// reshard path that reads history behind the fence goes through the
+    /// same filesystem, not the disk.
+    ///
+    /// The journal is not synced. A successful snapshot truncates it, so its
+    /// fenced records never need to reach the disk; a failed one leaves it
+    /// exactly as its [`JournalMode`] left it. The history log is synced
+    /// before the ready ack, because after the rotation it holds the only
+    /// raw copy of the fenced mutations.
     fn sync(&mut self) {
-        let _ = self.journal.sync();
         if let Some(h) = self.history.as_mut() {
             let _ = h.sync();
         }
@@ -973,15 +990,15 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
 /// stayed degraded instead of collapsing every cause into silence.
 fn rebuild_shard(durable: &DurableState, ctx: &WriterContext) -> Result<ShardLog, SnapshotError> {
     let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)?;
-    let summary = crate::snapshot::recover_shard(
+    let (summary, journal) = crate::snapshot::recover_shard(
         &durable.dir,
         ctx.shard_index,
         &ctx.config,
         ShardBase::Surviving,
         Some(covering),
     )?;
-    let (log, _) = durable
-        .arm(ctx.shard_index, covering)
+    let log = durable
+        .arm(ctx.shard_index, covering, journal, None)
         .map_err(SnapshotError::Journal)?;
     *ctx.shard.write().expect("shard lock poisoned") = summary;
     Ok(log)

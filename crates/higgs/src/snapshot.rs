@@ -5,8 +5,8 @@
 //! restart; the HIGGS summary **is** the state worth persisting — orders of
 //! magnitude smaller than the raw temporal graph. This module defines a
 //! versioned binary snapshot format on top of
-//! [`higgs_common::codec`] (checksummed little-endian primitives with
-//! length-prefixed sections) and two persistence surfaces:
+//! [`higgs_common::codec`] (little-endian primitives with length-prefixed
+//! sections) and two persistence surfaces:
 //!
 //! * [`HiggsSummary::write_snapshot`] / [`HiggsSummary::read_snapshot`] —
 //!   one summary to/from any `Write`/`Read` stream, and
@@ -14,44 +14,82 @@
 //!   — the whole sharded service to/from a directory: one file per shard
 //!   plus a [`SnapshotManifest`].
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! Every file opens with an 8-byte magic and a `u32` format version,
 //! continues with length-prefixed sections (`tag: u16 | len: u64 |
-//! payload`), and closes with a `u64` FNV-1a checksum over every preceding
-//! byte. A summary file carries four sections:
+//! payload`), and closes with a `u64` checksum over every preceding byte:
+//! the word-at-a-time frame checksum of the crate's `framing` module, the
+//! one every log record carries, taken over the finished document in one
+//! pass. Every integer is little-endian. A summary file carries four
+//! sections:
 //!
 //! | tag | section   | contents                                            |
 //! |-----|-----------|-----------------------------------------------------|
-//! | 1   | config    | every [`HiggsConfig`] knob                          |
+//! | 1   | config    | every persisted [`HiggsConfig`] knob                |
 //! | 2   | meta      | `total_items`, mutation epoch, deferred-aggregation flag, pending jobs |
-//! | 3   | leaves    | per leaf: time range, item count, slab matrix, overflow chain |
-//! | 4   | internals | per level, per node: time range, optional aggregate matrix |
+//! | 3   | leaves    | leaf count; per leaf: time range, item count, matrix, overflow chain |
+//! | 4   | internals | level count; per level, node count; per node: time range, optional aggregate matrix |
 //!
-//! Matrices are persisted **raw**: the per-bucket occupancy array followed
-//! by only the occupied slots in bucket order (empty slots carry no
-//! information), then the spill list — so a snapshot's size tracks the
-//! stored entries. That is exactly a sealed matrix's content (see
+//! A matrix is persisted as:
+//!
+//! | field             | bytes       | contents                                  |
+//! |-------------------|-------------|-------------------------------------------|
+//! | geometry          | 24          | side `d` (`u64`), layer (`u32`), bucket entries `b` (`u64`), mapping `r` (`u32`) |
+//! | occupancy         | `d²`        | occupied slots per bucket (`u8`), row-major |
+//! | keys              | `8 · n`     | packed fingerprint pairs (`u64`)          |
+//! | index pairs       | `2 · n`     | MMB index pairs (`u16`)                   |
+//! | time offsets      | `4 · n`     | offsets from the leaf's start time (`u32`) |
+//! | weights           | `8 · n`     | accumulated weights (`i64`)               |
+//! | spill list        | `8 + 32 · s`| count, then per entry both addresses, both fingerprints and the weight |
+//!
+//! where `n` is the occupancy's sum: only the occupied slots are stored, in
+//! bucket order, as four columns (22 bytes a slot), so a snapshot's size
+//! tracks the stored entries. An overflow chain is its geometry (side,
+//! bucket entries, mapping), a block count and that many matrices. A matrix
+//! persists exactly a sealed matrix's content (see
 //! [`matrix`](crate::matrix)): a writable and a sealed matrix with the same
-//! entries encode to the same bytes, and restore decodes every matrix
-//! straight into the sealed form, then turns only the open leaf and its
-//! overflow chain writable again, as a never-restored summary holds them.
-//! Runtime state (plan cache, plan counter) is deliberately *not* persisted:
-//! it is re-derivable and epoch-guarded, so a restored summary starts with a
-//! cold plan cache but the **persisted mutation epoch**, keeping epoch
+//! entries encode to the same bytes, the writer takes a sealed matrix's
+//! columns as they are, and restore decodes every matrix straight into the
+//! sealed columns, then turns only the open leaf and its overflow chain
+//! writable again, as a never-restored summary holds them. Runtime state
+//! (plan cache, plan counter) is deliberately *not* persisted: it is
+//! re-derivable and epoch-guarded, so a restored summary starts with a cold
+//! plan cache but the **persisted mutation epoch**, keeping epoch
 //! monotonicity across restarts.
 //!
 //! The manifest file (tag 5) records the format version, the full service
 //! config (including the shard count — routing is the pure function
 //! [`higgs_common::hashing::shard_of`] of `(vertex, shards)`, so no routing
 //! seed beyond the count exists), and each shard file's checksum and item
-//! count. Restore verifies, in order: manifest magic/version/checksum, that
-//! no extra shard file exists beyond the manifest's count
+//! count. Restore verifies, in order: the manifest, that no extra shard file
+//! exists beyond the manifest's count
 //! ([`SnapshotError::ShardCountMismatch`]), then each shard file's own
 //! checksum **and** its manifest-recorded checksum
 //! ([`SnapshotError::ShardChecksumMismatch`]) before any shard state is
 //! served. The shard files are read in parallel; when several fail, the
 //! lowest failing shard's error is the one reported.
+//!
+//! # Check order
+//!
+//! A document is encoded into one buffer and written with one write; a
+//! reader takes one whole document into memory (a shard file is read in one
+//! go) and decodes it from there. Each document is checked in this order:
+//!
+//! 1. the magic ([`SnapshotError::BadMagic`]), then the version
+//!    ([`SnapshotError::UnsupportedVersion`]);
+//! 2. the structure, as it decodes: section tags in order, every count
+//!    within its limit and within the bytes actually present (a count the
+//!    rest of the document cannot hold is a truncation, reported before
+//!    anything is allocated for it), every geometry, the persisted config,
+//!    and each section's declared length;
+//! 3. the trailing checksum;
+//! 4. the cross-section checks (every pending aggregation job names an
+//!    internal node; the manifest's shard table matches its config).
+//!
+//! So a truncated file fails with `UnexpectedEof`, a garbled field with the
+//! structural error that names it, and only a structurally sound file is
+//! checksummed.
 //!
 //! # Consistency guarantee
 //!
@@ -66,25 +104,30 @@
 //!
 //! # Versioning policy
 //!
-//! `FORMAT_VERSION` is bumped on any layout change. Readers reject files
-//! with a newer version than they understand
-//! ([`SnapshotError::UnsupportedVersion`]) instead of guessing; older
-//! versions remain readable for as long as the changelog documents them
-//! (version 1 is the initial format). Unknown *trailing* sections are a
-//! forward-compatible extension point — the section length lets a reader
-//! skip what it does not understand.
+//! `FORMAT_VERSION` is bumped on any layout or checksum change, and a
+//! reader reads exactly its own version: any other, older or newer, is
+//! refused with [`SnapshotError::UnsupportedVersion`] instead of guessed at.
+//! No reader for an earlier version is kept. Version 2 stores the slots as
+//! four columns and closes each document with the word-at-a-time frame
+//! checksum; version 1 stored each slot as a row and closed with a
+//! byte-serial FNV-1a checksum. A directory written in version 1 is refused
+//! typed; rebuild it from its source stream.
 
 use crate::config::{ConfigError, HiggsConfig, JournalMode};
+use crate::framing::{frame_checksum, LogScan};
 use crate::journal::{failpoint, JournalError};
-use crate::matrix::{CompressedMatrix, Slot, SpillEntry};
+use crate::matrix::{pack_tag, unpack_tag, CompressedMatrix, SpillEntry};
 use crate::node::{InternalNode, LeafNode};
 use crate::overflow::OverflowChain;
 use crate::shard::ShardedHiggs;
 use crate::tree::{HiggsSummary, PendingAggregation};
-use higgs_common::codec::{CodecError, Decoder, Encoder};
+use higgs_common::codec::{
+    begin_section, end_section, put_bool, put_i64, put_u16, put_u32, put_u64, CodecError, Reader,
+};
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Magic opening a single-summary snapshot file (`HIGGSSUM`).
@@ -92,7 +135,7 @@ pub const SUMMARY_MAGIC: u64 = u64::from_le_bytes(*b"HIGGSSUM");
 /// Magic opening a sharded-service manifest file (`HIGGSMAN`).
 pub const MANIFEST_MAGIC: u64 = u64::from_le_bytes(*b"HIGGSMAN");
 /// Current snapshot format version (see the module docs for the policy).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.higgs";
@@ -103,8 +146,9 @@ const TAG_LEAVES: u16 = 3;
 const TAG_INTERNALS: u16 = 4;
 const TAG_MANIFEST: u16 = 5;
 
-// Decode-side sanity limits: far above anything a real summary holds, low
-// enough that a corrupt length can never drive a huge allocation.
+// Decode-side sanity limits: far above anything a real summary holds. The
+// decoder also checks every count against the bytes actually present before
+// allocating for it.
 const MAX_LEAVES: u64 = 1 << 32;
 const MAX_LEVELS: u64 = 64;
 const MAX_NODES: u64 = 1 << 32;
@@ -112,28 +156,6 @@ const MAX_BLOCKS: u64 = 1 << 24;
 const MAX_SPILL: u64 = 1 << 32;
 const MAX_PENDING: u64 = 1 << 32;
 const MAX_MATRIX_SIDE: u64 = 1 << 20;
-
-/// Upper bound on any single up-front allocation during decode (in
-/// elements). Counts and geometry fields are read **before** the checksum
-/// can be verified (it trails the file), so a corrupt length must never be
-/// trusted with a large `Vec::with_capacity`: buffers start at most this
-/// big and grow only as bytes actually arrive from the source, which means
-/// a truncated or bit-flipped file fails with a typed error after a small,
-/// bounded allocation instead of aborting on OOM.
-const MAX_PREALLOC: usize = 1 << 16;
-
-/// Reads exactly `total` bytes in bounded chunks, growing the buffer as the
-/// data actually arrives (see [`MAX_PREALLOC`]).
-fn read_chunked_bytes<R: Read>(dec: &mut Decoder<R>, total: usize) -> Result<Vec<u8>, CodecError> {
-    let mut bytes = Vec::with_capacity(total.min(MAX_PREALLOC));
-    while bytes.len() < total {
-        let take = (total - bytes.len()).min(MAX_PREALLOC);
-        let start = bytes.len();
-        bytes.resize(start + take, 0);
-        dec.get_bytes(&mut bytes[start..])?;
-    }
-    Ok(bytes)
-}
 
 /// Why a snapshot write or restore failed. Every failure mode is typed —
 /// corruption is reported, never a panic or a silently wrong summary.
@@ -152,12 +174,12 @@ pub enum SnapshotError {
         /// The bytes actually found.
         found: u64,
     },
-    /// The file was written by a newer format version than this build
-    /// understands.
+    /// The file was written in a format version this build does not read
+    /// (an older one, or a newer one).
     UnsupportedVersion {
         /// Version recorded in the file.
         found: u32,
-        /// Newest version this build reads.
+        /// The one version this build reads.
         supported: u32,
     },
     /// The persisted configuration failed [`HiggsConfig::validate`].
@@ -232,7 +254,8 @@ impl fmt::Display for SnapshotError {
             ),
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported version {supported}"
+                "snapshot format version {found} is not supported (this build reads version \
+                 {supported} only)"
             ),
             SnapshotError::Config(e) => write!(f, "persisted configuration is invalid: {e}"),
             SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
@@ -300,41 +323,76 @@ impl From<ConfigError> for SnapshotError {
     }
 }
 
-// --- primitive encoders ----------------------------------------------------
+// --- encoded sizes -----------------------------------------------------------
 
-fn encode_config<W: Write>(
-    enc: &mut Encoder<W>,
-    config: &HiggsConfig,
-) -> Result<(), SnapshotError> {
-    enc.put_u64(config.d1)?;
-    enc.put_u32(config.f1_bits)?;
-    enc.put_u32(config.r_bits)?;
-    enc.put_u64(config.bucket_entries as u64)?;
-    enc.put_u32(config.mapping_addresses)?;
-    enc.put_bool(config.overflow_blocks)?;
-    enc.put_u64(config.shards as u64)?;
-    enc.put_u64(config.plan_cache_capacity as u64)?;
-    match config.ingest_queue_cap {
-        Some(cap) => {
-            enc.put_bool(true)?;
-            enc.put_u64(cap as u64)?;
-        }
-        None => enc.put_bool(false)?,
-    }
-    Ok(())
+/// Bytes of a matrix geometry prefix: side, layer, bucket entries, mapping.
+const GEOMETRY_BYTES: usize = 8 + 4 + 8 + 4;
+/// Bytes of one persisted slot across the four columns: key (`u64`), index
+/// pair (`u16`), time offset (`u32`) and weight (`i64`).
+const SLOT_BYTES: usize = 8 + 2 + 4 + 8;
+/// Bytes of one spill entry.
+const SPILL_BYTES: usize = 8 + 8 + 4 + 4 + 8;
+/// Bytes of an overflow chain's geometry prefix and block count.
+const CHAIN_HEADER_BYTES: usize = 8 + 8 + 4 + 8;
+/// The fewest bytes a matrix encodes to (a 2 × 2 grid, no slot, no spill).
+const MIN_MATRIX_BYTES: usize = GEOMETRY_BYTES + 4 + 8;
+/// The fewest bytes a leaf encodes to.
+const MIN_LEAF_BYTES: usize = 24 + MIN_MATRIX_BYTES + CHAIN_HEADER_BYTES;
+/// The fewest bytes an internal node encodes to (no aggregate matrix).
+const MIN_NODE_BYTES: usize = 8 + 8 + 1;
+/// Bytes of a section header: tag and payload length.
+const SECTION_HEADER_BYTES: usize = 2 + 8;
+/// Bytes of a document's magic and version.
+const DOCUMENT_HEADER_BYTES: usize = 8 + 4;
+
+fn config_len(config: &HiggsConfig) -> usize {
+    let cap = 8 * usize::from(config.ingest_queue_cap.is_some());
+    8 + 4 + 4 + 8 + 4 + 1 + 8 + 8 + 1 + cap
 }
 
-fn decode_config<R: Read>(dec: &mut Decoder<R>) -> Result<HiggsConfig, SnapshotError> {
-    let d1 = dec.get_u64()?;
-    let f1_bits = dec.get_u32()?;
-    let r_bits = dec.get_u32()?;
-    let bucket_entries = dec.get_len(u8::MAX as u64, "bucket_entries")?;
-    let mapping_addresses = dec.get_u32()?;
-    let overflow_blocks = dec.get_bool()?;
-    let shards = dec.get_len(crate::shard::MAX_SHARDS as u64, "shards")?;
-    let plan_cache_capacity = dec.get_len(u32::MAX as u64, "plan_cache_capacity")?;
-    let ingest_queue_cap = if dec.get_bool()? {
-        Some(dec.get_len(u64::MAX >> 1, "ingest_queue_cap")?)
+fn matrix_len(matrix: &CompressedMatrix) -> usize {
+    let buckets = (matrix.side() * matrix.side()) as usize;
+    GEOMETRY_BYTES
+        + buckets
+        + SLOT_BYTES * matrix.stored()
+        + 8
+        + SPILL_BYTES * matrix.spill_entries().len()
+}
+
+fn leaf_len(leaf: &LeafNode) -> usize {
+    24 + matrix_len(&leaf.matrix)
+        + CHAIN_HEADER_BYTES
+        + leaf.overflow.blocks().iter().map(matrix_len).sum::<usize>()
+}
+
+// --- encoders and decoders ---------------------------------------------------
+
+fn encode_config(buf: &mut Vec<u8>, config: &HiggsConfig) {
+    put_u64(buf, config.d1);
+    put_u32(buf, config.f1_bits);
+    put_u32(buf, config.r_bits);
+    put_u64(buf, config.bucket_entries as u64);
+    put_u32(buf, config.mapping_addresses);
+    put_bool(buf, config.overflow_blocks);
+    put_u64(buf, config.shards as u64);
+    put_u64(buf, config.plan_cache_capacity as u64);
+    put_bool(buf, config.ingest_queue_cap.is_some());
+    if let Some(cap) = config.ingest_queue_cap {
+        put_u64(buf, cap as u64);
+    }
+}
+
+fn decode_config(dec: &mut Reader<'_>) -> Result<HiggsConfig, SnapshotError> {
+    let d1 = dec.u64()?;
+    let f1_bits = dec.u32()?;
+    let r_bits = dec.u32()?;
+    let bucket_entries = dec.count(u8::MAX as u64, "bucket_entries")?;
+    let mapping_addresses = dec.u32()?;
+    let overflow_blocks = dec.bool()?;
+    let shards = dec.count(crate::shard::MAX_SHARDS as u64, "shards")?;
+    let plan_cache_capacity = dec.count(u32::MAX as u64, "plan_cache_capacity")?;
+    let ingest_queue_cap = if dec.bool()? {
+        Some(dec.count(u64::MAX >> 1, "ingest_queue_cap")?)
     } else {
         None
     };
@@ -363,37 +421,45 @@ fn decode_config<R: Read>(dec: &mut Decoder<R>) -> Result<HiggsConfig, SnapshotE
     Ok(config)
 }
 
-fn encode_matrix<W: Write>(
-    enc: &mut Encoder<W>,
-    matrix: &CompressedMatrix,
-) -> Result<(), SnapshotError> {
-    enc.put_u64(matrix.side())?;
-    enc.put_u32(matrix.layer())?;
-    enc.put_u64(matrix.bucket_entries() as u64)?;
-    enc.put_u32(matrix.mapping())?;
-    enc.put_bytes(&matrix.bucket_lens())?;
-    for (_, slot) in matrix.occupied_slots() {
-        enc.put_u64(slot.key)?;
-        enc.put_u16(slot.idx)?;
-        enc.put_u32(slot.time_offset)?;
-        enc.put_i64(slot.weight)?;
-    }
-    enc.put_u64(matrix.spill_entries().len() as u64)?;
+/// Encodes a matrix: its geometry, the per-bucket occupancy counts, the
+/// occupied slots as four columns (keys, index pairs, time offsets,
+/// weights), then the spill list.
+fn encode_matrix(buf: &mut Vec<u8>, matrix: &CompressedMatrix) {
+    put_u64(buf, matrix.side());
+    put_u32(buf, matrix.layer());
+    put_u64(buf, matrix.bucket_entries() as u64);
+    put_u32(buf, matrix.mapping());
+    let columns = matrix.sealed_columns();
+    // Each bucket spans at most `bucket_entries <= 255` slots.
+    buf.extend(columns.starts.windows(2).map(|w| (w[1] - w[0]) as u8));
+    columns.keys.iter().for_each(|&key| put_u64(buf, key));
+    let tags = columns.tags.iter().map(|&tag| unpack_tag(tag));
+    tags.clone().for_each(|(idx, _)| put_u16(buf, idx));
+    tags.for_each(|(_, offset)| put_u32(buf, offset));
+    columns
+        .weights
+        .iter()
+        .for_each(|&weight| put_i64(buf, weight));
+    put_u64(buf, matrix.spill_entries().len() as u64);
     for spill in matrix.spill_entries() {
-        enc.put_u64(spill.addr_src)?;
-        enc.put_u64(spill.addr_dst)?;
-        enc.put_u32(spill.fp_src)?;
-        enc.put_u32(spill.fp_dst)?;
-        enc.put_i64(spill.weight)?;
+        put_u64(buf, spill.addr_src);
+        put_u64(buf, spill.addr_dst);
+        put_u32(buf, spill.fp_src);
+        put_u32(buf, spill.fp_dst);
+        put_i64(buf, spill.weight);
     }
-    Ok(())
 }
 
-fn decode_matrix<R: Read>(dec: &mut Decoder<R>) -> Result<CompressedMatrix, SnapshotError> {
-    let side = dec.get_u64()?;
-    let layer = dec.get_u32()?;
-    let bucket_entries = dec.get_len(u8::MAX as u64, "matrix bucket_entries")?;
-    let mapping = dec.get_u32()?;
+/// The little-endian words of `bytes` (a whole number of `N`-byte words).
+fn words<const N: usize>(bytes: &[u8]) -> impl Iterator<Item = [u8; N]> + '_ {
+    bytes.as_chunks::<N>().0.iter().copied()
+}
+
+fn decode_matrix(dec: &mut Reader<'_>) -> Result<CompressedMatrix, SnapshotError> {
+    let side = dec.u64()?;
+    let layer = dec.u32()?;
+    let bucket_entries = dec.count(u8::MAX as u64, "matrix bucket_entries")?;
+    let mapping = dec.u32()?;
     // Pre-validate what CompressedMatrix::new would otherwise assert on, so
     // a corrupt snapshot reports a typed error instead of panicking.
     if !side.is_power_of_two() || !(2..=MAX_MATRIX_SIDE).contains(&side) {
@@ -412,64 +478,61 @@ fn decode_matrix<R: Read>(dec: &mut Decoder<R>) -> Result<CompressedMatrix, Snap
             crate::matrix::MAX_MAPPING
         )));
     }
-    // Read everything BEFORE constructing the matrix: the sealed form
-    // allocates `d² + 1` bucket offsets, so a corrupt `side` field must
-    // first have to prove itself by actually delivering `d²` occupancy
-    // bytes — a bit-flipped geometry on a small file dies with UnexpectedEof
-    // after a bounded chunked read, never with an OOM abort.
-    let buckets = (side * side) as usize;
-    let lens = read_chunked_bytes(dec, buckets)?;
-    let occupied_count: usize = lens.iter().map(|&l| l as usize).sum();
-    let mut occupied = Vec::with_capacity(occupied_count.min(MAX_PREALLOC));
-    for _ in 0..occupied_count {
-        occupied.push(Slot {
-            key: dec.get_u64()?,
-            idx: dec.get_u16()?,
-            time_offset: dec.get_u32()?,
-            weight: dec.get_i64()?,
-        });
+    // Every length below is checked against the bytes actually present
+    // before anything is allocated for it, so a bit-flipped geometry or
+    // count on a small file dies with UnexpectedEof, never with an OOM
+    // abort. The occupancy counts are borrowed from the document.
+    let lens = dec.bytes((side * side) as usize)?;
+    let stored: usize = lens.iter().map(|&l| usize::from(l)).sum();
+    if stored * SLOT_BYTES > dec.remaining() {
+        return Err(CodecError::UnexpectedEof.into());
     }
-    let spill_count = dec.get_len(MAX_SPILL, "matrix spill count")?;
-    let mut spill = Vec::with_capacity(spill_count.min(MAX_PREALLOC));
+    let keys = words(dec.bytes(8 * stored)?)
+        .map(u64::from_le_bytes)
+        .collect();
+    let idx = words(dec.bytes(2 * stored)?).map(u16::from_le_bytes);
+    let offsets = words(dec.bytes(4 * stored)?).map(u32::from_le_bytes);
+    let tags = idx.zip(offsets).map(|(i, o)| pack_tag(i, o)).collect();
+    let weights = words(dec.bytes(8 * stored)?)
+        .map(i64::from_le_bytes)
+        .collect();
+    let spill_count = dec.items(MAX_SPILL, SPILL_BYTES, "matrix spill count")?;
+    let mut spill = Vec::with_capacity(spill_count);
     for _ in 0..spill_count {
         spill.push(SpillEntry {
-            addr_src: dec.get_u64()?,
-            addr_dst: dec.get_u64()?,
-            fp_src: dec.get_u32()?,
-            fp_dst: dec.get_u32()?,
-            weight: dec.get_i64()?,
+            addr_src: dec.u64()?,
+            addr_dst: dec.u64()?,
+            fp_src: dec.u32()?,
+            fp_dst: dec.u32()?,
+            weight: dec.i64()?,
         });
     }
     // Decoded matrices come back sealed; restore turns the open leaf and its
     // chain writable again (see `HiggsSummary::from_restored_parts`).
-    CompressedMatrix::from_sealed_parts(
+    CompressedMatrix::from_sealed_columns(
         (side, layer, bucket_entries, mapping),
-        &lens,
-        &occupied,
+        lens,
+        (keys, tags, weights),
         spill,
     )
     .map_err(SnapshotError::Corrupt)
 }
 
-fn encode_chain<W: Write>(
-    enc: &mut Encoder<W>,
-    chain: &OverflowChain,
-) -> Result<(), SnapshotError> {
+fn encode_chain(buf: &mut Vec<u8>, chain: &OverflowChain) {
     let (side, bucket_entries, mapping) = chain.geometry();
-    enc.put_u64(side)?;
-    enc.put_u64(bucket_entries as u64)?;
-    enc.put_u32(mapping)?;
-    enc.put_u64(chain.blocks().len() as u64)?;
+    put_u64(buf, side);
+    put_u64(buf, bucket_entries as u64);
+    put_u32(buf, mapping);
+    put_u64(buf, chain.blocks().len() as u64);
     for block in chain.blocks() {
-        encode_matrix(enc, block)?;
+        encode_matrix(buf, block);
     }
-    Ok(())
 }
 
-fn decode_chain<R: Read>(dec: &mut Decoder<R>) -> Result<OverflowChain, SnapshotError> {
-    let side = dec.get_u64()?;
-    let bucket_entries = dec.get_len(u8::MAX as u64, "overflow bucket_entries")?;
-    let mapping = dec.get_u32()?;
+fn decode_chain(dec: &mut Reader<'_>) -> Result<OverflowChain, SnapshotError> {
+    let side = dec.u64()?;
+    let bucket_entries = dec.count(u8::MAX as u64, "overflow bucket_entries")?;
+    let mapping = dec.u32()?;
     // The chain geometry seeds `CompressedMatrix::new` for every FUTURE
     // overflow block (the first post-restore same-timestamp burst), whose
     // asserts would then panic inside a live service — validate it now, with
@@ -491,8 +554,8 @@ fn decode_chain<R: Read>(dec: &mut Decoder<R>) -> Result<OverflowChain, Snapshot
             crate::matrix::MAX_MAPPING
         )));
     }
-    let blocks_len = dec.get_len(MAX_BLOCKS, "overflow block count")?;
-    let mut blocks = Vec::with_capacity(blocks_len.min(MAX_PREALLOC));
+    let blocks_len = dec.items(MAX_BLOCKS, MIN_MATRIX_BYTES, "overflow block count")?;
+    let mut blocks = Vec::with_capacity(blocks_len);
     for _ in 0..blocks_len {
         blocks.push(decode_matrix(dec)?);
     }
@@ -504,18 +567,18 @@ fn decode_chain<R: Read>(dec: &mut Decoder<R>) -> Result<OverflowChain, Snapshot
     ))
 }
 
-fn encode_leaf<W: Write>(enc: &mut Encoder<W>, leaf: &LeafNode) -> Result<(), SnapshotError> {
-    enc.put_u64(leaf.start_time)?;
-    enc.put_u64(leaf.end_time)?;
-    enc.put_u64(leaf.items)?;
-    encode_matrix(enc, &leaf.matrix)?;
-    encode_chain(enc, &leaf.overflow)
+fn encode_leaf(buf: &mut Vec<u8>, leaf: &LeafNode) {
+    put_u64(buf, leaf.start_time);
+    put_u64(buf, leaf.end_time);
+    put_u64(buf, leaf.items);
+    encode_matrix(buf, &leaf.matrix);
+    encode_chain(buf, &leaf.overflow);
 }
 
-fn decode_leaf<R: Read>(dec: &mut Decoder<R>) -> Result<LeafNode, SnapshotError> {
-    let start_time = dec.get_u64()?;
-    let end_time = dec.get_u64()?;
-    let items = dec.get_u64()?;
+fn decode_leaf(dec: &mut Reader<'_>) -> Result<LeafNode, SnapshotError> {
+    let start_time = dec.u64()?;
+    let end_time = dec.u64()?;
+    let items = dec.u64()?;
     if end_time < start_time {
         return Err(SnapshotError::Corrupt(format!(
             "leaf time range [{start_time}, {end_time}] is inverted"
@@ -529,55 +592,127 @@ fn decode_leaf<R: Read>(dec: &mut Decoder<R>) -> Result<LeafNode, SnapshotError>
     Ok(leaf)
 }
 
-/// Builds a section payload with an in-memory encoder.
-fn section_payload(
-    build: impl FnOnce(&mut Encoder<&mut Vec<u8>>) -> Result<(), SnapshotError>,
-) -> Result<Vec<u8>, SnapshotError> {
-    let mut payload = Vec::new();
-    let mut enc = Encoder::new(&mut payload);
-    build(&mut enc)?;
-    Ok(payload)
+/// Appends one section to `buf`: its header, then the payload `build`
+/// writes, then the payload length patched into the header.
+fn section(buf: &mut Vec<u8>, tag: u16, build: impl FnOnce(&mut Vec<u8>)) {
+    let start = begin_section(buf, tag);
+    build(buf);
+    end_section(buf, start);
 }
 
-fn read_header<R: Read>(dec: &mut Decoder<R>, expected_magic: u64) -> Result<(), SnapshotError> {
-    let magic = dec.get_u64()?;
+/// Closes a finished document: appends the [`frame_checksum`] of every byte
+/// so far and returns it.
+fn finish_document(buf: &mut Vec<u8>) -> u64 {
+    let checksum = frame_checksum(buf);
+    put_u64(buf, checksum);
+    checksum
+}
+
+fn read_header(dec: &mut Reader<'_>, expected_magic: u64) -> Result<u32, SnapshotError> {
+    let magic = dec.u64()?;
     if magic != expected_magic {
         return Err(SnapshotError::BadMagic {
             expected: expected_magic,
             found: magic,
         });
     }
-    let version = dec.get_u32()?;
-    if version > FORMAT_VERSION {
+    let version = dec.u32()?;
+    if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    Ok(())
+    Ok(version)
 }
 
 /// Reads a section header and checks the tag is the expected one (sections
-/// are written in a fixed order in version 1).
-fn expect_section<R: Read>(
-    dec: &mut Decoder<R>,
-    expected: u16,
-) -> Result<(u64, u64), SnapshotError> {
+/// are written in a fixed order), returning the payload length and the
+/// position where the payload starts.
+fn expect_section(dec: &mut Reader<'_>, expected: u16) -> Result<(u64, usize), SnapshotError> {
     let (tag, len) = dec.section_header()?;
     if tag != expected {
         return Err(SnapshotError::Corrupt(format!(
             "expected section {expected}, found {tag}"
         )));
     }
-    Ok((len, dec.bytes_read()))
+    Ok((len, dec.position()))
+}
+
+/// Reads the trailing checksum of the document `bytes` that `dec` has
+/// decoded up to it, and compares it with the [`frame_checksum`] of every
+/// byte before it. Returns the checksum on success.
+fn verify_checksum(dec: &mut Reader<'_>, bytes: &[u8]) -> Result<u64, SnapshotError> {
+    let (body, _) = bytes.split_at(dec.position());
+    let stored = dec.u64()?;
+    let computed = frame_checksum(body);
+    if stored != computed {
+        return Err(CodecError::Invalid(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        ))
+        .into());
+    }
+    Ok(stored)
+}
+
+/// Reads exactly one document of `sections` sections from `source`: the
+/// header, each section's header and payload, and the trailing checksum,
+/// as their lengths say. The bytes are only framed here, not checked; a
+/// source that ends early yields the bytes read so far, and the decoder
+/// reports what is missing. Payload lengths are untrusted, so the buffer
+/// grows only as bytes actually arrive.
+fn read_document<R: Read>(source: &mut R, sections: usize) -> Result<Vec<u8>, SnapshotError> {
+    let mut bytes = Vec::new();
+    let mut more = |bytes: &mut Vec<u8>, n: u64| -> std::io::Result<bool> {
+        let got = source.by_ref().take(n).read_to_end(bytes)?;
+        Ok(got as u64 == n)
+    };
+    if !more(&mut bytes, DOCUMENT_HEADER_BYTES as u64)? {
+        return Ok(bytes);
+    }
+    for _ in 0..sections {
+        if !more(&mut bytes, SECTION_HEADER_BYTES as u64)? {
+            return Ok(bytes);
+        }
+        let mut len = [0u8; 8];
+        len.copy_from_slice(&bytes[bytes.len() - 8..]);
+        if !more(&mut bytes, u64::from_le_bytes(len))? {
+            return Ok(bytes);
+        }
+    }
+    more(&mut bytes, 8)?;
+    Ok(bytes)
 }
 
 impl HiggsSummary {
+    /// The exact byte length of this summary's snapshot document.
+    fn snapshot_len(&self) -> usize {
+        let meta = 8 + 8 + 1 + 8 + 16 * self.pending.len();
+        let leaves = 8 + self.leaves.iter().map(leaf_len).sum::<usize>();
+        let internals = 8 + self
+            .internals
+            .iter()
+            .map(|level| {
+                8 + level
+                    .iter()
+                    .map(|node| MIN_NODE_BYTES + node.matrix.as_ref().map_or(0, matrix_len))
+                    .sum::<usize>()
+            })
+            .sum::<usize>();
+        DOCUMENT_HEADER_BYTES
+            + 4 * SECTION_HEADER_BYTES
+            + config_len(&self.config)
+            + meta
+            + leaves
+            + internals
+            + 8
+    }
+
     /// Serialises this summary into `sink` as one self-contained snapshot
     /// document (magic, version, config / meta / leaves / internals
-    /// sections, trailing checksum). Returns the document checksum — the
-    /// value [`ShardedHiggs::snapshot_to_dir`] records per shard in its
-    /// manifest.
+    /// sections, trailing checksum), encoded in memory and handed to `sink`
+    /// in one write. Returns the document checksum — the value
+    /// [`ShardedHiggs::snapshot_to_dir`] records per shard in its manifest.
     ///
     /// Deferred-aggregation state is persisted faithfully: unmaterialised
     /// internal nodes are written without a matrix and the pending-job list
@@ -588,64 +723,54 @@ impl HiggsSummary {
     /// sharded restore switches every shard to inline aggregation and
     /// materialises such nodes, since service writers aggregate inline.
     pub fn write_snapshot<W: Write>(&self, sink: &mut W) -> Result<u64, SnapshotError> {
-        let mut enc = Encoder::new(sink);
-        enc.put_u64(SUMMARY_MAGIC)?;
-        enc.put_u32(FORMAT_VERSION)?;
-
-        let config_payload = section_payload(|enc| encode_config(enc, &self.config))?;
-        enc.section(TAG_CONFIG, &config_payload)?;
-
-        let meta_payload = section_payload(|enc| {
-            enc.put_u64(self.total_items)?;
-            enc.put_u64(self.epoch)?;
-            enc.put_bool(self.defer_aggregation)?;
-            enc.put_u64(self.pending.len() as u64)?;
+        let expected_len = self.snapshot_len();
+        let mut buf = Vec::with_capacity(expected_len);
+        put_u64(&mut buf, SUMMARY_MAGIC);
+        put_u32(&mut buf, FORMAT_VERSION);
+        section(&mut buf, TAG_CONFIG, |buf| encode_config(buf, &self.config));
+        section(&mut buf, TAG_META, |buf| {
+            put_u64(buf, self.total_items);
+            put_u64(buf, self.epoch);
+            put_bool(buf, self.defer_aggregation);
+            put_u64(buf, self.pending.len() as u64);
             for job in &self.pending {
-                enc.put_u64(job.level as u64)?;
-                enc.put_u64(job.index as u64)?;
+                put_u64(buf, job.level as u64);
+                put_u64(buf, job.index as u64);
             }
-            Ok(())
-        })?;
-        enc.section(TAG_META, &meta_payload)?;
-
-        let leaves_payload = section_payload(|enc| {
-            enc.put_u64(self.leaves.len() as u64)?;
+        });
+        section(&mut buf, TAG_LEAVES, |buf| {
+            put_u64(buf, self.leaves.len() as u64);
             for leaf in &self.leaves {
-                encode_leaf(enc, leaf)?;
+                encode_leaf(buf, leaf);
             }
-            Ok(())
-        })?;
-        enc.section(TAG_LEAVES, &leaves_payload)?;
-
-        let internals_payload = section_payload(|enc| {
-            enc.put_u64(self.internals.len() as u64)?;
+        });
+        section(&mut buf, TAG_INTERNALS, |buf| {
+            put_u64(buf, self.internals.len() as u64);
             for level in &self.internals {
-                enc.put_u64(level.len() as u64)?;
+                put_u64(buf, level.len() as u64);
                 for node in level {
-                    enc.put_u64(node.start_time)?;
-                    enc.put_u64(node.end_time)?;
-                    match &node.matrix {
-                        Some(matrix) => {
-                            enc.put_bool(true)?;
-                            encode_matrix(enc, matrix)?;
-                        }
-                        None => enc.put_bool(false)?,
+                    put_u64(buf, node.start_time);
+                    put_u64(buf, node.end_time);
+                    put_bool(buf, node.matrix.is_some());
+                    if let Some(matrix) = &node.matrix {
+                        encode_matrix(buf, matrix);
                     }
                 }
             }
-            Ok(())
-        })?;
-        enc.section(TAG_INTERNALS, &internals_payload)?;
-
-        Ok(enc.finish_with_checksum()?)
+        });
+        let checksum = finish_document(&mut buf);
+        debug_assert_eq!(buf.len(), expected_len, "snapshot length estimate");
+        sink.write_all(&buf)?;
+        Ok(checksum)
     }
 
     /// Reads a snapshot written by [`write_snapshot`](Self::write_snapshot)
-    /// back into a summary, verifying magic, format version, section
-    /// framing, structural invariants, and the trailing checksum. On success
-    /// the returned summary answers every query bit-identically to the one
-    /// that was snapshotted (with a cold plan cache); every failure mode is
-    /// a typed [`SnapshotError`].
+    /// back into a summary, consuming exactly one document from `source`
+    /// and verifying magic, format version, section framing, structural
+    /// invariants, and the trailing checksum. On success the returned
+    /// summary answers every query bit-identically to the one that was
+    /// snapshotted (with a cold plan cache); every failure mode is a typed
+    /// [`SnapshotError`].
     pub fn read_snapshot<R: Read>(source: &mut R) -> Result<Self, SnapshotError> {
         let (summary, _) = Self::read_snapshot_with_checksum(source)?;
         Ok(summary)
@@ -657,7 +782,14 @@ impl HiggsSummary {
     pub fn read_snapshot_with_checksum<R: Read>(
         source: &mut R,
     ) -> Result<(Self, u64), SnapshotError> {
-        let mut dec = Decoder::new(source);
+        Self::decode_snapshot(&read_document(source, 4)?)
+    }
+
+    /// Decodes the snapshot document at the start of `bytes` (see the
+    /// [module docs](self) for the check order), returning the summary and
+    /// its verified checksum.
+    fn decode_snapshot(bytes: &[u8]) -> Result<(Self, u64), SnapshotError> {
+        let mut dec = Reader::new(bytes);
         read_header(&mut dec, SUMMARY_MAGIC)?;
 
         let (len, start) = expect_section(&mut dec, TAG_CONFIG)?;
@@ -665,37 +797,37 @@ impl HiggsSummary {
         dec.expect_section_end(start, len, TAG_CONFIG)?;
 
         let (len, start) = expect_section(&mut dec, TAG_META)?;
-        let total_items = dec.get_u64()?;
-        let epoch = dec.get_u64()?;
-        let defer_aggregation = dec.get_bool()?;
-        let pending_len = dec.get_len(MAX_PENDING, "pending job count")?;
-        let mut pending = Vec::with_capacity(pending_len.min(MAX_PREALLOC));
+        let total_items = dec.u64()?;
+        let epoch = dec.u64()?;
+        let defer_aggregation = dec.bool()?;
+        let pending_len = dec.items(MAX_PENDING, 16, "pending job count")?;
+        let mut pending = Vec::with_capacity(pending_len);
         for _ in 0..pending_len {
             pending.push(PendingAggregation {
-                level: dec.get_len(MAX_LEVELS, "pending job level")?,
-                index: dec.get_len(MAX_NODES, "pending job index")?,
+                level: dec.count(MAX_LEVELS, "pending job level")?,
+                index: dec.count(MAX_NODES, "pending job index")?,
             });
         }
         dec.expect_section_end(start, len, TAG_META)?;
 
         let (len, start) = expect_section(&mut dec, TAG_LEAVES)?;
-        let leaf_count = dec.get_len(MAX_LEAVES, "leaf count")?;
-        let mut leaves = Vec::with_capacity(leaf_count.min(MAX_PREALLOC));
+        let leaf_count = dec.items(MAX_LEAVES, MIN_LEAF_BYTES, "leaf count")?;
+        let mut leaves = Vec::with_capacity(leaf_count);
         for _ in 0..leaf_count {
             leaves.push(decode_leaf(&mut dec)?);
         }
         dec.expect_section_end(start, len, TAG_LEAVES)?;
 
         let (len, start) = expect_section(&mut dec, TAG_INTERNALS)?;
-        let level_count = dec.get_len(MAX_LEVELS, "internal level count")?;
+        let level_count = dec.items(MAX_LEVELS, 8, "internal level count")?;
         let mut internals = Vec::with_capacity(level_count);
         for _ in 0..level_count {
-            let node_count = dec.get_len(MAX_NODES, "internal node count")?;
-            let mut nodes = Vec::with_capacity(node_count.min(MAX_PREALLOC));
+            let node_count = dec.items(MAX_NODES, MIN_NODE_BYTES, "internal node count")?;
+            let mut nodes = Vec::with_capacity(node_count);
             for _ in 0..node_count {
-                let start_time = dec.get_u64()?;
-                let end_time = dec.get_u64()?;
-                let matrix = if dec.get_bool()? {
+                let start_time = dec.u64()?;
+                let end_time = dec.u64()?;
+                let matrix = if dec.bool()? {
                     Some(decode_matrix(&mut dec)?)
                 } else {
                     None
@@ -710,7 +842,7 @@ impl HiggsSummary {
         }
         dec.expect_section_end(start, len, TAG_INTERNALS)?;
 
-        let checksum = dec.verify_checksum()?;
+        let checksum = verify_checksum(&mut dec, bytes)?;
 
         // Cross-section validation: every pending aggregation job must name
         // an existing, unmaterialised internal node — a job pointing past
@@ -773,49 +905,36 @@ impl SnapshotManifest {
     }
 
     fn write_to(&self, sink: &mut impl Write) -> Result<u64, SnapshotError> {
-        let mut enc = Encoder::new(sink);
-        enc.put_u64(MANIFEST_MAGIC)?;
-        enc.put_u32(self.format_version)?;
-        let payload = section_payload(|enc| {
-            encode_config(enc, &self.config)?;
-            enc.put_u64(self.shard_checksums.len() as u64)?;
+        let mut buf = Vec::new();
+        put_u64(&mut buf, MANIFEST_MAGIC);
+        put_u32(&mut buf, self.format_version);
+        section(&mut buf, TAG_MANIFEST, |buf| {
+            encode_config(buf, &self.config);
+            put_u64(buf, self.shard_checksums.len() as u64);
             for (&checksum, &items) in self.shard_checksums.iter().zip(&self.shard_items) {
-                enc.put_u64(checksum)?;
-                enc.put_u64(items)?;
+                put_u64(buf, checksum);
+                put_u64(buf, items);
             }
-            Ok(())
-        })?;
-        enc.section(TAG_MANIFEST, &payload)?;
-        Ok(enc.finish_with_checksum()?)
+        });
+        let checksum = finish_document(&mut buf);
+        sink.write_all(&buf)?;
+        Ok(checksum)
     }
 
-    fn read_from(source: &mut impl Read) -> Result<Self, SnapshotError> {
-        let mut dec = Decoder::new(source);
-        let magic = dec.get_u64()?;
-        if magic != MANIFEST_MAGIC {
-            return Err(SnapshotError::BadMagic {
-                expected: MANIFEST_MAGIC,
-                found: magic,
-            });
-        }
-        let format_version = dec.get_u32()?;
-        if format_version > FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: format_version,
-                supported: FORMAT_VERSION,
-            });
-        }
+    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut dec = Reader::new(bytes);
+        let format_version = read_header(&mut dec, MANIFEST_MAGIC)?;
         let (len, start) = expect_section(&mut dec, TAG_MANIFEST)?;
         let config = decode_config(&mut dec)?;
-        let shard_count = dec.get_len(crate::shard::MAX_SHARDS as u64, "manifest shard count")?;
+        let shard_count = dec.items(crate::shard::MAX_SHARDS as u64, 16, "manifest shard count")?;
         let mut shard_checksums = Vec::with_capacity(shard_count);
         let mut shard_items = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
-            shard_checksums.push(dec.get_u64()?);
-            shard_items.push(dec.get_u64()?);
+            shard_checksums.push(dec.u64()?);
+            shard_items.push(dec.u64()?);
         }
         dec.expect_section_end(start, len, TAG_MANIFEST)?;
-        dec.verify_checksum()?;
+        verify_checksum(&mut dec, bytes)?;
         if shard_count != config.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "manifest shard table holds {shard_count} entries but the config declares {} shards",
@@ -833,9 +952,7 @@ impl SnapshotManifest {
     /// Reads and verifies the manifest of a snapshot directory without
     /// touching the shard files (a cheap pre-flight / inspection hook).
     pub fn read_from_dir(dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let path = dir.as_ref().join(MANIFEST_FILE);
-        let mut file = std::fs::File::open(&path)?;
-        Self::read_from(&mut file)
+        Self::decode(&std::fs::read(dir.as_ref().join(MANIFEST_FILE))?)
     }
 }
 
@@ -879,8 +996,7 @@ pub(crate) fn manifest_tail_checksum(dir: &Path) -> Result<u64, SnapshotError> {
 /// has its missing nodes materialised here, so no shard ever carries
 /// pending jobs.
 fn read_shard_summary(path: &Path) -> Result<(HiggsSummary, u64), SnapshotError> {
-    let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-    let (mut summary, checksum) = HiggsSummary::read_snapshot_with_checksum(&mut file)?;
+    let (mut summary, checksum) = HiggsSummary::decode_snapshot(&std::fs::read(path)?)?;
     summary.defer_aggregation = false;
     summary.materialize_missing_aggregations();
     Ok((summary, checksum))
@@ -907,13 +1023,17 @@ pub(crate) enum ShardBase {
 /// one per-shard recovery routine behind every open, restore, follower
 /// bootstrap and writer respawn. It only reads, so a failure leaves the
 /// directory as it was.
+///
+/// Alongside the summary it returns what the journal replay found (`None`
+/// without `covering`), which arms the journal for appending without a
+/// second read ([`DurableState::arm`](crate::shard::DurableState::arm)).
 pub(crate) fn recover_shard(
     dir: &Path,
     shard: usize,
     config: &HiggsConfig,
     base: ShardBase,
     covering: Option<u64>,
-) -> Result<HiggsSummary, SnapshotError> {
+) -> Result<(HiggsSummary, Option<LogScan>), SnapshotError> {
     let path = dir.join(shard_file_name(shard));
     let mut summary = match base {
         ShardBase::Fresh => HiggsSummary::new(*config),
@@ -941,33 +1061,48 @@ pub(crate) fn recover_shard(
             Err(e) => return Err(e),
         },
     };
-    if let Some(covering) = covering {
-        crate::journal::replay_into(dir, shard, covering, &mut summary)
-            .map_err(SnapshotError::Journal)?;
-    }
-    Ok(summary)
+    let journal = match covering {
+        Some(covering) => Some(
+            crate::journal::replay_into(dir, shard, covering, &mut summary)
+                .map_err(SnapshotError::Journal)?,
+        ),
+        None => None,
+    };
+    Ok((summary, journal))
 }
 
-/// Runs `task` once for every shard index in `0..shards`, spread over at
-/// most one scoped thread per core (the caller's thread among them), and
-/// returns the results in shard order — or, when any task fails, the error
-/// of the **lowest** failing shard, whatever order the threads finished in.
-/// A panicking task is re-raised on the caller.
+/// Runs `task` once for every task index in `0..tasks`, spread over at most
+/// one scoped thread per core (the caller's thread among them), and returns
+/// the results in task order — or, when any task fails, the error of the
+/// **lowest** failing task, whatever order the threads finished in. Tasks
+/// are handed out dynamically, lowest index first: a thread that finishes
+/// one claims the next unclaimed, so a thread done with a small task goes on
+/// with the remaining ones while another still runs a large one. A
+/// panicking task is re-raised on the caller.
 pub(crate) fn per_shard<T: Send, E: Send>(
-    shards: usize,
+    tasks: usize,
     task: impl Fn(usize) -> Result<T, E> + Sync,
 ) -> Result<Vec<T>, E> {
     let workers = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
-        .clamp(1, shards.max(1));
-    let task = &task;
-    // Worker `w` takes shards `w, w + workers, …`.
-    let run = move |w: usize| -> Vec<(usize, Result<T, E>)> {
-        (w..shards).step_by(workers).map(|s| (s, task(s))).collect()
+        .clamp(1, tasks.max(1));
+    let next = AtomicUsize::new(0);
+    let (task, next) = (&task, &next);
+    let run = move || -> Vec<(usize, Result<T, E>)> {
+        let mut done = Vec::new();
+        loop {
+            // ORDERING: Relaxed — the counter only hands out distinct
+            // indices; each result travels back through the thread join.
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= tasks {
+                return done;
+            }
+            done.push((t, task(t)));
+        }
     };
     let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || run(w))).collect();
-        let mut done = run(0);
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+        let mut done = run();
         for helper in helpers {
             match helper.join() {
                 Ok(part) => done.extend(part),
@@ -976,8 +1111,30 @@ pub(crate) fn per_shard<T: Send, E: Send>(
         }
         done
     });
-    done.sort_unstable_by_key(|&(s, _)| s);
+    done.sort_unstable_by_key(|&(t, _)| t);
     done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Reads and verifies the manifest of `dir` (magic, version, checksum,
+/// internal consistency), then checks the directory's shard-file census
+/// against its count.
+pub(crate) fn read_checked_manifest(dir: &Path) -> Result<SnapshotManifest, SnapshotError> {
+    let manifest = SnapshotManifest::read_from_dir(dir)?;
+    let declared = manifest.shard_count();
+    // An extra shard file beyond the declared count means the manifest
+    // and the directory disagree (e.g. a manifest from a smaller
+    // service was copied in): refuse rather than silently drop data.
+    let mut present = 0usize;
+    while dir.join(shard_file_name(present)).exists() {
+        present += 1;
+    }
+    if present != declared {
+        return Err(SnapshotError::ShardCountMismatch {
+            manifest: declared,
+            found: present,
+        });
+    }
+    Ok(manifest)
 }
 
 /// Restores per-shard summaries from a snapshot directory, all shards in
@@ -998,29 +1155,15 @@ pub(crate) fn restore_summaries(
     dir: &Path,
     replay_journals: bool,
 ) -> Result<(HiggsConfig, Vec<HiggsSummary>), SnapshotError> {
-    let manifest = SnapshotManifest::read_from_dir(dir)?;
-    let declared = manifest.shard_count();
-    // An extra shard file beyond the declared count means the manifest
-    // and the directory disagree (e.g. a manifest from a smaller
-    // service was copied in): refuse rather than silently drop data.
-    let mut present = 0usize;
-    while dir.join(shard_file_name(present)).exists() {
-        present += 1;
-    }
-    if present != declared {
-        return Err(SnapshotError::ShardCountMismatch {
-            manifest: declared,
-            found: present,
-        });
-    }
+    let manifest = read_checked_manifest(dir)?;
     let covering = if replay_journals {
         Some(manifest_tail_checksum(dir)?)
     } else {
         None
     };
-    let summaries = per_shard(declared, |s| {
+    let summaries = per_shard(manifest.shard_count(), |s| {
         let base = ShardBase::Manifest(manifest.shard_checksums[s]);
-        recover_shard(dir, s, &manifest.config, base, covering)
+        recover_shard(dir, s, &manifest.config, base, covering).map(|(summary, _)| summary)
     })?;
     Ok((manifest.config, summaries))
 }
@@ -1244,7 +1387,7 @@ mod tests {
                     supported: FORMAT_VERSION,
                 }
                 .to_string(),
-                "newer than the supported",
+                "format version 9 is not supported",
             ),
             (
                 SnapshotError::ShardCountMismatch {
@@ -1580,6 +1723,287 @@ mod tests {
                 assert!(msg.contains("overflow chain side"), "{msg}");
             }
             other => panic!("zero chain side must be Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A small summary: one open leaf holding three entries.
+    fn small_summary() -> HiggsSummary {
+        let config = HiggsConfig::builder()
+            .d1(4)
+            .bucket_entries(2)
+            .build()
+            .expect("valid config");
+        let mut summary = HiggsSummary::new(config);
+        summary.insert(&StreamEdge::new(1, 2, 5, 10));
+        summary.insert(&StreamEdge::new(3, 4, 1, 11));
+        summary.insert(&StreamEdge::new(1, 2, 2, 12));
+        summary
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex
+            .bytes()
+            .filter(u8::is_ascii_hexdigit)
+            .map(|d| (d as char).to_digit(16).expect("hex digit") as u8)
+            .collect();
+        digits
+            .chunks(2)
+            .map(|pair| pair[0] << 4 | pair[1])
+            .collect()
+    }
+
+    /// [`small_summary`]'s snapshot document, byte for byte: magic and
+    /// version 2, then the config (46 bytes), meta (25), leaves (174) and
+    /// internals (8) sections, then the checksum. The one leaf's matrix
+    /// holds its 16 occupancy counts, then its three slots as columns:
+    /// keys, index pairs, time offsets (2, 0, 1) and weights (2, 5, 1).
+    const GOLDEN_SUMMARY: &str = "
+        484947475353554d 02000000
+        0100 2e00000000000000
+            0400000000000000 13000000 01000000 0200000000000000 04000000 01
+            0100000000000000 0001000000000000 00
+        0200 1900000000000000
+            0300000000000000 0300000000000000 00 0000000000000000
+        0300 ae00000000000000
+            0100000000000000
+            0a00000000000000 0c00000000000000 0300000000000000
+            0400000000000000 01000000 0200000000000000 04000000
+            00000000000000000000010200000000
+            39fa07000eb50200 39fa07000eb50200 0df3060081940000
+            0100 0000 0000
+            02000000 00000000 01000000
+            0200000000000000 0500000000000000 0100000000000000
+            0000000000000000
+            0400000000000000 0100000000000000 04000000 0000000000000000
+        0400 0800000000000000
+            0000000000000000
+        cabac1473b3ee48c";
+
+    /// The manifest of a one-shard directory holding [`GOLDEN_SUMMARY`]: the
+    /// service config, one `(checksum, items)` row, then the checksum.
+    const GOLDEN_MANIFEST: &str = "
+        48494747534d414e 02000000
+        0500 4600000000000000
+            0400000000000000 13000000 01000000 0200000000000000 04000000 01
+            0100000000000000 0001000000000000 00
+            0100000000000000
+            cabac1473b3ee48c 0300000000000000
+        bb9018d5d8cbebc0";
+
+    #[test]
+    fn format_v2_golden_bytes() {
+        let summary = small_summary();
+        let mut bytes = Vec::new();
+        let checksum = summary.write_snapshot(&mut bytes).expect("snapshot");
+        assert_eq!(hex(&bytes), hex(&unhex(GOLDEN_SUMMARY)));
+        assert_eq!(checksum, frame_checksum(&bytes[..bytes.len() - 8]));
+        assert_eq!(bytes[bytes.len() - 8..], checksum.to_le_bytes());
+
+        let dir = std::env::temp_dir().join(format!(
+            "higgs-golden-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create dir");
+        let shards = [Arc::new(RwLock::new(summary))];
+        let (_, manifest_checksum) = write_snapshot_files(&dir, &shards).expect("write");
+        let manifest = std::fs::read(dir.join(MANIFEST_FILE)).expect("read manifest");
+        assert_eq!(hex(&manifest), hex(&unhex(GOLDEN_MANIFEST)));
+        assert_eq!(
+            manifest_checksum,
+            frame_checksum(&manifest[..manifest.len() - 8])
+        );
+        assert_eq!(
+            std::fs::read(dir.join(shard_file_name(0))).expect("read shard file"),
+            bytes
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        // The golden document restores to the summary it was taken from.
+        let restored =
+            HiggsSummary::read_snapshot(&mut unhex(GOLDEN_SUMMARY).as_slice()).expect("restore");
+        assert_eq!(restored.total_items(), 3);
+        assert_eq!(restored.edge_query(1, 2, TimeRange::all()), 7);
+        assert_eq!(restored.edge_query(3, 4, TimeRange::new(11, 11)), 1);
+    }
+
+    /// The document checksum is the framing core's word-at-a-time checksum
+    /// of every byte before it, and the reader hands back the same value.
+    #[test]
+    fn document_checksum_is_the_frame_checksum_of_the_bytes() {
+        let mut bytes = Vec::new();
+        let written = small_summary()
+            .write_snapshot(&mut bytes)
+            .expect("snapshot");
+        let (body, stored) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(stored, frame_checksum(body).to_le_bytes());
+        let (_, read) =
+            HiggsSummary::read_snapshot_with_checksum(&mut bytes.as_slice()).expect("restore");
+        assert_eq!(read, written);
+    }
+
+    #[test]
+    fn version_1_files_are_refused_typed() {
+        let mut bytes = Vec::new();
+        small_summary()
+            .write_snapshot(&mut bytes)
+            .expect("snapshot");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match HiggsSummary::read_snapshot(&mut bytes.as_slice()) {
+            Err(
+                e @ SnapshotError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2,
+                },
+            ) => {
+                let message = e.to_string();
+                assert!(message.contains("version 1 is not supported"), "{message}");
+                assert!(!message.contains("newer"), "{message}");
+            }
+            other => panic!("a version-1 summary must be refused typed, got {other:?}"),
+        }
+        let mut manifest = unhex(GOLDEN_MANIFEST);
+        manifest[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match SnapshotManifest::decode(&manifest) {
+            Err(SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+            }) => {}
+            other => panic!("a version-1 manifest must be refused typed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_small_snapshot_is_a_typed_error() {
+        let mut summary = small_summary();
+        // Sealed leaves, an internal level and an overflow chain too, so
+        // every matrix shape the format holds is flipped through.
+        for t in 0..40u64 {
+            summary.insert(&StreamEdge::new(t % 7, (t * 3) % 7, 1, 20 + t / 8));
+        }
+        for t in 0..100u64 {
+            summary.insert(&StreamEdge::new(t % 13, (t * 5) % 11, 1, 30 + t));
+        }
+        assert!(summary.leaf_count() > 1 && !summary.internals.is_empty());
+        assert!(summary
+            .leaves
+            .iter()
+            .any(|l| !l.overflow.blocks().is_empty()));
+        let mut bytes = Vec::new();
+        summary.write_snapshot(&mut bytes).expect("snapshot");
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                HiggsSummary::read_snapshot(&mut flipped.as_slice()).is_err(),
+                "bit {bit} of {} flipped, yet the snapshot restored",
+                bytes.len()
+            );
+        }
+        let manifest = unhex(GOLDEN_MANIFEST);
+        for bit in 0..manifest.len() * 8 {
+            let mut flipped = manifest.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                SnapshotManifest::decode(&flipped).is_err(),
+                "manifest bit {bit}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_small_snapshot_is_a_typed_error() {
+        let mut bytes = Vec::new();
+        small_summary()
+            .write_snapshot(&mut bytes)
+            .expect("snapshot");
+        for cut in 0..bytes.len() {
+            match HiggsSummary::read_snapshot(&mut &bytes[..cut]) {
+                Err(SnapshotError::Codec(CodecError::UnexpectedEof)) => {}
+                other => panic!("cut at byte {cut}: expected UnexpectedEof, got {other:?}"),
+            }
+        }
+        let manifest = unhex(GOLDEN_MANIFEST);
+        for cut in 0..manifest.len() {
+            assert!(
+                matches!(
+                    SnapshotManifest::decode(&manifest[..cut]),
+                    Err(SnapshotError::Codec(CodecError::UnexpectedEof))
+                ),
+                "manifest cut at byte {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn reading_consumes_exactly_one_document() {
+        let mut stream = Vec::new();
+        let first = small_summary();
+        let mut second = small_summary();
+        second.insert(&StreamEdge::new(5, 6, 9, 30));
+        first.write_snapshot(&mut stream).expect("first");
+        second.write_snapshot(&mut stream).expect("second");
+        let mut source = stream.as_slice();
+        let a = HiggsSummary::read_snapshot(&mut source).expect("read first");
+        let b = HiggsSummary::read_snapshot(&mut source).expect("read second");
+        assert!(source.is_empty());
+        assert_eq!((a.total_items(), b.total_items()), (3, 4));
+        assert_eq!(b.edge_query(5, 6, TimeRange::all()), 9);
+    }
+
+    #[test]
+    fn per_shard_returns_task_order_and_the_lowest_failure() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+
+        // Results come back in task order, however the tasks interleave.
+        let squares = per_shard(9, |t| {
+            std::thread::sleep(Duration::from_millis(((9 - t) % 3) as u64));
+            Ok::<_, ()>(t * t)
+        });
+        assert_eq!(squares, Ok((0..9).map(|t| t * t).collect()));
+        // Tasks 3 and 5 fail at once; task 1 fails last, after a wait.
+        for _ in 0..5 {
+            let failed = per_shard(7, |t| {
+                if t == 1 {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                if matches!(t, 1 | 3 | 5) {
+                    Err(t)
+                } else {
+                    Ok(t)
+                }
+            });
+            assert_eq!(failed, Err(1));
+        }
+        // Tasks are claimed dynamically: task 0 waits until every other
+        // task is done, which needs another thread to take all of them
+        // (a fixed round-robin would leave some queued behind task 0).
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+            let finished = AtomicUsize::new(0);
+            let outcome = per_shard(8, |t| {
+                if t == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    // ORDERING: Acquire pairs with the Release increments
+                    // below; only the count matters.
+                    while finished.load(Ordering::Acquire) < 7 {
+                        if Instant::now() > deadline {
+                            return Err("tasks 1..8 never finished beside task 0");
+                        }
+                        std::thread::yield_now();
+                    }
+                } else {
+                    // ORDERING: Release pairs with task 0's Acquire load.
+                    finished.fetch_add(1, Ordering::Release);
+                }
+                Ok(t)
+            });
+            assert_eq!(outcome, Ok((0..8).collect()));
         }
     }
 

@@ -34,11 +34,13 @@
 //! migration table from the removed constructors.
 
 use crate::config::{HiggsConfig, JournalMode};
-use crate::history;
+use crate::framing::LogScan;
+use crate::history::{self, HistoryLog};
 use crate::replica::{Follower, ReplicaError};
 use crate::reshard::ReshardError;
 use crate::shard::{DurableState, ShardedHiggs};
 use crate::snapshot::{per_shard, recover_shard, ShardBase, SnapshotError};
+use crate::tree::HiggsSummary;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -141,26 +143,32 @@ impl Store {
     /// per-shard history logs and resumes the global mutation sequence above
     /// everything already recorded.
     ///
-    /// Opening runs in two phases, each over all shards in parallel (one
-    /// scoped thread per core at most):
+    /// Opening runs in two phases, each spread over at most one scoped
+    /// thread per core, which claim tasks in order as they finish earlier
+    /// ones:
     ///
-    /// 1. **Recover, writing nothing.** The manifest is validated (magic,
-    ///    version, checksum, internal consistency) and the directory's
-    ///    shard-file census checked against its count; then every shard's
-    ///    file is read and checked against its own checksum and the
-    ///    manifest-recorded one, and its journal tail replayed. On an elastic
-    ///    store the history generations no shard re-arms (those a reshard
-    ///    left behind) are read for their highest sequence number.
-    /// 2. **Arm.** Only once every shard has recovered are the shards' logs
-    ///    armed for appending: each journal and current-generation history
-    ///    file is verified record by record, its torn tail trimmed and a
-    ///    stale journal reset.
+    /// 1. **Recover and verify, writing nothing.** The manifest is validated
+    ///    (magic, version, checksum, internal consistency) and the
+    ///    directory's shard-file census checked against its count. Then one
+    ///    task per shard reads its snapshot file, checks it against its own
+    ///    checksum and the manifest-recorded one, and replays its journal
+    ///    tail, which verifies every complete journal record. On an elastic
+    ///    store, one more task per shard verifies its current-generation
+    ///    history file (every record's checksum and decode, its clean end and
+    ///    highest sequence number), and a last one reads the history
+    ///    generations no shard re-arms (those a reshard left behind) for
+    ///    their highest sequence number. A thread done with a small shard
+    ///    goes on with the history scans while a large shard still replays.
+    /// 2. **Arm.** Only once every task has succeeded are the shards' logs
+    ///    armed for appending, from what phase 1 found and without reading
+    ///    them again: a torn journal or history tail trimmed, a stale journal
+    ///    reset, a missing file created.
     ///
-    /// When several shards fail, the error reported is the **lowest**
-    /// failing shard's, so a failed open is deterministic, and a failure in
-    /// phase 1 leaves every file in the directory as it was. Nothing is
-    /// spawned until both phases succeeded, so a failed open never leaks
-    /// writer threads.
+    /// When several tasks fail, the error reported is the **lowest**
+    /// failing task's (shard recoveries come first, in shard order), so a
+    /// failed open is deterministic, and a failure in phase 1 leaves every
+    /// file in the directory as it was. Nothing is spawned until both phases
+    /// succeeded, so a failed open never leaks writer threads.
     pub fn open(options: StoreOptions) -> Result<ShardedHiggs, SnapshotError> {
         let StoreOptions {
             config,
@@ -259,61 +267,108 @@ fn open_durable(
             ),
         });
     }
-    // Phase 1: recover every shard in parallel, writing nothing.
-    let summaries = if has_snapshot {
-        let (stored, summaries) = crate::snapshot::restore_summaries(dir, true)?;
-        if stored.shards != config.shards {
+    let manifest = if has_snapshot {
+        let manifest = crate::snapshot::read_checked_manifest(dir)?;
+        if manifest.config.shards != config.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "shard count mismatch: directory holds {} shards, config asks for {}",
-                stored.shards, config.shards
+                manifest.config.shards, config.shards
             )));
         }
-        summaries
+        Some(manifest)
     } else {
-        // No snapshot yet (fresh directory, or a crash before the first
-        // snapshot): fresh summaries, then journal tails on top. No
-        // manifest, so journals (if any) must carry the zero stamp.
-        per_shard(config.shards, |s| {
-            recover_shard(dir, s, &config, ShardBase::Fresh, Some(0))
-        })?
+        None
     };
-    // Reopening appends to the current generation (its torn tail, if any,
-    // is trimmed when armed); only a reshard advances it.
+    // Every journal is replayed, and then armed, under the manifest now in
+    // the directory (no manifest: the zero stamp). A journal stamped for
+    // another one was left stale by an interrupted rotation: its records
+    // are in the snapshot already, so the replay skips them and arming
+    // resets the file.
+    let covering = crate::snapshot::manifest_tail_checksum(dir)?;
+    // Reopening appends to the current history generation (its torn tail,
+    // if any, is trimmed when armed); only a reshard advances it.
     let history_gen = elastic.then(|| history_gen.unwrap_or(0));
-    // The history files phase 2 will not arm — every older generation, and
+    let shards = config.shards;
+    // Phase 1, writing nothing: one task per shard recovery, then on an
+    // elastic store one per current-generation history scan, and one for
+    // the history files phase 2 will not arm (every older generation, and
     // any current-generation file of a shard slot beyond the configured
-    // count — are read here; the armed ones report their own maximum.
-    let unarmed_max = match history_gen {
-        Some(current) => {
-            history::max_history_seq(dir, |gen, shard| gen != current || shard >= config.shards)
-                .map_err(SnapshotError::Journal)?
-        }
-        None => None,
+    // count).
+    let tasks = if history_gen.is_some() {
+        2 * shards + 1
+    } else {
+        shards
     };
-    // Phase 2: arm every shard's logs in parallel.
-    let (durable, armed_max) = if config.journal_mode == JournalMode::Off {
-        (None, None)
+    let recovered = per_shard(tasks, |task| -> Result<_, SnapshotError> {
+        Ok(match (task.checked_sub(shards), history_gen) {
+            (None, _) => {
+                let base = manifest.as_ref().map_or(ShardBase::Fresh, |m| {
+                    ShardBase::Manifest(m.shard_checksums[task])
+                });
+                let (summary, journal) = recover_shard(dir, task, &config, base, Some(covering))?;
+                Recovered::Shard(Box::new(summary), journal)
+            }
+            (Some(shard), Some(gen)) if shard < shards => {
+                let (scan, max) =
+                    HistoryLog::scan(dir, gen, shard).map_err(SnapshotError::Journal)?;
+                Recovered::History(scan, max)
+            }
+            (Some(_), current) => {
+                let unarmed = |gen: u64, shard: usize| Some(gen) != current || shard >= shards;
+                let max = history::max_history_seq(dir, unarmed).map_err(SnapshotError::Journal)?;
+                Recovered::Unarmed(max)
+            }
+        })
+    })?;
+    let mut summaries = Vec::with_capacity(shards);
+    let mut journals = Vec::with_capacity(shards);
+    let mut histories = Vec::with_capacity(shards);
+    let mut max_seq = None;
+    for result in recovered {
+        match result {
+            Recovered::Shard(summary, journal) => {
+                summaries.push(*summary);
+                journals.push(journal);
+            }
+            Recovered::History(scan, max) => {
+                histories.push(scan);
+                max_seq = max_seq.max(max);
+            }
+            Recovered::Unarmed(max) => max_seq = max_seq.max(max),
+        }
+    }
+    // Phase 2: arm every shard's logs in parallel, from what phase 1 found.
+    let durable = if config.journal_mode == JournalMode::Off {
+        None
     } else {
         let state = Arc::new(DurableState {
             dir: dir.to_path_buf(),
             mode: config.journal_mode,
             history_gen,
         });
-        // Stamp (or validate) each journal against the manifest currently
-        // in the directory; a journal left stale by an interrupted rotation
-        // is reset here, after the replay above discarded its records.
-        let covering = crate::snapshot::manifest_tail_checksum(dir)?;
-        let armed =
-            per_shard(config.shards, |s| state.arm(s, covering)).map_err(SnapshotError::Journal)?;
-        let armed_max = armed.iter().filter_map(|&(_, max)| max).max();
-        let logs = armed.into_iter().map(|(log, _)| log).collect();
-        (Some((state, logs)), armed_max)
+        let logs = per_shard(shards, |s| {
+            state.arm(s, covering, journals[s], histories.get(s).copied())
+        })
+        .map_err(SnapshotError::Journal)?;
+        Some((state, logs))
     };
     // New mutations must stamp above everything already on disk, so the
     // reconstructed global order stays a total order across restarts.
-    let next_seq = unarmed_max.max(armed_max).map_or(0, |s| s + 1);
+    let next_seq = max_seq.map_or(0, |s| s + 1);
     let service =
         ShardedHiggs::from_summaries(config, summaries, durable).map_err(SnapshotError::Config)?;
     service.resume_seq(next_seq);
     Ok(service)
+}
+
+/// What one phase-1 task of [`open_durable`] found.
+enum Recovered {
+    /// A shard's recovered summary, and what its journal replay found.
+    Shard(Box<HiggsSummary>, Option<LogScan>),
+    /// What the read-only scan of a current-generation history file found,
+    /// and the highest sequence number in it.
+    History(LogScan, Option<u64>),
+    /// The highest sequence number in the history files phase 2 does not
+    /// arm.
+    Unarmed(Option<u64>),
 }

@@ -10,8 +10,8 @@ use higgs::history::history_file_name;
 use higgs::journal::journal_file_name;
 use higgs::snapshot::{shard_file_name, MANIFEST_FILE};
 use higgs::{
-    HiggsConfig, HiggsSummary, JournalMode, ShardedHiggs, SnapshotError, SnapshotManifest, Store,
-    StoreOptions,
+    HiggsConfig, HiggsSummary, JournalError, JournalMode, ShardedHiggs, SnapshotError,
+    SnapshotManifest, Store, StoreOptions,
 };
 use higgs_common::codec::CodecError;
 use higgs_common::{Query, StreamEdge, TemporalGraphSummary, TimeRange, VertexDirection};
@@ -318,6 +318,13 @@ fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
+/// The stream [`seed_durable_dir`] ingests.
+fn seed_stream() -> Vec<StreamEdge> {
+    (0..4_000u64)
+        .map(|i| StreamEdge::new(i % 150, (i * 13) % 150, 1 + i % 4, i / 2))
+        .collect()
+}
+
 /// A durable (optionally elastic) service at `shards` that snapshotted
 /// `loaded_service`'s stream halfway, then journaled the rest, dropped.
 fn seed_durable_dir(dir: &Path, shards: usize, elastic: bool) -> HiggsConfig {
@@ -328,9 +335,7 @@ fn seed_durable_dir(dir: &Path, shards: usize, elastic: bool) -> HiggsConfig {
         .expect("valid durable configuration");
     let mut service =
         Store::open(StoreOptions::durable(config, dir).elastic(elastic)).expect("durable service");
-    let edges: Vec<StreamEdge> = (0..4_000u64)
-        .map(|i| StreamEdge::new(i % 150, (i * 13) % 150, 1 + i % 4, i / 2))
-        .collect();
+    let edges = seed_stream();
     service.insert_all(&edges[..2_000]);
     service.snapshot_to_dir(dir).expect("snapshot");
     service.insert_all(&edges[2_000..]);
@@ -415,6 +420,133 @@ fn failed_elastic_open_leaves_the_torn_history_tail() {
         torn,
         "the torn history tail must survive a failed open"
     );
+    assert!(
+        dir_contents(dir.path()) == before,
+        "a failed open changed the directory"
+    );
+}
+
+/// Edge and vertex probes over the seed stream's vertex range.
+fn seed_probes() -> Vec<Query> {
+    (0..150u64)
+        .step_by(7)
+        .flat_map(|v| {
+            [
+                Query::edge(v, (v * 13) % 150, TimeRange::all()),
+                Query::edge(v, (v * 7) % 150, TimeRange::new(500, 2_400)),
+                Query::vertex(v, VertexDirection::Out, TimeRange::new(0, 1_500)),
+            ]
+        })
+        .collect()
+}
+
+/// A reopen reads each log once (the journal in its shard's replay, the
+/// history file in its own scan) and arms both from what those reads found.
+/// Torn tails are trimmed on the way, so the writes after the reopen land on
+/// clean record boundaries and a second reopen matches a control service
+/// that ingested the same stream.
+#[test]
+fn elastic_reopen_trims_torn_tails_and_later_writes_stay_bit_identical() {
+    let dir = TempDir::new("elastic-trim");
+    let config = seed_durable_dir(dir.path(), 2, true);
+    let journal = dir.path().join(journal_file_name(0));
+    let history = dir.path().join(history_file_name(0, 1));
+    let clean_journal = std::fs::read(&journal).expect("read journal");
+    let clean_history = std::fs::read(&history).expect("read history");
+    let mut torn = clean_journal.clone();
+    torn.extend_from_slice(&[0x29, 0x00]);
+    std::fs::write(&journal, &torn).expect("tear journal");
+    let mut torn = clean_history.clone();
+    torn.extend_from_slice(&[0x31, 0x00, 0x00, 0x00, 0x07]);
+    std::fs::write(&history, &torn).expect("tear history");
+
+    let elastic = || StoreOptions::durable(config, dir.path()).elastic(true);
+    let mut service = Store::open(elastic()).expect("reopen over torn tails");
+    assert_eq!(
+        std::fs::read(&journal).expect("read journal"),
+        clean_journal,
+        "the journal's torn tail is trimmed"
+    );
+    assert_eq!(
+        std::fs::read(&history).expect("read history"),
+        clean_history,
+        "the history's torn tail is trimmed"
+    );
+    let later: Vec<StreamEdge> = (4_000..5_000u64)
+        .map(|i| StreamEdge::new(i % 150, (i * 7) % 150, 1 + i % 3, i / 2))
+        .collect();
+    service.insert_all(&later);
+    for edge in &later[..20] {
+        service.insert(edge);
+    }
+    service.flush();
+    drop(service);
+
+    let reopened = Store::open(elastic()).expect("second reopen");
+    let mut control = ShardedHiggs::new(HiggsConfig {
+        journal_mode: JournalMode::Off,
+        ..config
+    });
+    control.insert_all(&seed_stream());
+    control.insert_all(&later);
+    for edge in &later[..20] {
+        control.insert(edge);
+    }
+    let probes = seed_probes();
+    assert_eq!(reopened.query_batch(&probes), control.query_batch(&probes));
+    assert_eq!(reopened.total_items(), control.total_items());
+    assert_eq!(
+        higgs::history::read_history(dir.path())
+            .expect("history reads clean")
+            .len(),
+        5_020,
+        "history holds every mutation once"
+    );
+}
+
+/// A journal record corrupted in the middle of the file fails the open with
+/// a typed error from the shard's replay, before anything is armed, so the
+/// directory is left as it was.
+#[test]
+fn mid_journal_corruption_fails_the_open_typed() {
+    let dir = TempDir::new("journal-mid");
+    let config = seed_durable_dir(dir.path(), 2, false);
+    {
+        // Single inserts append one record each.
+        let mut service = Store::open(StoreOptions::durable(config, dir.path())).expect("reopen");
+        for i in 0..40u64 {
+            service.insert(&StreamEdge::new(2 * i + 1, i, 1, 3_000 + i));
+        }
+        service.flush();
+    }
+    let journal = dir.path().join(journal_file_name(1));
+    let mut bytes = std::fs::read(&journal).expect("read journal");
+    // Frames (`len u32 | body | checksum u64`, `len` counting the last two)
+    // follow the 20-byte header.
+    let mut frames = Vec::new();
+    let mut at = 20;
+    while at + 4 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        frames.push(at);
+        at += 4 + len as usize;
+    }
+    assert_eq!(
+        at,
+        bytes.len(),
+        "the seeded journal ends on a record boundary"
+    );
+    assert!(frames.len() >= 10, "{} records", frames.len());
+    let middle = frames.len() / 2;
+    bytes[frames[middle] + 4 + 3] ^= 0x01;
+    std::fs::write(&journal, &bytes).expect("corrupt journal");
+    let before = dir_contents(dir.path());
+
+    match Store::open(StoreOptions::durable(config, dir.path())) {
+        Err(SnapshotError::Journal(JournalError::Corrupt { shard, record, .. })) => {
+            assert_eq!((shard, record), (1, middle as u64));
+        }
+        other => panic!("a corrupt journal record must fail the open typed, got {other:?}"),
+    }
     assert!(
         dir_contents(dir.path()) == before,
         "a failed open changed the directory"
