@@ -20,14 +20,24 @@
 //!   In the tree only the open leaf and its overflow chain are writable.
 //! * **Sealed** — what every closed matrix is. The columns keep only the
 //!   occupied slots, in the same bucket order and the same order within
-//!   each bucket, plus one `u32` start offset per bucket and an end marker:
-//!   bucket `k`'s entries are `starts[k]..starts[k+1]`. The tree seals a
-//!   leaf and its overflow blocks when the leaf closes
-//!   ([`CompressedMatrix::seal`]); leaves run about 14 % full at paper
-//!   parameters, so sealing cuts a leaf matrix to about a fifth of its
-//!   writable size. Deletes still work on a sealed matrix (they only change
-//!   weights); an insert into one first turns it writable again
-//!   (the crate-private `unseal`, which rebuilds the index).
+//!   each bucket, plus a sparse, rank-indexed bucket index that costs per
+//!   *occupied* bucket: one occupancy bit per bucket, one `u32` count of
+//!   the occupied buckets before each 64-bucket word, and one `u32` start
+//!   offset per occupied bucket plus an end marker. Bucket `k`'s slots are
+//!   found by testing its bit, then taking `j = rank[k / 64] +
+//!   popcount(word & bits below k)`: they are `offsets[j]..offsets[j+1]`.
+//!   A row is still one contiguous range, from the start of its first
+//!   occupied bucket to the end of its last. The side doubles at every
+//!   layer while an aggregate holds about as many entries as its children,
+//!   so a dense `d² + 1` offset array would cost each layer the same
+//!   megabytes however little it held; the index costs 12 bytes per 64
+//!   buckets plus 4 per occupied one. The tree seals a leaf and its
+//!   overflow blocks when the leaf closes ([`CompressedMatrix::seal`]);
+//!   leaves run about 14 % full at paper parameters, so sealing cuts a leaf
+//!   matrix to about a fifth of its writable size. Deletes still work on a
+//!   sealed matrix (they only change weights); an insert into one first
+//!   turns it writable again (the crate-private `unseal`, which rebuilds
+//!   the identity index).
 //!
 //! # Inserting
 //!
@@ -61,18 +71,21 @@
 //! An aggregate is built straight into the sealed form by the crate-private
 //! `AggregateBuilder`, so no `b · d²` slab is allocated, zeroed and scanned
 //! only to keep its occupied slots. The builder holds one `u32` head per
-//! bucket, the entries in arrival order (key, index pair, weight and a
-//! `u32` link to the next entry of the same bucket), and the spill list.
-//! Its insert makes the same fused `r × r` candidate scan as
-//! [`CompressedMatrix::insert_aggregated`], so every entry lands where a
-//! dense build would put it: an entry with the same key and index pair
-//! accumulates, a new one joins the first candidate bucket holding fewer
-//! than `b` entries, and with every candidate full it goes to the same
-//! exact spill list. Each bucket's chain is in arrival order, the order a
-//! writable bucket keeps, so one walk over the heads emits the same
-//! columns and start offsets that [`CompressedMatrix::seal`] would after a
-//! dense build. `insert_aggregated` and `seal` remain the public API and
-//! the reference the builder is tested against.
+//! bucket, one occupancy bit per bucket, the entries in arrival order (key,
+//! index pair, weight and a `u32` link to the next entry of the same
+//! bucket), and the spill list. Its insert makes the same fused `r × r`
+//! candidate scan as [`CompressedMatrix::insert_aggregated`], so every
+//! entry lands where a dense build would put it: an entry with the same
+//! key and index pair accumulates, a new one joins the first candidate
+//! bucket holding fewer than `b` entries, and with every candidate full it
+//! goes to the same exact spill list. A bucket's first entry sets its bit.
+//! Each bucket's chain is in arrival order, the order a writable bucket
+//! keeps, so one walk over the *set bits*, not over all `d²` heads, emits
+//! the same columns and bucket index that [`CompressedMatrix::seal`] would
+//! after a dense build. `insert_aggregated` and `seal` remain the public
+//! API and the reference the builder is tested against. Reading a sealed
+//! child back ([`CompressedMatrix::entries`]) likewise walks its slots and
+//! takes each next bucket from the set bits, with no per-slot bucket list.
 //!
 //! Per slot, the match key packs the fingerprint pair into one `u64`
 //! (`fp_src` in the high half, `fp_dst` in the low half — exact, since
@@ -106,8 +119,12 @@
 //! walk sweep one bucket's occupied slots, and a source-vertex probe sweeps
 //! one contiguous range per candidate row — the row's occupied slots when
 //! sealed, the whole `d · b`-slot row when writable (exact by the invariant
-//! above). Each sweep is one [`sum_matching`] call, which picks the scalar
-//! or vector kernel itself.
+//! above). Each nonempty sweep is one [`sum_matching`] call, which picks
+//! the scalar or vector kernel itself. In a sealed matrix most probed
+//! buckets are empty, and the bucket's occupancy bit says so from one index
+//! word, so such a bucket costs neither an offset read nor a sweep; a
+//! destination-column walk therefore prefetches the index words a few rows
+//! ahead rather than the slots.
 //!
 //! Query paths accept a reusable `ProbeScratch` that memoises the last
 //! `(side, base address)` candidate fill — the columnar batch evaluator
@@ -308,10 +325,182 @@ enum Occupancy {
     /// of which the first `counts[k]` are occupied. Boxed, so the enum is no
     /// larger than the sealed variant.
     Writable(Box<Writable>),
-    /// Sealed: the columns hold only occupied slots, and bucket `k`'s are
-    /// `starts[k]..starts[k+1]` (`d² + 1` entries, the last one the end
-    /// marker). Each bucket spans at most `b` slots.
-    Starts(Vec<u32>),
+    /// Sealed: the columns hold only occupied slots, and the sparse bucket
+    /// index says which buckets hold any and where. Each bucket spans at
+    /// most `b` slots.
+    Sealed(BucketIndex),
+}
+
+/// Buckets per occupancy word of a [`BucketIndex`].
+const WORD: usize = 64;
+
+/// A sealed matrix's sparse bucket index: where each bucket's slots sit in
+/// the compacted columns, at a cost per *occupied* bucket (see the module
+/// docs).
+///
+/// One `u32` vector. For each 64-bucket word `w` (`⌈d²/64⌉` of them), at
+/// `3w..3w + 3`: the word's occupancy bits (bucket `64w + i` is bit `i`;
+/// low half, then high half) and the number of occupied buckets in the
+/// words before it. From `3 · ⌈d²/64⌉` on: the start offset of each
+/// occupied bucket, in bucket order, then the end marker `stored`. A bit is
+/// set exactly when its bucket holds a slot, so the offsets strictly rise.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct BucketIndex(Vec<u32>);
+
+// Bounds: an index over `buckets` buckets holds `3 · ⌈buckets/64⌉` word
+// entries and then one offset per set bit plus the end marker. Callers pass
+// `buckets = d²` and bucket numbers `< d²`, so the word triple of `k / 64`
+// and the offsets at every rank up to the set-bit count are in bounds.
+impl BucketIndex {
+    /// The words and ranks over `bits` (one occupancy word per 64
+    /// buckets), with room for exactly one offset per set bit plus the end
+    /// marker, none of them pushed yet: the constructors push them with
+    /// [`push_offset`](Self::push_offset), in bucket order.
+    fn from_bits(bits: &[u64]) -> Self {
+        let occupied: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut index = Vec::with_capacity(3 * bits.len() + occupied + 1);
+        let mut before = 0u32;
+        for &word in bits {
+            index.extend([word as u32, (word >> 32) as u32, before]);
+            // Fits: the occupied buckets are at most the stored slots,
+            // which every constructor keeps within `u32`.
+            before = before.wrapping_add(word.count_ones());
+        }
+        Self(index)
+    }
+
+    /// Appends the next offset: an occupied bucket's start, or the end
+    /// marker.
+    #[inline(always)]
+    fn push_offset(&mut self, offset: u32) {
+        self.0.push(offset);
+    }
+
+    /// The occupancy bits of word `w` and the occupied buckets before it.
+    // LINT-ALLOW(hot-path-panic): see the bounds note above the `impl`.
+    #[inline(always)]
+    fn word(&self, w: usize) -> (u64, usize) {
+        let word = &self.0[3 * w..3 * w + 3];
+        (
+            u64::from(word[0]) | (u64::from(word[1]) << 32),
+            word[2] as usize,
+        )
+    }
+
+    /// The offsets: one per occupied bucket, then the end marker.
+    // LINT-ALLOW(hot-path-panic): see the bounds note above the `impl`.
+    #[inline(always)]
+    fn offsets(&self, buckets: usize) -> &[u32] {
+        &self.0[3 * buckets.div_ceil(WORD)..]
+    }
+
+    /// Bucket `k`'s rank, the number of occupied buckets before it, and
+    /// whether it is occupied itself (0 or 1).
+    #[inline(always)]
+    fn rank(&self, k: usize) -> (usize, usize) {
+        let (bits, before) = self.word(k / WORD);
+        let bit = k % WORD;
+        let below = bits & ((1u64 << bit) - 1);
+        (
+            before + below.count_ones() as usize,
+            ((bits >> bit) & 1) as usize,
+        )
+    }
+
+    /// Bucket `k`'s slots, `0..0` when it holds none: the bit is tested
+    /// first, so an empty bucket costs one word read.
+    // LINT-ALLOW(hot-path-panic): see the bounds note above the `impl`; a
+    // set bit's rank is below the set-bit count, so its offset and the next
+    // one (at worst the end marker) exist.
+    #[inline(always)]
+    fn range(&self, buckets: usize, k: usize) -> Range<usize> {
+        let (bits, before) = self.word(k / WORD);
+        let bit = k % WORD;
+        if (bits >> bit) & 1 == 0 {
+            return 0..0;
+        }
+        let j = before + (bits & ((1u64 << bit) - 1)).count_ones() as usize;
+        let bounds = &self.offsets(buckets)[j..j + 2];
+        bounds[0] as usize..bounds[1] as usize
+    }
+
+    /// The slots of buckets `first..=last`, one contiguous range.
+    // LINT-ALLOW(hot-path-panic): see the bounds note above the `impl`.
+    #[inline(always)]
+    fn span(&self, buckets: usize, first: usize, last: usize) -> Range<usize> {
+        let (from, _) = self.rank(first);
+        let (to, occupied) = self.rank(last);
+        let offsets = self.offsets(buckets);
+        offsets[from] as usize..offsets[to + occupied] as usize
+    }
+
+    /// Where bucket `k`'s slots start (the next occupied bucket's start
+    /// when it holds none).
+    // LINT-ALLOW(hot-path-panic): see the bounds note above the `impl`.
+    #[inline(always)]
+    fn start(&self, buckets: usize, k: usize) -> usize {
+        self.offsets(buckets)[self.rank(k).0] as usize
+    }
+
+    /// Calls `f` with each occupied bucket, in bucket order, and its slots.
+    // LINT-ALLOW(hot-path-panic): see the bounds note above the `impl`.
+    #[inline]
+    fn for_each_occupied(&self, buckets: usize, mut f: impl FnMut(usize, Range<usize>)) {
+        let offsets = self.offsets(buckets);
+        let mut j = 0;
+        for w in 0..buckets.div_ceil(WORD) {
+            let (mut bits, _) = self.word(w);
+            while bits != 0 {
+                let k = w * WORD + bits.trailing_zeros() as usize;
+                f(k, offsets[j] as usize..offsets[j + 1] as usize);
+                bits &= bits - 1;
+                j += 1;
+            }
+        }
+    }
+
+    /// Appends each of the `buckets` buckets' slot count, in bucket order,
+    /// to `out`: the dense per-bucket table the snapshot format stores.
+    // LINT-ALLOW(hot-path-panic): `for_each_occupied` yields buckets
+    // `< buckets`, the length of the zero-filled tail.
+    fn extend_lens(&self, buckets: usize, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + buckets, 0);
+        let lens = &mut out[start..];
+        // Each bucket spans at most `bucket_entries <= 255` slots.
+        self.for_each_occupied(buckets, |bucket, slots| lens[bucket] = slots.len() as u8);
+    }
+
+    /// Bytes allocated.
+    fn space_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The occupancy bits of `lens`, a per-bucket slot count: one word per 64
+/// buckets, bit `i` of word `w` set when bucket `64w + i` holds a slot.
+fn occupancy_bits(lens: &[u8]) -> Vec<u64> {
+    lens.chunks(WORD)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |bits, (i, &len)| bits | (u64::from(len != 0) << i))
+        })
+        .collect()
+}
+
+/// Calls `f` with the number of each set bit of `bits`, in order: bit `i`
+/// of word `w` is number `64w + i`.
+#[inline]
+fn for_each_set_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * WORD + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
 }
 
 /// The bookkeeping only a writable matrix keeps: per-bucket occupancy and
@@ -347,21 +536,33 @@ impl Writable {
 /// sealing hands them back.
 type Slab = (Vec<u64>, Vec<u64>, Vec<i64>, Box<Writable>);
 
-/// A sealed matrix's key, tag and weight columns and its start offsets.
-type SealedParts = (Vec<u64>, Vec<u64>, Vec<i64>, Vec<u32>);
+/// A sealed matrix's key, tag and weight columns and its bucket index.
+type SealedParts = (Vec<u64>, Vec<u64>, Vec<i64>, BucketIndex);
 
 /// A matrix's content in the sealed form, borrowed from a sealed matrix and
-/// compacted from a writable one: what the snapshot codec persists.
+/// compacted from a writable one: what the snapshot codec persists. The
+/// snapshot format keeps its dense table of one slot count per bucket;
+/// [`extend_lens`](Self::extend_lens) derives it from the sparse index.
 #[derive(Debug)]
 pub(crate) struct SealedColumns<'a> {
-    /// The `d² + 1` bucket start offsets into the columns.
-    pub(crate) starts: Cow<'a, [u32]>,
+    /// The number of buckets, `d²`.
+    buckets: usize,
+    /// The sparse bucket index into the columns; the snapshot reads the
+    /// per-bucket slot counts from it (see [`extend_lens`](Self::extend_lens)).
+    index: Cow<'a, BucketIndex>,
     /// Packed fingerprint pairs, one per occupied slot, in bucket order.
     pub(crate) keys: Cow<'a, [u64]>,
     /// Packed index pairs and time offsets (see [`pack_tag`]).
     pub(crate) tags: Cow<'a, [u64]>,
     /// Accumulated weights.
     pub(crate) weights: Cow<'a, [i64]>,
+}
+
+impl SealedColumns<'_> {
+    /// Appends the `d²` per-bucket slot counts, in bucket order, to `out`.
+    pub(crate) fn extend_lens(&self, out: &mut Vec<u8>) {
+        self.index.extend_lens(self.buckets, out);
+    }
 }
 
 /// Hash of an entry identity: the packed fingerprint pair, the wrapped base
@@ -376,7 +577,7 @@ fn identity_hash(key: u64, base_src: u64, base_dst: u64, offset: u32) -> u64 {
 }
 
 /// The HIGGS compressed matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedMatrix {
     side: u64,
     layer: u32,
@@ -456,7 +657,7 @@ impl CompressedMatrix {
     /// Whether the matrix is sealed: compacted to its occupied slots (see
     /// the module docs).
     pub fn is_sealed(&self) -> bool {
-        matches!(self.occupancy, Occupancy::Starts(_))
+        matches!(self.occupancy, Occupancy::Sealed(_))
     }
 
     /// Number of aggregation entries that spilled outside the bucket grid
@@ -537,7 +738,7 @@ impl CompressedMatrix {
 
     /// The compaction both [`seal`](Self::seal) and `seal_recycling` run:
     /// copies the occupied slots, in bucket order, into exactly-sized
-    /// columns with `d² + 1` start offsets ([`compacted`](Self::compacted)),
+    /// columns with their bucket index ([`compacted`](Self::compacted)),
     /// installs them, and returns the writable columns and bookkeeping it
     /// replaced. `None`, leaving the matrix unchanged, when it is sealed
     /// already or its slot count does not fit the `u32` offsets.
@@ -546,10 +747,10 @@ impl CompressedMatrix {
             return None;
         };
         u32::try_from(self.stored).ok()?;
-        let (keys, tags, weights, starts) = self.compacted(writable);
+        let (keys, tags, weights, index) = self.compacted(writable);
         self.spill.shrink_to_fit();
         let Occupancy::Writable(writable) =
-            std::mem::replace(&mut self.occupancy, Occupancy::Starts(starts))
+            std::mem::replace(&mut self.occupancy, Occupancy::Sealed(index))
         else {
             return None;
         };
@@ -563,7 +764,9 @@ impl CompressedMatrix {
 
     /// The sealed form's columns of a writable matrix with bookkeeping
     /// `writable`: the occupied slots, in bucket order, in exactly-sized
-    /// columns, and the `d² + 1` start offsets.
+    /// columns, and their bucket index. One pass over the counts builds the
+    /// index; only the occupied buckets it names are visited to copy their
+    /// slots.
     // LINT-ALLOW(hot-path-panic): a writable bucket `k` has
     // `counts[k] <= bucket_entries`, so `k·b .. k·b + counts[k]` lies inside
     // the `b · d²`-slot columns.
@@ -573,33 +776,32 @@ impl CompressedMatrix {
         let mut keys = Vec::with_capacity(self.stored);
         let mut tags = Vec::with_capacity(self.stored);
         let mut weights = Vec::with_capacity(self.stored);
-        let mut starts = Vec::with_capacity(writable.counts.len() + 1);
-        // Every offset fits: `Writable::new` keeps the slot count, and so
-        // `stored`, below `u32::MAX`.
-        for (bucket, &len) in writable.counts.iter().enumerate() {
-            starts.push(keys.len() as u32);
-            // Slot by slot: most buckets are empty, and a slice copy per
-            // bucket costs a call even then.
-            for p in bucket * b..bucket * b + len as usize {
+        // The counts sum to `stored`, which `Writable::new` keeps below
+        // `u32::MAX`.
+        let index = index_of_lens(&writable.counts);
+        index.for_each_occupied(self.buckets(), |bucket, slots| {
+            // Slot by slot: a bucket holds a few slots, and a slice copy
+            // per bucket costs a call.
+            for p in bucket * b..bucket * b + slots.len() {
                 keys.push(self.keys[p]);
                 tags.push(self.tags[p]);
                 weights.push(self.weights[p]);
             }
-        }
-        starts.push(self.stored as u32);
+        });
         debug_assert_eq!(keys.len(), self.stored);
-        (keys, tags, weights, starts)
+        (keys, tags, weights, index)
     }
 
     /// Turns a sealed matrix writable again: scatters each bucket's slots
     /// back to its fixed-stride position, zero-filling the rest, and
     /// rebuilds the identity index from the occupied slots. A no-op on a
     /// writable matrix.
-    // LINT-ALLOW(hot-path-panic): a sealed matrix has `d² + 1` starts, each
-    // bucket spanning at most `bucket_entries` slots inside the columns, so
-    // both the source range and its `k·b` destination are in bounds.
+    // LINT-ALLOW(hot-path-panic): a sealed matrix's index gives each
+    // occupied bucket `< d²` at most `bucket_entries` slots inside the
+    // columns, so both the source range and its `k·b` destination are in
+    // bounds.
     pub(crate) fn unseal(&mut self) {
-        let Occupancy::Starts(starts) = &self.occupancy else {
+        let Occupancy::Sealed(index) = &self.occupancy else {
             return;
         };
         let b = self.bucket_entries;
@@ -608,14 +810,14 @@ impl CompressedMatrix {
         let mut tags = vec![0u64; slots];
         let mut weights = vec![0i64; slots];
         let mut writable = Writable::new(self.buckets(), b);
-        for (bucket, bounds) in starts.windows(2).enumerate() {
-            let (from, to) = (bounds[0] as usize, bounds[1] as usize);
+        index.for_each_occupied(self.buckets(), |bucket, from| {
             let at = bucket * b;
-            keys[at..at + to - from].copy_from_slice(&self.keys[from..to]);
-            tags[at..at + to - from].copy_from_slice(&self.tags[from..to]);
-            weights[at..at + to - from].copy_from_slice(&self.weights[from..to]);
-            writable.counts[bucket] = (to - from) as u8;
-        }
+            let to = at + from.len();
+            keys[at..to].copy_from_slice(&self.keys[from.clone()]);
+            tags[at..to].copy_from_slice(&self.tags[from.clone()]);
+            weights[at..to].copy_from_slice(&self.weights[from.clone()]);
+            writable.counts[bucket] = from.len() as u8;
+        });
         self.keys = keys;
         self.tags = tags;
         self.weights = weights;
@@ -708,14 +910,15 @@ impl CompressedMatrix {
         }
     }
 
-    /// The occupied slots of bucket `bucket` (`< d²`), in either form.
+    /// The occupied slots of bucket `bucket` (`< d²`), in either form; an
+    /// empty range (not necessarily at the bucket's place) when it has none.
     ///
     /// This and the other per-bucket helpers below are `inline(always)`:
     /// every probe loop calls them once per bucket, and left to the
     /// optimiser they cost edge probes about a fifth of their speed.
     // LINT-ALLOW(hot-path-panic): callers pass `bucket < d²` (an LCG
     // `(row, col)` pair or an enumeration of the buckets); writable matrices
-    // hold `d²` counts and sealed ones `d² + 1` starts.
+    // hold `d²` counts and sealed ones an index over `d²` buckets.
     #[inline(always)]
     fn bucket_range(&self, bucket: usize) -> Range<usize> {
         match &self.occupancy {
@@ -723,21 +926,19 @@ impl CompressedMatrix {
                 let start = bucket * self.bucket_entries;
                 start..start + writable.counts[bucket] as usize
             }
-            Occupancy::Starts(starts) => starts[bucket] as usize..starts[bucket + 1] as usize,
+            Occupancy::Sealed(index) => index.range(self.buckets(), bucket),
         }
     }
 
     /// The contiguous slots covering row `row` (`< d`): the occupied ones
     /// when sealed, the whole zero-padded `d · b`-slot row when writable.
-    // LINT-ALLOW(hot-path-panic): `row < side`, so `row·d + d <= d²` indexes
-    // the `d² + 1` sealed starts.
     #[inline(always)]
     fn row_range(&self, row: u64) -> Range<usize> {
         let first = (row * self.side) as usize;
         let last = first + self.side as usize;
         match &self.occupancy {
             Occupancy::Writable(_) => first * self.bucket_entries..last * self.bucket_entries,
-            Occupancy::Starts(starts) => starts[first] as usize..starts[last] as usize,
+            Occupancy::Sealed(index) => index.span(self.buckets(), first, last - 1),
         }
     }
 
@@ -747,12 +948,14 @@ impl CompressedMatrix {
     fn bucket_start(&self, bucket: usize) -> usize {
         match &self.occupancy {
             Occupancy::Writable(_) => bucket * self.bucket_entries,
-            Occupancy::Starts(starts) => starts.get(bucket).map_or(usize::MAX, |&s| s as usize),
+            Occupancy::Sealed(_) if bucket >= self.buckets() => usize::MAX,
+            Occupancy::Sealed(index) => index.start(self.buckets(), bucket),
         }
     }
 
     /// Sums the weights of the slots in `slots` that match the patterns
-    /// (one [`sum_matching`] sweep over the three columns).
+    /// (one [`sum_matching`] sweep over the three columns; none for an
+    /// empty range, which most probed buckets of a sealed matrix are).
     // LINT-ALLOW(hot-path-panic): `slots` comes from `bucket_range` or
     // `row_range`, which stay inside the columns.
     #[inline(always)]
@@ -767,6 +970,9 @@ impl CompressedMatrix {
         lo: u32,
         hi: u32,
     ) -> i64 {
+        if slots.is_empty() {
+            return 0;
+        }
         sum_matching(
             &self.keys[slots.clone()],
             &self.tags[slots.clone()],
@@ -1116,12 +1322,17 @@ impl CompressedMatrix {
         for (j, &col) in cols.iter().enumerate() {
             let tag_pat = (j as u64) << 32;
             for bucket in (col as usize..self.buckets()).step_by(side) {
-                // Hide the strided-miss latency of the next few buckets. A
-                // sealed matrix finds a bucket's slots through its start
-                // offset, so that is fetched further ahead still.
-                prefetch_read_data(&self.keys, self.bucket_start(bucket + 4 * side));
-                if let Occupancy::Starts(starts) = &self.occupancy {
-                    prefetch_read_data(starts, bucket + 8 * side);
+                // Hide the strided-miss latency of the buckets a few rows
+                // down. A sealed matrix finds a bucket's slots through its
+                // index word, which is what is fetched ahead there: most of
+                // its buckets are empty, and the word alone says so.
+                match &self.occupancy {
+                    Occupancy::Writable(_) => {
+                        prefetch_read_data(&self.keys, (bucket + 4 * side) * self.bucket_entries)
+                    }
+                    Occupancy::Sealed(index) => {
+                        prefetch_read_data(&index.0, 3 * ((bucket + 8 * side) / WORD))
+                    }
                 }
                 total = total.wrapping_add(self.sweep(
                     self.bucket_range(bucket),
@@ -1177,27 +1388,23 @@ impl CompressedMatrix {
     /// Iterates over occupied slots together with their bucket index, in
     /// bucket order (the same sequence in either form).
     ///
-    /// A walk over the slot positions. A sealed matrix's slots are all
-    /// occupied, and their buckets come from one branch-free pass over the
-    /// start offsets: skipping runs of empty buckets instead mispredicts a
-    /// branch about once a slot, which made this walk, and so aggregation's
-    /// read of every child, several times slower. A writable matrix's
-    /// positions are filtered by their bucket's count.
+    /// A sealed matrix's slots are all occupied: the walk runs over them in
+    /// order and takes each next bucket from the index's set bits, so it
+    /// costs one step per slot and one per occupied bucket, whatever the
+    /// side. A writable matrix's positions are filtered by their bucket's
+    /// count.
     // LINT-ALLOW(hot-path-panic): a writable position `p < b · d²` lies in
-    // bucket `p / b < d²`; sealed positions `p < stored` index the
-    // `stored`-long bucket list.
+    // bucket `p / b < d²`.
     pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
         let b = self.bucket_entries;
-        let (positions, buckets) = match &self.occupancy {
-            Occupancy::Writable(_) => (self.capacity(), Vec::new()),
-            Occupancy::Starts(starts) => (self.stored, slot_buckets(starts)),
-        };
-        (0..positions).filter_map(move |p| match &self.occupancy {
-            Occupancy::Starts(_) => Some((buckets[p], self.slot_at(p))),
-            Occupancy::Writable(writable) => {
-                (p % b < writable.counts[p / b] as usize).then(|| (p / b, self.slot_at(p)))
-            }
-        })
+        match &self.occupancy {
+            Occupancy::Writable(writable) => OccupiedSlots::Writable(
+                (0..self.capacity())
+                    .filter(move |p| p % b < writable.counts[p / b] as usize)
+                    .map(move |p| (p / b, self.slot_at(p))),
+            ),
+            Occupancy::Sealed(index) => OccupiedSlots::Sealed(SealedSlots::new(self, index)),
+        }
     }
 
     /// Iterates over all stored entries together with the row/column of the
@@ -1229,8 +1436,10 @@ impl CompressedMatrix {
     /// capacity. A writable matrix pays for all `b · d²` slots, `d²`
     /// occupancy counts and its identity index (a power of two of at least
     /// `2 · b · d²` `u32` positions) whatever its fill level, plus the box
-    /// holding the two; a sealed one for its occupied slots and `d² + 1`
-    /// start offsets. Both add the spill list.
+    /// holding the two; a sealed one for its occupied slots and its sparse
+    /// bucket index: `12 · ⌈d²/64⌉` bytes of occupancy words and ranks, plus
+    /// a `u32` start offset per occupied bucket and the end marker. Both add
+    /// the spill list.
     pub fn space_bytes(&self) -> usize {
         let occupancy = match &self.occupancy {
             Occupancy::Writable(writable) => {
@@ -1238,7 +1447,7 @@ impl CompressedMatrix {
                     + writable.index.capacity() * std::mem::size_of::<u32>()
                     + std::mem::size_of::<Writable>()
             }
-            Occupancy::Starts(starts) => starts.capacity() * std::mem::size_of::<u32>(),
+            Occupancy::Sealed(index) => index.space_bytes(),
         };
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.tags.capacity() * std::mem::size_of::<u64>()
@@ -1251,10 +1460,11 @@ impl CompressedMatrix {
     // --- snapshot support (crate-internal) --------------------------------
     //
     // The snapshot codec (`crate::snapshot`) persists a matrix as its
-    // per-bucket occupancy counts plus only the occupied slots, as columns
-    // in bucket order, and the spill list. That is the sealed form's
-    // content, so either form encodes to the same bytes, and decoding builds
-    // the sealed form directly.
+    // per-bucket occupancy counts (one byte per bucket, derived from the
+    // sparse bucket index) plus only the occupied slots, as columns in
+    // bucket order, and the spill list. That is the sealed form's content,
+    // so either form encodes to the same bytes, and decoding builds the
+    // sealed form, index included, directly.
 
     /// Number of MMB mapping addresses per vertex (`r`).
     pub(crate) fn mapping(&self) -> u32 {
@@ -1270,16 +1480,18 @@ impl CompressedMatrix {
     /// from a writable one (a copy of its occupied slots only).
     pub(crate) fn sealed_columns(&self) -> SealedColumns<'_> {
         match &self.occupancy {
-            Occupancy::Starts(starts) => SealedColumns {
-                starts: Cow::Borrowed(starts),
+            Occupancy::Sealed(index) => SealedColumns {
+                buckets: self.buckets(),
+                index: Cow::Borrowed(index),
                 keys: Cow::Borrowed(&self.keys),
                 tags: Cow::Borrowed(&self.tags),
                 weights: Cow::Borrowed(&self.weights),
             },
             Occupancy::Writable(writable) => {
-                let (keys, tags, weights, starts) = self.compacted(writable);
+                let (keys, tags, weights, index) = self.compacted(writable);
                 SealedColumns {
-                    starts: Cow::Owned(starts),
+                    buckets: self.buckets(),
+                    index: Cow::Owned(index),
                     keys: Cow::Owned(keys),
                     tags: Cow::Owned(tags),
                     weights: Cow::Owned(weights),
@@ -1297,7 +1509,7 @@ impl CompressedMatrix {
     /// decoded columns: the geometry, the per-bucket occupancy counts
     /// (`lens`, `d²` of them), the occupied slots' key, tag and weight
     /// columns in bucket order (each as long as `lens` sums to), and the
-    /// spill list. Allocates only the start offsets. A geometry
+    /// spill list. Allocates only the bucket index. A geometry
     /// [`CompressedMatrix::new`] would reject, a count table of the wrong
     /// size, a count above `bucket_entries` or a column-length mismatch is
     /// an error, so a corrupt snapshot can never build a structurally
@@ -1324,16 +1536,13 @@ impl CompressedMatrix {
                 lens.len()
             ));
         }
-        let mut starts = Vec::with_capacity(lens.len() + 1);
         let mut total = 0u32;
         let mut widest = 0u8;
-        starts.push(0);
         for &len in lens {
             widest = widest.max(len);
             total = total
                 .checked_add(u32::from(len))
                 .ok_or("occupied slot count overflows the u32 bucket offsets")?;
-            starts.push(total);
         }
         if widest as usize > bucket_entries {
             return Err(format!(
@@ -1359,7 +1568,7 @@ impl CompressedMatrix {
             keys,
             tags,
             weights,
-            occupancy: Occupancy::Starts(starts),
+            occupancy: Occupancy::Sealed(index_of_lens(lens)),
             spill,
             stored,
         })
@@ -1370,8 +1579,9 @@ impl CompressedMatrix {
 impl CompressedMatrix {
     /// The per-bucket occupancy counts, indexed by `row · d + col`.
     pub(crate) fn bucket_lens(&self) -> Vec<u8> {
-        let starts = self.sealed_columns().starts;
-        starts.windows(2).map(|w| (w[1] - w[0]) as u8).collect()
+        let mut lens = Vec::new();
+        self.sealed_columns().extend_lens(&mut lens);
+        lens
     }
 
     /// The first field in which `self` and `other` differ — geometry,
@@ -1384,7 +1594,7 @@ impl CompressedMatrix {
             (self.keys == other.keys, "keys"),
             (self.tags == other.tags, "tags"),
             (self.weights == other.weights, "weights"),
-            (self.occupancy == other.occupancy, "occupancy"),
+            (self.occupancy == other.occupancy, "occupancy index"),
             (self.spill == other.spill, "spill"),
             (self.stored == other.stored, "stored"),
             (self.space_bytes() == other.space_bytes(), "space_bytes"),
@@ -1394,8 +1604,107 @@ impl CompressedMatrix {
     }
 }
 
+/// The dense `d² + 1` prefix array of per-bucket slot counts `lens`: the
+/// start offsets the sparse index replaced, kept as its reference.
+#[cfg(test)]
+pub(crate) fn dense_starts(lens: &[u8]) -> Vec<u32> {
+    std::iter::once(0)
+        .chain(lens.iter().scan(0u32, |total, &len| {
+            *total += u32::from(len);
+            Some(*total)
+        }))
+        .collect()
+}
+
 #[cfg(test)]
 impl CompressedMatrix {
+    /// The sealed matrix [`from_sealed_columns`](Self::from_sealed_columns)
+    /// builds from this matrix's own sealed columns, slot counts and spill
+    /// list: what a snapshot restore of it builds.
+    pub(crate) fn restored_from_own_columns(&self) -> Result<Self, String> {
+        let columns = self.sealed_columns();
+        let mut lens = Vec::new();
+        columns.extend_lens(&mut lens);
+        Self::from_sealed_columns(
+            (self.side, self.layer, self.bucket_entries, self.mapping),
+            &lens,
+            (
+                columns.keys.into_owned(),
+                columns.tags.into_owned(),
+                columns.weights.into_owned(),
+            ),
+            self.spill.clone(),
+        )
+    }
+
+    /// Checks a sealed matrix's bucket index against `starts`, the dense
+    /// `d² + 1` prefix array of its per-bucket slot counts (what the index
+    /// replaced): every bucket's range and start, every row's range, the
+    /// bucket `occupied_slots` gives each slot, and the per-bucket counts
+    /// the snapshot writes.
+    pub(crate) fn check_index(&self, starts: &[u32]) -> Result<(), String> {
+        if !self.is_sealed() {
+            return Err("the matrix is writable".into());
+        }
+        let buckets = self.buckets();
+        if starts.len() != buckets + 1 || starts[buckets] as usize != self.stored {
+            return Err(format!(
+                "the reference has {} starts ending at {:?} for {buckets} buckets and {} slots",
+                starts.len(),
+                starts.last(),
+                self.stored
+            ));
+        }
+        for bucket in 0..buckets {
+            let want = starts[bucket] as usize..starts[bucket + 1] as usize;
+            // An empty bucket's range is `0..0`, wherever its start.
+            let range = self.bucket_range(bucket);
+            let same = if want.is_empty() {
+                range.is_empty()
+            } else {
+                range == want
+            };
+            if !same || self.bucket_start(bucket) != want.start {
+                return Err(format!(
+                    "bucket {bucket}: range {:?} and start {}, want {want:?}",
+                    self.bucket_range(bucket),
+                    self.bucket_start(bucket)
+                ));
+            }
+        }
+        let side = self.side as usize;
+        for row in 0..side {
+            let want = starts[row * side] as usize..starts[(row + 1) * side] as usize;
+            if self.row_range(row as u64) != want {
+                return Err(format!(
+                    "row {row}: range {:?}, want {want:?}",
+                    self.row_range(row as u64)
+                ));
+            }
+        }
+        let attributed: Vec<usize> = self.occupied_slots().map(|(bucket, _)| bucket).collect();
+        let want: Vec<usize> = (0..buckets)
+            .flat_map(|bucket| {
+                std::iter::repeat_n(bucket, (starts[bucket + 1] - starts[bucket]) as usize)
+            })
+            .collect();
+        if attributed != want {
+            return Err("occupied_slots attributes a slot to the wrong bucket".into());
+        }
+        if !self
+            .occupied_slots()
+            .map(|(_, slot)| slot)
+            .eq((0..self.stored).map(|p| self.slot_at(p)))
+        {
+            return Err("occupied_slots skips or repeats a slot".into());
+        }
+        let lens: Vec<u8> = starts.windows(2).map(|w| (w[1] - w[0]) as u8).collect();
+        if self.bucket_lens() != lens {
+            return Err("the per-bucket slot counts differ".into());
+        }
+        Ok(())
+    }
+
     /// Checks a writable matrix's own invariants: every slot past its
     /// bucket's count is all-zero, and the identity index resolves exactly
     /// the `stored` occupied slots — each filed once, and each found by a
@@ -1444,27 +1753,110 @@ impl CompressedMatrix {
     }
 }
 
-/// The bucket of every slot of a sealed matrix, from its `d² + 1` start
-/// offsets. Each bucket writes its index at its start, in bucket order, so
-/// a nonempty bucket's first slot ends up holding its own index (the empty
-/// buckets sharing that start come before it); a running maximum then
-/// carries each index over the bucket's remaining slots. No branch depends
-/// on the data.
-// LINT-ALLOW(hot-path-panic): every start is at most `stored`, the last
-// offset, and the list is `stored + 1` long until the final truncation.
-fn slot_buckets(starts: &[u32]) -> Vec<usize> {
-    let (&stored, starts) = starts.split_last().unwrap_or((&0, &[]));
-    let mut buckets = vec![0; stored as usize + 1];
-    for (bucket, &start) in starts.iter().enumerate() {
-        buckets[start as usize] = bucket;
+/// The bucket index of the per-bucket slot counts `lens` (whose sum fits a
+/// `u32`).
+// LINT-ALLOW(hot-path-panic): `for_each_set_bit` yields the numbers of set
+// bits, each a bucket `< lens.len()`.
+fn index_of_lens(lens: &[u8]) -> BucketIndex {
+    let bits = occupancy_bits(lens);
+    let mut index = BucketIndex::from_bits(&bits);
+    let mut total = 0u32;
+    for_each_set_bit(&bits, |bucket| {
+        index.push_offset(total);
+        total += u32::from(lens[bucket]);
+    });
+    index.push_offset(total);
+    index
+}
+
+/// [`CompressedMatrix::occupied_slots`] of either form.
+enum OccupiedSlots<W, S> {
+    Writable(W),
+    Sealed(S),
+}
+
+impl<W, S> Iterator for OccupiedSlots<W, S>
+where
+    W: Iterator<Item = (usize, Slot)>,
+    S: Iterator<Item = (usize, Slot)>,
+{
+    type Item = (usize, Slot);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, Slot)> {
+        match self {
+            Self::Writable(slots) => slots.next(),
+            Self::Sealed(slots) => slots.next(),
+        }
     }
-    let mut current = 0;
-    for bucket in &mut buckets {
-        current = current.max(*bucket);
-        *bucket = current;
+}
+
+/// The occupied slots of a sealed matrix with their buckets, in bucket
+/// order: positions `0..stored` in turn, each bucket's run ending at the
+/// next offset, and each next bucket the index's next set bit.
+struct SealedSlots<'a> {
+    matrix: &'a CompressedMatrix,
+    index: &'a BucketIndex,
+    /// The index's offsets.
+    offsets: &'a [u32],
+    /// The index's word count, `⌈d²/64⌉`.
+    words: usize,
+    /// The word holding the current bucket's bit.
+    word: usize,
+    /// That word's set bits past the current bucket's.
+    bits: u64,
+    /// The rank of the next occupied bucket.
+    rank: usize,
+    /// The current bucket.
+    bucket: usize,
+    /// The next slot position, and the end of the current bucket's slots.
+    next: usize,
+    end: usize,
+}
+
+impl<'a> SealedSlots<'a> {
+    fn new(matrix: &'a CompressedMatrix, index: &'a BucketIndex) -> Self {
+        let buckets = matrix.buckets();
+        Self {
+            matrix,
+            index,
+            offsets: index.offsets(buckets),
+            words: buckets.div_ceil(WORD),
+            word: 0,
+            bits: index.word(0).0,
+            rank: 0,
+            bucket: 0,
+            next: 0,
+            end: 0,
+        }
     }
-    buckets.truncate(stored as usize);
-    buckets
+}
+
+impl Iterator for SealedSlots<'_> {
+    type Item = (usize, Slot);
+
+    // LINT-ALLOW(hot-path-panic): the walk visits only the index's words,
+    // reads the offsets at ranks up to its set-bit count (the last one the
+    // end marker), and positions below the end marker, `stored`.
+    #[inline]
+    fn next(&mut self) -> Option<(usize, Slot)> {
+        if self.next == self.end {
+            while self.bits == 0 {
+                self.word += 1;
+                if self.word >= self.words {
+                    return None;
+                }
+                self.bits = self.index.word(self.word).0;
+            }
+            self.bucket = self.word * WORD + self.bits.trailing_zeros() as usize;
+            self.bits &= self.bits - 1;
+            self.rank += 1;
+            self.end = self.offsets[self.rank] as usize;
+        }
+        let p = self.next;
+        self.next += 1;
+        Some((self.bucket, self.matrix.slot_at(p)))
+    }
 }
 
 /// Panics unless `(side, bucket_entries, mapping)` is a geometry a matrix
@@ -1541,8 +1933,9 @@ struct ChainedSlot {
 /// entry's position; 0 ends the chain). [`insert`](Self::insert) places
 /// every entry exactly where [`CompressedMatrix::insert_aggregated`] would,
 /// and a chain keeps its bucket's entries in arrival order, the order a
-/// writable bucket holds them in. So [`finish`](Self::finish) lays out the
-/// same columns, offsets and spill list as
+/// writable bucket holds them in. A bucket's first entry also sets its
+/// occupancy bit. So [`finish`](Self::finish), walking the set bits, lays
+/// out the same columns, bucket index and spill list as
 /// [`CompressedMatrix::seal`] after a dense build.
 #[derive(Debug)]
 pub(crate) struct AggregateBuilder {
@@ -1553,6 +1946,8 @@ pub(crate) struct AggregateBuilder {
     seq: AddressSequence,
     /// Per bucket, the link to its first entry (0 = empty).
     heads: Vec<u32>,
+    /// One bit per bucket, set once it holds an entry (the index's words).
+    occupied: Vec<u64>,
     /// Every entry placed in a bucket, in arrival order.
     slots: Vec<ChainedSlot>,
     spill: Vec<SpillEntry>,
@@ -1579,6 +1974,7 @@ impl AggregateBuilder {
             mapping,
             seq: AddressSequence::new(side),
             heads: vec![0; (side * side) as usize],
+            occupied: vec![0; ((side * side) as usize).div_ceil(WORD)],
             slots: Vec::with_capacity(entries),
             spill: Vec::new(),
         }
@@ -1593,8 +1989,8 @@ impl AggregateBuilder {
     /// too; that takes over four billion entries.)
     // LINT-ALLOW(hot-path-panic): `mapping <= MAX_MAPPING` bounds the
     // candidate arrays; every bucket is `row·d + col < d²` for LCG-generated
-    // `row, col < d`, and every nonzero link is `1 +` the position of an
-    // entry already pushed.
+    // `row, col < d`, whose bit lies in word `< ⌈d²/64⌉`, and every nonzero
+    // link is `1 +` the position of an entry already pushed.
     pub(crate) fn insert(
         &mut self,
         addr_src: u64,
@@ -1637,7 +2033,10 @@ impl AggregateBuilder {
                     idx,
                 });
                 match last {
-                    0 => self.heads[bucket] = link,
+                    0 => {
+                        self.heads[bucket] = link;
+                        self.occupied[bucket / WORD] |= 1 << (bucket % WORD);
+                    }
                     _ => self.slots[last as usize - 1].next = link,
                 }
             }
@@ -1655,22 +2054,23 @@ impl AggregateBuilder {
         }
     }
 
-    /// The finished aggregate, sealed: one walk over the heads emits each
-    /// bucket's chain into the columns in bucket order, with the `d² + 1`
-    /// start offsets. The columns and the spill list are allocated to
-    /// exactly their length, as [`CompressedMatrix::seal`] allocates them.
-    // LINT-ALLOW(hot-path-panic): every nonzero link is `1 +` the position
-    // of an entry `insert` pushed.
+    /// The finished aggregate, sealed: one walk over the occupancy bits
+    /// emits each occupied bucket's chain into the columns in bucket order,
+    /// with its start offset. The columns, the index and the spill list are
+    /// allocated to exactly their length, as [`CompressedMatrix::seal`]
+    /// allocates them.
+    // LINT-ALLOW(hot-path-panic): a set bit names a bucket `< d²`, and every
+    // nonzero link is `1 +` the position of an entry `insert` pushed.
     pub(crate) fn finish(self) -> CompressedMatrix {
         let stored = self.slots.len();
         let mut keys = Vec::with_capacity(stored);
         let mut tags = Vec::with_capacity(stored);
         let mut weights = Vec::with_capacity(stored);
-        let mut starts = Vec::with_capacity(self.heads.len() + 1);
-        for &head in &self.heads {
+        let mut index = BucketIndex::from_bits(&self.occupied);
+        for_each_set_bit(&self.occupied, |bucket| {
             // Fits: `insert` keeps every link, so every count, in a `u32`.
-            starts.push(keys.len() as u32);
-            let mut link = head;
+            index.push_offset(keys.len() as u32);
+            let mut link = self.heads[bucket];
             while link != 0 {
                 let slot = &self.slots[link as usize - 1];
                 keys.push(slot.key);
@@ -1678,8 +2078,8 @@ impl AggregateBuilder {
                 weights.push(slot.weight);
                 link = slot.next;
             }
-        }
-        starts.push(stored as u32);
+        });
+        index.push_offset(stored as u32);
         let mut spill = self.spill;
         spill.shrink_to_fit();
         CompressedMatrix {
@@ -1691,7 +2091,7 @@ impl AggregateBuilder {
             keys,
             tags,
             weights,
-            occupancy: Occupancy::Starts(starts),
+            occupancy: Occupancy::Sealed(index),
             spill,
             stored,
         }
@@ -2100,15 +2500,23 @@ mod tests {
     }
 
     /// The reference aggregate build: a fresh writable matrix filled with
-    /// `insert_aggregated`, then sealed.
-    fn dense_aggregate(geometry: (u64, usize, u32), stream: &[AggregateOp]) -> CompressedMatrix {
+    /// `insert_aggregated`, then sealed; with the dense `d² + 1` start
+    /// offsets of its writable counts, the reference for its index.
+    fn dense_aggregate(
+        geometry: (u64, usize, u32),
+        stream: &[AggregateOp],
+    ) -> (CompressedMatrix, Vec<u32>) {
         let (side, b, mapping) = geometry;
         let mut dense = CompressedMatrix::new(side, 2, b, mapping);
         for &(s, d, fs, fd, w) in stream {
             dense.insert_aggregated(s, d, fs, fd, w);
         }
+        let Occupancy::Writable(writable) = &dense.occupancy else {
+            unreachable!("a new matrix is writable");
+        };
+        let starts = dense_starts(&writable.counts);
         dense.seal();
-        dense
+        (dense, starts)
     }
 
     /// `(addr_src, addr_dst, fp_src, fp_dst, weight)`.
@@ -2139,10 +2547,12 @@ mod tests {
                 builder.insert(s, d, fs, fd, w);
             }
             let built = builder.finish();
-            let dense = dense_aggregate((side, b, mapping), &stream);
+            let (dense, starts) = dense_aggregate((side, b, mapping), &stream);
             proptest::prop_assert!(built.is_sealed());
             let diff = built.first_difference(&dense);
             proptest::prop_assert!(diff.is_none(), "builder and dense build differ in {diff:?}");
+            let index = built.check_index(&starts);
+            proptest::prop_assert!(index.is_ok(), "builder index: {index:?}");
         }
     }
 
@@ -2162,7 +2572,7 @@ mod tests {
                 )
             })
             .collect();
-        let dense = dense_aggregate((4, 1, 2), &stream);
+        let (dense, starts) = dense_aggregate((4, 1, 2), &stream);
         let mut builder = AggregateBuilder::new(4, 2, 1, 2, 0);
         for &(s, d, fs, fd, w) in &stream {
             builder.insert(s, d, fs, fd, w);
@@ -2170,6 +2580,7 @@ mod tests {
         let built = builder.finish();
         assert!(dense.spill_len() > 0, "the stream must spill");
         assert_eq!(built.first_difference(&dense), None);
+        built.check_index(&starts).expect("builder index");
     }
 
     #[test]
@@ -2245,6 +2656,7 @@ mod tests {
         assert!(m.is_sealed());
         assert_eq!(m.capacity(), 32);
         assert_eq!(m.bucket_lens(), lens);
+        m.check_index(&dense_starts(&lens)).expect("index");
         let entry = m.entries().next().expect("one entry");
         assert_eq!((entry.0, entry.1), (0, 3));
         assert_eq!((entry.2.idx_src, entry.2.time_offset), (1, 3));
@@ -2477,11 +2889,132 @@ mod tests {
     #[test]
     fn the_writable_form_costs_a_sealed_matrix_nothing() {
         // The counts and the index sit behind one box, so the occupancy
-        // enum is no larger than the sealed form's offsets.
+        // enum is no larger than the sealed form's index (one `Vec<u32>`).
         assert_eq!(
             std::mem::size_of::<Occupancy>(),
             std::mem::size_of::<Vec<u32>>()
         );
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<CompressedMatrix>(), 160);
+    }
+
+    /// A sealed matrix of side `side` and `b` slots a bucket, with
+    /// per-bucket slot counts `lens` and distinct entries.
+    fn sealed_with_lens(side: u64, b: usize, lens: &[u8]) -> CompressedMatrix {
+        let stored: usize = lens.iter().map(|&len| usize::from(len)).sum();
+        let keys = (1..=stored as u64).collect();
+        let tags = (0..stored as u32).map(|p| pack_tag(0, p)).collect();
+        let weights = (1..=stored as i64).collect();
+        CompressedMatrix::from_sealed_columns(
+            (side, 2, b, 2),
+            lens,
+            (keys, tags, weights),
+            Vec::new(),
+        )
+        .expect("consistent parts")
+    }
+
+    /// Holds the sealed matrix with per-bucket slot counts `lens` to the
+    /// dense reference and, when its writable slab is small, round-trips it
+    /// through `unseal` and `seal`.
+    fn check_lens(side: u64, b: usize, lens: &[u8]) -> Result<(), String> {
+        let m = sealed_with_lens(side, b, lens);
+        m.check_index(&dense_starts(lens))?;
+        let restored = m.restored_from_own_columns()?;
+        if restored != m {
+            return Err("from_sealed_columns of its own columns differs".into());
+        }
+        if m.capacity() <= 1 << 16 {
+            let mut round = m.clone();
+            round.unseal();
+            let Occupancy::Writable(writable) = &round.occupancy else {
+                return Err("unseal left the matrix sealed".into());
+            };
+            if writable.counts != lens {
+                return Err("the unsealed counts differ".into());
+            }
+            round.check_writable()?;
+            round.seal();
+            if let Some(field) = round.first_difference(&m) {
+                return Err(format!("unseal then seal changed the {field}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_sparse_index_matches_the_dense_offsets(
+            shape in (1u32..11, 0usize..4, 0u64..=1_000_000, 0u64..u64::MAX),
+        ) {
+            // Sides 2–1024 (d² = 4 and 16 sit in one partial word); one,
+            // two, three or 255 slots a bucket; each bucket occupied with
+            // odds from none to certain (per million), a quarter of the
+            // occupied ones full. The largest grids are thinned to about
+            // 2^17 slots so that a case stays quick.
+            let (log_side, pick, odds, seed) = shape;
+            let side = 1u64 << log_side;
+            let b: usize = [1, 2, 3, 255][pick];
+            let buckets = (side * side) as usize;
+            let budget = (1u64 << 17) * 1_000_000 / (buckets * b.div_ceil(2)) as u64;
+            let odds = odds.min(budget);
+            let mut rng = proptest::TestRng::from_seed(seed);
+            let lens: Vec<u8> = (0..buckets)
+                .map(|_| {
+                    if rng.next_u64() % 1_000_000 >= odds {
+                        0
+                    } else if rng.next_u64().is_multiple_of(4) {
+                        b as u8
+                    } else {
+                        (1 + rng.next_u64() % b as u64) as u8
+                    }
+                })
+                .collect();
+            let checked = check_lens(side, b, &lens);
+            proptest::prop_assert!(checked.is_ok(), "side {side}, b {b}: {checked:?}");
+        }
+    }
+
+    #[test]
+    fn the_sparse_index_handles_word_edges() {
+        // (side, b, occupied buckets): the empty matrix, a matrix whose
+        // only occupied bucket is the last one, bits 0 and 63 and the
+        // buckets on either side of each word boundary, and every bucket
+        // full, at b = 1 and b = 255.
+        let every = |side: usize| (0..side * side).collect::<Vec<_>>();
+        let edges = |side: usize| {
+            (0..side * side)
+                .filter(|k| matches!(k % 64, 0 | 1 | 62 | 63))
+                .collect::<Vec<_>>()
+        };
+        let cases: Vec<(u64, usize, Vec<usize>)> = vec![
+            (2, 3, Vec::new()),
+            (1024, 255, Vec::new()),
+            (2, 1, vec![3]),
+            (4, 255, vec![15]),
+            (16, 3, vec![255]),
+            (1024, 2, vec![1024 * 1024 - 1]),
+            (2, 255, every(2)),
+            (4, 1, every(4)),
+            (16, 1, every(16)),
+            (16, 255, every(16)),
+            (8, 3, vec![0, 63]),
+            (16, 1, edges(16)),
+            (32, 255, edges(32)),
+            (256, 3, edges(256)),
+        ];
+        for (side, b, occupied) in cases {
+            let mut lens = vec![0u8; (side * side) as usize];
+            for (n, &bucket) in occupied.iter().enumerate() {
+                // Alternately full and one-slot buckets.
+                lens[bucket] = if n % 2 == 0 { b as u8 } else { 1 };
+            }
+            if let Err(e) = check_lens(side, b, &lens) {
+                panic!("side {side}, b {b}, occupied {occupied:?}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -601,15 +601,18 @@ impl IngestHandle {
             self.mark_sent();
             ok
         };
-        let mut buffers: Vec<(Vec<StreamEdge>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); shards];
+        // Each buffer starts at an even share of the slice, so it rarely
+        // regrows; a chunk is sent at `INGEST_CHUNK` edges.
+        let share = edges.len().div_ceil(shards).min(INGEST_CHUNK);
+        let buffer = || (Vec::with_capacity(share), Vec::with_capacity(share));
+        let mut buffers: Vec<(Vec<StreamEdge>, Vec<u64>)> = (0..shards).map(|_| buffer()).collect();
         for (i, edge) in edges.iter().enumerate() {
             let shard = shard_of(edge.src, shards);
             let (batch, seqs) = &mut buffers[shard];
             batch.push(*edge);
             seqs.push(base + i as u64);
             if batch.len() >= INGEST_CHUNK {
-                let batch = std::mem::take(batch);
-                let seqs = std::mem::take(seqs);
+                let (batch, seqs) = std::mem::replace(&mut buffers[shard], buffer());
                 if !send_batch(shard, batch, seqs) {
                     // The writers are being torn down; every further send
                     // would fail too, so stop routing.

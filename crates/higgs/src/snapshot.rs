@@ -430,8 +430,10 @@ fn encode_matrix(buf: &mut Vec<u8>, matrix: &CompressedMatrix) {
     put_u64(buf, matrix.bucket_entries() as u64);
     put_u32(buf, matrix.mapping());
     let columns = matrix.sealed_columns();
-    // Each bucket spans at most `bucket_entries <= 255` slots.
-    buf.extend(columns.starts.windows(2).map(|w| (w[1] - w[0]) as u8));
+    // One occupancy byte per bucket, empty or not, derived from the sparse
+    // bucket index (each bucket spans at most `bucket_entries <= 255`
+    // slots).
+    columns.extend_lens(buf);
     columns.keys.iter().for_each(|&key| put_u64(buf, key));
     let tags = columns.tags.iter().map(|&tag| unpack_tag(tag));
     tags.clone().for_each(|(idx, _)| put_u16(buf, idx));
@@ -1830,6 +1832,55 @@ mod tests {
         assert_eq!(restored.total_items(), 3);
         assert_eq!(restored.edge_query(1, 2, TimeRange::all()), 7);
         assert_eq!(restored.edge_query(3, 4, TimeRange::new(11, 11)), 1);
+    }
+
+    /// Every sealed constructor agrees: restoring a matrix from its own
+    /// sealed columns (what a snapshot read does) builds the sealed form of
+    /// that matrix, whether a leaf compaction, an overflow block or an
+    /// aggregate built it, and encodes to the same bytes.
+    #[test]
+    fn restoring_a_matrix_from_its_own_columns_is_the_identity() {
+        for config in [
+            HiggsConfig::paper_default(),
+            // Tiny one-slot buckets: aggregates spill, and bursts overflow.
+            HiggsConfig {
+                d1: 4,
+                f1_bits: 10,
+                bucket_entries: 1,
+                mapping_addresses: 2,
+                ..HiggsConfig::paper_default()
+            },
+        ] {
+            let mut s = HiggsSummary::new(config);
+            for i in 0..30_000u64 {
+                s.insert_edge(&StreamEdge::new(i % 2_000, (i * 7) % 1_500, 1, i / 8));
+            }
+            let leaves = s
+                .leaves
+                .iter()
+                .flat_map(|l| std::iter::once(&l.matrix).chain(l.overflow.blocks().iter()));
+            let aggregates = s
+                .internals
+                .iter()
+                .flatten()
+                .filter_map(|n| n.matrix.as_ref());
+            let mut checked = 0;
+            for matrix in leaves.chain(aggregates) {
+                let restored = matrix.restored_from_own_columns().expect("own columns");
+                let mut sealed = matrix.clone();
+                sealed.seal();
+                assert_eq!(sealed.first_difference(&restored), None);
+                assert!(sealed == restored);
+                let encode = |m: &CompressedMatrix| {
+                    let mut buf = Vec::new();
+                    encode_matrix(&mut buf, m);
+                    buf
+                };
+                assert!(encode(matrix) == encode(&restored), "snapshot bytes differ");
+                checked += 1;
+            }
+            assert!(s.height() > 2 && checked > 10, "stream too small");
+        }
     }
 
     /// The document checksum is the framing core's word-at-a-time checksum

@@ -620,6 +620,7 @@ impl HiggsSummary {
 mod tests {
     use super::*;
     use crate::aggregate::aggregate_leaves_to_layer;
+    use crate::matrix::dense_starts;
     use higgs_common::{SummaryExt, TemporalGraphSummary, VertexDirection};
 
     fn tiny_config() -> HiggsConfig {
@@ -1158,6 +1159,9 @@ mod tests {
                         None,
                         "node ({level}, {index}) differs from its dense rebuild"
                     );
+                    matrix
+                        .check_index(&dense_starts(&dense.bucket_lens()))
+                        .expect("the index matches the dense start offsets");
                     spills += matrix.spill_len();
                 }
             }
@@ -1184,8 +1188,10 @@ mod tests {
         // A writable leaf pays for all b·d² slots (24 bytes each), d²
         // occupancy bytes, an identity index of 2048 `u32` positions (the
         // power of two ≥ 2·b·d²) and the box holding the counts' and the
-        // index's two `Vec` headers; a sealed one for its entries and d² + 1
-        // offsets.
+        // index's two `Vec` headers; a sealed matrix for its entries and its
+        // bucket index: three `u32` (two of occupancy bits, one rank) per 64
+        // buckets, and one `u32` offset per occupied bucket plus the end
+        // marker.
         let header = std::mem::size_of::<CompressedMatrix>();
         let boxed = 2 * std::mem::size_of::<Vec<u8>>();
         let open = &s.leaves.last().expect("a leaf").matrix;
@@ -1193,11 +1199,33 @@ mod tests {
             open.space_bytes(),
             768 * 24 + 256 + 2048 * 4 + boxed + header
         );
+        let index_bytes = |m: &CompressedMatrix| {
+            let lens = m.bucket_lens();
+            let occupied = lens.iter().filter(|&&len| len > 0).count();
+            (3 * lens.len().div_ceil(64) + occupied + 1) * 4
+        };
         let closed = &s.leaves[0].matrix;
         assert_eq!(closed.spill_len(), 0);
         assert_eq!(
             closed.space_bytes(),
-            closed.stored() * 24 + 257 * 4 + header
+            closed.stored() * 24 + index_bytes(closed) + header
+        );
+        // The highest aggregate: a dense index would cost it d²·4 + 4 bytes.
+        let top = s
+            .internals
+            .last()
+            .and_then(|nodes| nodes.last())
+            .and_then(|node| node.matrix.as_ref())
+            .expect("a materialised top aggregate");
+        let d2 = (top.side() * top.side()) as usize;
+        assert_eq!(top.spill_len(), 0);
+        assert_eq!(
+            top.space_bytes(),
+            top.stored() * 24 + index_bytes(top) + header
+        );
+        assert!(
+            index_bytes(top) < d2 * 4 + 4,
+            "the sparse index is smaller than the dense offsets"
         );
     }
 
