@@ -9,6 +9,11 @@
 //!   LE byte order at its natural width, so a file is byte-identical across
 //!   platforms and re-encoding an unchanged structure reproduces it bit for
 //!   bit (the property the snapshot round-trip tests pin down).
+//! * **Varints where values run small.** The log records write ids,
+//!   weights, counts and deltas as LEB128 varints ([`put_varint`]), and edges
+//!   in the compact form of [`put_edge_after`]: one byte per small field
+//!   instead of eight. Every value has exactly one varint encoding, so the
+//!   re-encoding property holds for them too.
 //! * **Whole documents in memory.** Writers encode into one `Vec<u8>` and
 //!   hand it to the sink in one write; readers decode from a slice holding
 //!   the whole document. A count read from the bytes can therefore be
@@ -97,14 +102,58 @@ pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(u8::from(v));
 }
 
-/// Appends one edge as four LE `u64`s (source, destination, weight,
-/// timestamp).
+/// Appends `v` as an LEB128 varint: seven bits per byte, lowest group first,
+/// the high bit set on every byte but the last. Values below 2^7 take one
+/// byte; `u64::MAX` takes the most, ten.
 #[inline]
-pub fn put_edge(buf: &mut Vec<u8>, edge: &StreamEdge) {
-    put_u64(buf, edge.src);
-    put_u64(buf, edge.dst);
-    put_u64(buf, edge.weight);
-    put_u64(buf, edge.timestamp);
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Maps a signed value onto an unsigned one so small magnitudes of either
+/// sign stay small (0, −1, 1, −2, … become 0, 1, 2, 3, …): the form a delta
+/// takes before [`put_varint`].
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// Appends one edge in the compact form the log records use: source,
+/// destination and weight as [`put_varint`]s, then the timestamp as the
+/// [`zigzag`]ged varint of its wrapping difference from `prev_ts` (the
+/// previous edge's timestamp in the record, `0` for the first). Sorted
+/// timestamps cost one byte each; out-of-order ones still round-trip.
+#[inline]
+pub fn put_edge_after(buf: &mut Vec<u8>, edge: &StreamEdge, prev_ts: u64) {
+    put_varint(buf, edge.src);
+    put_varint(buf, edge.dst);
+    put_varint(buf, edge.weight);
+    put_varint(buf, zigzag(edge.timestamp.wrapping_sub(prev_ts) as i64));
+}
+
+/// The longest [`put_varint`] encoding: ⌈64 / 7⌉ bytes.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// `count` as a `usize` when it is at most `limit` (guards against a corrupt
+/// count driving a huge allocation), named `what` in the error otherwise.
+#[inline]
+fn check_count(count: u64, limit: u64, what: &str) -> Result<usize, CodecError> {
+    if count > limit {
+        return Err(CodecError::Invalid(format!(
+            "{what} length {count} exceeds limit {limit}"
+        )));
+    }
+    Ok(count as usize)
 }
 
 /// Opens a section: appends `tag` and a placeholder length, returning the
@@ -231,12 +280,7 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn count(&mut self, limit: u64, what: &str) -> Result<usize, CodecError> {
         let count = self.u64()?;
-        if count > limit {
-            return Err(CodecError::Invalid(format!(
-                "{what} length {count} exceeds limit {limit}"
-            )));
-        }
-        Ok(count as usize)
+        check_count(count, limit, what)
     }
 
     /// Reads a [`count`](Self::count) of items that each take at least
@@ -251,21 +295,99 @@ impl<'a> Reader<'a> {
         what: &str,
     ) -> Result<usize, CodecError> {
         let count = self.count(limit, what)?;
+        self.check_room(count, item_bytes)
+    }
+
+    /// [`items`](Self::items) with the count written as a [`put_varint`].
+    #[inline]
+    pub fn varint_items(
+        &mut self,
+        limit: u64,
+        item_bytes: usize,
+        what: &str,
+    ) -> Result<usize, CodecError> {
+        let count = check_count(self.varint()?, limit, what)?;
+        self.check_room(count, item_bytes)
+    }
+
+    /// `count` when `count` items of at least `item_bytes` bytes each fit in
+    /// the rest of the document, a truncation otherwise.
+    #[inline]
+    fn check_room(&self, count: usize, item_bytes: usize) -> Result<usize, CodecError> {
         if count.saturating_mul(item_bytes) > self.rest.len() {
             return Err(CodecError::UnexpectedEof);
         }
         Ok(count)
     }
 
-    /// Reads one edge written by [`put_edge`].
+    /// Reads a varint written by [`put_varint`]. Running out of bytes inside
+    /// it is [`CodecError::UnexpectedEof`]; more than ten bytes, a tenth byte
+    /// carrying bits past 2^64, or a redundant trailing zero group (every
+    /// value has exactly one encoding) is [`CodecError::Invalid`].
+    ///
+    /// A one-byte varint (weights, timestamp and sequence deltas, small ids)
+    /// returns before the general loop.
     #[inline]
-    pub fn edge(&mut self) -> Result<StreamEdge, CodecError> {
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        if let Some(&byte) = self.rest.first() {
+            if byte < 0x80 {
+                self.advance(1);
+                return Ok(u64::from(byte));
+            }
+        }
+        self.varint_bytewise()
+    }
+
+    /// [`varint`](Self::varint) of any length, one byte at a time. A
+    /// malformed varint is diagnosed out of line, keeping this loop small
+    /// enough to inline.
+    #[inline]
+    fn varint_bytewise(&mut self) -> Result<u64, CodecError> {
+        let mut value = 0u64;
+        for (i, &byte) in self.rest.iter().take(MAX_VARINT_BYTES).enumerate() {
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                if (i > 0 && byte == 0) || (i == MAX_VARINT_BYTES - 1 && byte > 1) {
+                    break;
+                }
+                self.advance(i + 1);
+                return Ok(value);
+            }
+        }
+        Err(self.varint_error())
+    }
+
+    /// Why the varint at the cursor does not decode.
+    #[cold]
+    #[inline(never)]
+    fn varint_error(&self) -> CodecError {
+        let window = &self.rest[..self.rest.len().min(MAX_VARINT_BYTES)];
+        match window.iter().position(|&byte| byte < 0x80) {
+            None if window.len() < MAX_VARINT_BYTES => CodecError::UnexpectedEof,
+            None => CodecError::Invalid(format!("varint longer than {MAX_VARINT_BYTES} bytes")),
+            Some(last) if last == MAX_VARINT_BYTES - 1 && window[last] > 1 => {
+                CodecError::Invalid("varint overflows u64".into())
+            }
+            Some(_) => CodecError::Invalid("varint ends in a redundant zero byte".into()),
+        }
+    }
+
+    /// Reads one edge written by [`put_edge_after`] with the same `prev_ts`.
+    #[inline]
+    pub fn edge_after(&mut self, prev_ts: u64) -> Result<StreamEdge, CodecError> {
         Ok(StreamEdge {
-            src: self.u64()?,
-            dst: self.u64()?,
-            weight: self.u64()?,
-            timestamp: self.u64()?,
+            src: self.varint()?,
+            dst: self.varint()?,
+            weight: self.varint()?,
+            timestamp: prev_ts.wrapping_add(unzigzag(self.varint()?) as u64),
         })
+    }
+
+    /// Skips `n` bytes the caller has checked are there.
+    #[inline]
+    fn advance(&mut self, n: usize) {
+        self.rest = &self.rest[n..];
+        self.consumed += n;
     }
 
     /// Reads a section header, returning `(tag, payload length)`. Callers
@@ -321,9 +443,7 @@ mod tests {
         put_i64(&mut buf, -42);
         put_bool(&mut buf, true);
         put_bool(&mut buf, false);
-        let edge = StreamEdge::new(1, 2, 3, 4);
-        put_edge(&mut buf, &edge);
-        assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 8 + 2 + 32);
+        assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 8 + 2);
         // LE spot check: the u16 bytes follow the u8 lowest-byte-first.
         assert_eq!(&buf[..3], &[0xAB, 0x34, 0x12]);
 
@@ -335,7 +455,6 @@ mod tests {
         assert_eq!(dec.i64().unwrap(), -42);
         assert!(dec.bool().unwrap());
         assert!(!dec.bool().unwrap());
-        assert_eq!(dec.edge().unwrap(), edge);
         assert_eq!(dec.position(), buf.len());
         dec.finish("test").unwrap();
     }
@@ -407,5 +526,199 @@ mod tests {
     fn bool_bytes_other_than_zero_or_one_are_invalid() {
         let mut dec = Reader::new(&[7u8]);
         assert!(matches!(dec.bool().unwrap_err(), CodecError::Invalid(_)));
+    }
+
+    /// Encodes `v` alone.
+    fn varint_bytes(v: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, v);
+        buf
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_length_boundary() {
+        let cases = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            ((1 << 56) - 1, 8),
+            (1 << 56, 9),
+            ((1 << 63) - 1, 9),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ];
+        for (v, len) in cases {
+            let buf = varint_bytes(v);
+            assert_eq!(buf.len(), len, "{v}");
+            // Alone and followed by more bytes.
+            let padded = [buf.as_slice(), &[0xff; 8]].concat();
+            for bytes in [&buf, &padded] {
+                let mut dec = Reader::new(bytes);
+                assert_eq!(dec.varint().unwrap(), v);
+                assert_eq!(dec.position(), len);
+            }
+        }
+        assert_eq!(varint_bytes(300), [0xac, 0x02]);
+        assert_eq!(
+            varint_bytes(u64::MAX),
+            [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]
+        );
+    }
+
+    #[test]
+    fn zigzag_keeps_small_deltas_of_either_sign_small() {
+        for (v, z) in [(0, 0), (-1, 1), (1, 2), (-2, 3), (2, 4)] {
+            assert_eq!(zigzag(v), z);
+            assert_eq!(unzigzag(z), v);
+        }
+        assert_eq!(zigzag(i64::MAX), u64::MAX - 1);
+        assert_eq!(zigzag(i64::MIN), u64::MAX);
+        // A wrapping difference round-trips however far apart the two ends.
+        for (prev, next) in [(0, u64::MAX), (u64::MAX, 0), (5, 3), (1 << 63, 1)] {
+            let delta = zigzag(next.wrapping_sub(prev) as i64);
+            assert_eq!(prev.wrapping_add(unzigzag(delta) as u64), next);
+        }
+        // Sorted or slightly shuffled timestamps cost one byte.
+        assert_eq!(varint_bytes(zigzag(-3)).len(), 1);
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_errors() {
+        // Truncated: a continuation bit on the last byte present.
+        for bytes in [&[][..], &[0x80], &[0xff, 0xff, 0xff]] {
+            assert!(matches!(
+                Reader::new(bytes).varint().unwrap_err(),
+                CodecError::UnexpectedEof
+            ));
+        }
+        // Eleven bytes: ten with continuation bits, then a terminator.
+        let mut long = vec![0xff; 10];
+        long.push(0x01);
+        assert!(matches!(
+            Reader::new(&long).varint().unwrap_err(),
+            CodecError::Invalid(msg) if msg.contains("longer than 10")
+        ));
+        // A tenth byte carrying bits past 2^64.
+        let mut over = vec![0xff; 9];
+        over.push(0x02);
+        assert!(matches!(
+            Reader::new(&over).varint().unwrap_err(),
+            CodecError::Invalid(msg) if msg.contains("overflows")
+        ));
+        // A redundant zero group: 0 written in two bytes.
+        assert!(matches!(
+            Reader::new(&[0x80, 0x00]).varint().unwrap_err(),
+            CodecError::Invalid(msg) if msg.contains("redundant")
+        ));
+        // A failed read consumes nothing.
+        let mut dec = Reader::new(&[0x80]);
+        let _ = dec.varint();
+        assert_eq!(dec.position(), 0);
+    }
+
+    #[test]
+    fn compact_edges_round_trip_extremes_and_out_of_order_timestamps() {
+        let edges = [
+            StreamEdge::new(1, 2, 1, 100),
+            StreamEdge::new(u64::MAX, u64::MAX, u64::MAX, u64::MAX),
+            StreamEdge::new(0, 0, 0, 0),
+            StreamEdge::new(3, 4, 1, 99),
+            StreamEdge::new(5, 6, 1, 1 << 63),
+        ];
+        let mut buf = Vec::new();
+        let mut prev = 0;
+        for edge in &edges {
+            put_edge_after(&mut buf, edge, prev);
+            prev = edge.timestamp;
+        }
+        let mut dec = Reader::new(&buf);
+        let mut prev = 0;
+        for edge in &edges {
+            let got = dec.edge_after(prev).unwrap();
+            assert_eq!(&got, edge);
+            prev = got.timestamp;
+        }
+        dec.finish("test").unwrap();
+        // A small, sorted edge takes one byte per field; the all-ones one
+        // takes ten per id and weight, and a one-byte delta from u64::MAX.
+        let mut small = Vec::new();
+        put_edge_after(&mut small, &StreamEdge::new(1, 2, 1, 101), 100);
+        assert_eq!(small.len(), 4);
+        let mut big = Vec::new();
+        put_edge_after(
+            &mut big,
+            &StreamEdge::new(u64::MAX, u64::MAX, u64::MAX, 0),
+            1,
+        );
+        assert_eq!(big.len(), 31);
+    }
+
+    #[test]
+    fn varint_counts_are_checked_before_allocation() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 40);
+        let err = Reader::new(&buf)
+            .varint_items(1 << 16, 4, "batch")
+            .unwrap_err();
+        assert!(err.to_string().contains("batch length"), "{err}");
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 3);
+        buf.extend_from_slice(&[0; 11]);
+        assert!(matches!(
+            Reader::new(&buf)
+                .varint_items(1 << 16, 4, "batch")
+                .unwrap_err(),
+            CodecError::UnexpectedEof
+        ));
+        assert_eq!(
+            Reader::new(&buf).varint_items(1 << 16, 3, "batch").unwrap(),
+            3
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random values at every encoded length (a random shift spreads
+        /// them over 1 to 10 bytes) decode to themselves.
+        #[test]
+        fn random_varints_round_trip(raw in 0u64..=u64::MAX, shift in 0u32..64) {
+            let v = raw >> shift;
+            let buf = varint_bytes(v);
+            let mut dec = Reader::new(&buf);
+            proptest::prop_assert_eq!(dec.varint().unwrap(), v);
+            proptest::prop_assert_eq!(dec.remaining(), 0);
+        }
+
+        #[test]
+        fn random_compact_edges_round_trip(
+            ids in (0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
+            ts in (0u64..=u64::MAX, 0u64..=u64::MAX),
+            shift in 0u32..64,
+        ) {
+            let edge = StreamEdge::new(ids.0 >> shift, ids.1, ids.2 >> shift, ts.0);
+            let mut buf = Vec::new();
+            put_edge_after(&mut buf, &edge, ts.1);
+            let mut dec = Reader::new(&buf);
+            proptest::prop_assert_eq!(dec.edge_after(ts.1).unwrap(), edge);
+            proptest::prop_assert_eq!(dec.remaining(), 0);
+        }
+
+        /// Arbitrary bytes never panic the varint or compact-edge readers:
+        /// each read either succeeds within the bytes or fails typed.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_compact_readers(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+            prev in 0u64..=u64::MAX,
+        ) {
+            let mut dec = Reader::new(&bytes);
+            while dec.varint().is_ok() {}
+            let mut dec = Reader::new(&bytes);
+            while dec.edge_after(prev).is_ok() {}
+            proptest::prop_assert!(dec.position() <= bytes.len());
+            let _ = Reader::new(&bytes).varint_items(1 << 16, 5, "batch");
+        }
     }
 }

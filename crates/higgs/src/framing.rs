@@ -5,13 +5,13 @@
 //! A log file is a header (magic, version, and in a *stamped* format the
 //! covering-snapshot checksum) followed by records framed as
 //! `len u32 LE | body | checksum u64 LE`, where `len` counts the body and the
-//! checksum and the body is `tag u8 | payload` (see the journal's module docs
-//! for the byte layout). This module writes and validates the header, re-arms
-//! an existing file for appending, does the framed append and the sync, and
-//! owns the one frame scanner, [`scan_frames`], with the torn-tail and
-//! interior-corruption rules the journal's module docs state. Record bodies
-//! are encoded and decoded with the little-endian primitives of
-//! [`higgs_common::codec`].
+//! checksum and the body is `tag u8 | payload` (see the journal's and the
+//! history log's module docs for the varint payload layouts). This module
+//! writes and validates the header, re-arms an existing file for appending,
+//! does the framed append and the sync, and owns the one frame scanner,
+//! [`scan_frames`], with the torn-tail and interior-corruption rules the
+//! journal's module docs state. Record bodies are encoded and decoded with
+//! the varint primitives of [`higgs_common::codec`].
 //!
 //! Re-arming is split in two so a reopen reads each file once: [`scan_log`]
 //! verifies a file read-only and reports what it found as a [`LogScan`], and
@@ -19,7 +19,7 @@
 //! reading it again (writing a fresh header, restamping a stale file or
 //! trimming a torn tail).
 //!
-//! # Frame checksum (format version 2)
+//! # Frame checksum (format version 2 onward)
 //!
 //! Each frame's checksum ([`frame_checksum`]) is taken over the finished
 //! body slice in one pass, a word at a time: the state starts at the FNV-1a
@@ -31,9 +31,10 @@
 //! a bijection too, so two bodies of one length that differ in a single
 //! aligned word (any bit flips confined to it) or in a single tail byte
 //! always checksum differently. Version 1 folded every byte through a
-//! byte-serial FNV-1a; its files are refused with the typed "unsupported …
-//! format version" error. Snapshot files (format version 2) close with this
-//! same checksum, taken over the whole document.
+//! byte-serial FNV-1a; its files, and version 2's fixed-width records, are
+//! refused with the typed "unsupported … format version" error. Snapshot
+//! files (format version 2) close with this same checksum, taken over the
+//! whole document.
 
 use crate::config::JournalMode;
 use crate::journal::{failpoint, JournalError};
@@ -43,10 +44,11 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Upper bound on one record's framed body length. The largest legitimate
-/// record is an insert-batch of one routed ingest chunk (512 edges, about
-/// 16 KiB in the journal, plus an 8-byte sequence number per edge in the
-/// history log); a length prefix beyond this bound can only come from
-/// corruption.
+/// record is an insert-batch of one routed ingest chunk: 512 varint edges,
+/// at most 40 bytes each in the journal and 50 with the sequence delta in
+/// the history log (ids and weights at or above 2^63, timestamps far apart),
+/// so at most about 25 KiB, and 2–5 KiB on typical streams. A length prefix
+/// beyond this bound can only come from corruption.
 pub(crate) const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// Upper bound on the edge count of one insert-batch record (decode-side

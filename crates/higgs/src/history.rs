@@ -46,19 +46,39 @@
 //! This module is the history record codec; the header, the framing
 //! (`len u32 LE | tag u8 | payload | checksum u64 LE`), re-arming, appending,
 //! syncing and the torn-tail rules live in the crate's framing core, shared
-//! with the [`journal`](crate::journal). The payload carries sequence
-//! numbers: tag 1 = insert (`seq` + edge), tag 2 = insert-batch (count +
-//! per-edge `seq` + edge), tag 3 = delete (`seq` + edge). A torn tail (crash
-//! mid-append) is trimmed on re-arm and skipped on read — the torn record
-//! was never acknowledged; interior corruption is a typed
+//! with the [`journal`](crate::journal). The payload is the journal's
+//! varint edge with a sequence number in front of each:
+//!
+//! ```text
+//! tag 1 = insert:       op
+//! tag 2 = insert-batch: count (varint) | op{count}
+//! tag 3 = delete:       op
+//! op   = Δseq (zigzag varint) | edge
+//! edge = src (varint) | dst (varint) | weight (varint) | Δts (zigzag varint)
+//! ```
+//!
+//! `Δseq` and `Δts` are wrapping differences from the previous op's sequence
+//! number and timestamp in the same record (from `0` for the first),
+//! zigzagged so a step back stays small: sequence numbers within a routed
+//! batch step by one to a few, and need not rise (see *Duplicate sequence
+//! numbers*). On a sorted stream of small ids an op takes 5–9 bytes instead
+//! of 40; the worst case is 50 bytes, so a 512-edge batch stays near 25 KiB,
+//! far under the framing core's record bound. A batch count above
+//! [`MAX_BATCH_EDGES`] or above what the rest of the body could hold at
+//! 5 bytes per op fails typed before anything is allocated for it.
+//!
+//! A torn tail (crash mid-append) is trimmed on re-arm and skipped on read —
+//! the torn record was never acknowledged; interior corruption is a typed
 //! [`JournalError::Corrupt`].
 //!
-//! **Format version 2** checksums each record a word at a time (one multiply
-//! step per 8 bytes, tail bytes folded singly, a final avalanche; see the
-//! framing core's docs), which detects every change confined to one aligned
-//! 8-byte word of a record. Version 1 used a byte-serial FNV-1a; a version-1
-//! file is refused with a typed "unsupported history format version"
-//! [`JournalError::Corrupt`].
+//! **Format version 3** introduced the varint payload; version 2 wrote each
+//! op as five fixed little-endian `u64`s and the count as a `u64`. Version 2
+//! also introduced the word-at-a-time record checksum both still use (one
+//! multiply step per 8 bytes, tail bytes folded singly, a final avalanche;
+//! see the framing core's docs), which detects every change confined to one
+//! aligned 8-byte word of a record; version 1 used a byte-serial FNV-1a. A
+//! version-1 or version-2 file is refused with a typed "unsupported history
+//! format version" [`JournalError::Corrupt`].
 //!
 //! Re-arming a file for appending ([`HistoryLog::open`]) verifies and
 //! decodes every complete record on its way to the torn tail. The store's
@@ -80,7 +100,7 @@
 use crate::config::JournalMode;
 use crate::framing::{self, LogFile, LogFormat, LogScan, MAX_BATCH_EDGES};
 use crate::journal::JournalError;
-use higgs_common::codec::{put_edge, put_u64, CodecError, Reader};
+use higgs_common::codec::{put_edge_after, put_varint, unzigzag, zigzag, CodecError, Reader};
 use higgs_common::StreamEdge;
 use std::path::{Path, PathBuf};
 
@@ -89,8 +109,9 @@ pub const HISTORY_MAGIC: &[u8; 8] = b"HIGGSHIS";
 
 /// Current history format version. Bumped on any layout change; readers
 /// refuse any other version instead of guessing. Version 2 replaced the
-/// byte-serial FNV-1a record checksum with the word-at-a-time one.
-pub const HISTORY_FORMAT_VERSION: u32 = 2;
+/// byte-serial FNV-1a record checksum with the word-at-a-time one; version 3
+/// replaced the fixed-width ops with varint ones.
+pub const HISTORY_FORMAT_VERSION: u32 = 3;
 
 /// The history log's header and diagnostics, as the framing core reads them.
 /// History carries no covering-snapshot stamp: it is never rotated.
@@ -107,6 +128,9 @@ const FORMAT: LogFormat = LogFormat {
 const TAG_INSERT: u8 = 1;
 const TAG_INSERT_BATCH: u8 = 2;
 const TAG_DELETE: u8 = 3;
+
+/// The fewest bytes one batch op takes: five one-byte varints.
+const MIN_OP_BYTES: usize = 5;
 
 /// File name of generation `gen`, shard `shard`'s history log inside a
 /// durable directory (`history-000-000.higgs`, …), next to the snapshot and
@@ -212,8 +236,7 @@ impl HistoryLog {
     pub fn append_insert(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
         self.log.append(|body| {
             body.push(TAG_INSERT);
-            put_u64(body, seq);
-            put_edge(body, edge);
+            OpCursor::default().put(body, seq, edge);
         })
     }
 
@@ -226,12 +249,11 @@ impl HistoryLog {
     ) -> Result<(), JournalError> {
         debug_assert_eq!(edges.len(), seqs.len(), "parallel seq/edge arrays");
         self.log.append(|body| {
-            body.reserve(9 + 40 * edges.len());
             body.push(TAG_INSERT_BATCH);
-            put_u64(body, edges.len() as u64);
-            for (edge, seq) in edges.iter().zip(seqs) {
-                put_u64(body, *seq);
-                put_edge(body, edge);
+            put_varint(body, edges.len() as u64);
+            let mut cursor = OpCursor::default();
+            for (edge, &seq) in edges.iter().zip(seqs) {
+                cursor.put(body, seq, edge);
             }
         })
     }
@@ -240,8 +262,7 @@ impl HistoryLog {
     pub fn append_delete(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
         self.log.append(|body| {
             body.push(TAG_DELETE);
-            put_u64(body, seq);
-            put_edge(body, edge);
+            OpCursor::default().put(body, seq, edge);
         })
     }
 
@@ -252,29 +273,49 @@ impl HistoryLog {
     }
 }
 
+/// The previous op's sequence number and timestamp within one record, which
+/// the next op's deltas are taken from (both `0` before the first op).
+#[derive(Default)]
+struct OpCursor {
+    seq: u64,
+    timestamp: u64,
+}
+
+impl OpCursor {
+    /// Appends one op: its zigzagged sequence delta, then its compact edge.
+    fn put(&mut self, body: &mut Vec<u8>, seq: u64, edge: &StreamEdge) {
+        put_varint(body, zigzag(seq.wrapping_sub(self.seq) as i64));
+        put_edge_after(body, edge, self.timestamp);
+        self.seq = seq;
+        self.timestamp = edge.timestamp;
+    }
+
+    /// Reads one op written by [`put`](Self::put).
+    fn read(&mut self, dec: &mut Reader<'_>, kind: HistoryOpKind) -> Result<HistoryOp, CodecError> {
+        let seq = self.seq.wrapping_add(unzigzag(dec.varint()?) as u64);
+        let edge = dec.edge_after(self.timestamp)?;
+        self.seq = seq;
+        self.timestamp = edge.timestamp;
+        Ok(HistoryOp { seq, kind, edge })
+    }
+}
+
 /// Decodes one history record body (its checksum already verified by the
 /// frame scanner), handing each op to `visit` in record order. On an error
 /// `visit` may have seen part of the record; every caller discards it.
 fn decode_body(body: &[u8], mut visit: impl FnMut(HistoryOp)) -> Result<(), CodecError> {
     let mut dec = Reader::new(body);
-    let mut op = |dec: &mut Reader<'_>, kind| -> Result<(), CodecError> {
-        let seq = dec.u64()?;
-        visit(HistoryOp {
-            seq,
-            kind,
-            edge: dec.edge()?,
-        });
-        Ok(())
-    };
+    let mut cursor = OpCursor::default();
     match dec.u8()? {
-        TAG_INSERT => op(&mut dec, HistoryOpKind::Insert)?,
+        TAG_INSERT => visit(cursor.read(&mut dec, HistoryOpKind::Insert)?),
         TAG_INSERT_BATCH => {
-            let count = dec.count(MAX_BATCH_EDGES, "history batch edge count")?;
+            let count =
+                dec.varint_items(MAX_BATCH_EDGES, MIN_OP_BYTES, "history batch edge count")?;
             for _ in 0..count {
-                op(&mut dec, HistoryOpKind::Insert)?;
+                visit(cursor.read(&mut dec, HistoryOpKind::Insert)?);
             }
         }
-        TAG_DELETE => op(&mut dec, HistoryOpKind::Delete)?,
+        TAG_DELETE => visit(cursor.read(&mut dec, HistoryOpKind::Delete)?),
         other => {
             return Err(CodecError::Invalid(format!(
                 "unknown history record tag {other}"
@@ -642,64 +683,207 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    #[test]
-    fn version_1_history_is_refused_typed() {
-        let dir = temp_dir("v1");
+    /// A history file stamped with an older format `version` is refused
+    /// typed by both the merged read and re-arm, and left as it was.
+    fn assert_old_version_refused(version: u32) {
+        let dir = temp_dir(&format!("v{version}"));
         let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
         log.append_insert(0, &edge(0)).expect("append");
         drop(log);
         let path = dir.join(history_file_name(0, 0));
         let mut bytes = std::fs::read(&path).expect("read");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &bytes).expect("write");
         for err in [
-            read_history(&dir).expect_err("read refuses version 1"),
-            HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect_err("arm refuses version 1"),
+            read_history(&dir).expect_err("read refuses an old version"),
+            HistoryLog::open(&dir, 0, 0, JournalMode::Buffered)
+                .expect_err("arm refuses an old version"),
         ] {
+            let expected = format!("unsupported history format version {version}");
             assert!(
-                matches!(&err, JournalError::Corrupt { detail, .. }
-                    if detail.contains("unsupported history format version 1")),
+                matches!(&err, JournalError::Corrupt { detail, .. } if detail.contains(&expected)),
                 "{err}"
+            );
+        }
+        assert_eq!(std::fs::read(&path).expect("read"), bytes);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn version_1_history_is_refused_typed() {
+        assert_old_version_refused(1);
+    }
+
+    /// Version 2 wrote fixed-width ops; its bodies would misparse as
+    /// varints, so the header refuses them before any record is read.
+    #[test]
+    fn version_2_history_is_refused_typed() {
+        assert_old_version_refused(2);
+    }
+
+    /// Every op of the history files in `dir`, decoded in file order (no
+    /// merge, no dedup), for checking exactly what was appended.
+    fn ops_in_file_order(dir: &Path) -> Vec<HistoryOp> {
+        let mut ops = Vec::new();
+        scan_history(
+            dir,
+            |_, _| true,
+            |body| decode_body(body, |op| ops.push(op)),
+        )
+        .expect("scan");
+        ops
+    }
+
+    #[test]
+    fn extreme_ops_round_trip_and_tear_to_their_prefix() {
+        let dir = temp_dir("extreme");
+        let max = StreamEdge::new(u64::MAX, u64::MAX, u64::MAX, u64::MAX);
+        let chunk: Vec<StreamEdge> = (0..512u64)
+            .map(|i| {
+                let wild = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                StreamEdge::new(wild, i, 1 + wild % 3, wild >> (i % 64))
+            })
+            .collect();
+        // Sequence numbers that jump, step back, repeat and wrap.
+        let chunk_seqs: Vec<u64> = (0..512u64)
+            .map(|i| match i % 4 {
+                0 => u64::MAX - i,
+                1 => i,
+                2 => i,
+                _ => i.wrapping_mul(0x2545_f491_4f6c_dd1d),
+            })
+            .collect();
+        let tail = [
+            StreamEdge::new(7, 8, 1, 1_000),
+            max,
+            StreamEdge::new(9, 10, 1, 999),
+        ];
+        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
+        log.append_insert(u64::MAX, &max).expect("insert");
+        log.append_delete(0, &max).expect("delete");
+        log.append_insert_batch(&[max], &[u64::MAX])
+            .expect("one-edge batch");
+        log.append_insert_batch(&chunk, &chunk_seqs)
+            .expect("full chunk");
+        log.append_insert_batch(&tail, &[5, 3, 3])
+            .expect("tail batch");
+        drop(log);
+
+        let op = |seq, kind, edge| HistoryOp { seq, kind, edge };
+        let mut expected = vec![
+            op(u64::MAX, HistoryOpKind::Insert, max),
+            op(0, HistoryOpKind::Delete, max),
+            op(u64::MAX, HistoryOpKind::Insert, max),
+        ];
+        expected.extend(
+            chunk_seqs
+                .iter()
+                .zip(&chunk)
+                .map(|(&seq, &edge)| op(seq, HistoryOpKind::Insert, edge)),
+        );
+        let prefix = expected.len();
+        expected.extend(
+            [5, 3, 3]
+                .into_iter()
+                .zip(tail)
+                .map(|(seq, edge)| op(seq, HistoryOpKind::Insert, edge)),
+        );
+        assert_eq!(ops_in_file_order(&dir), expected);
+
+        // Worst-case ops stay within 50 bytes each: the single-op records
+        // are tag + op + checksum behind a 4-byte length prefix.
+        let path = dir.join(history_file_name(0, 0));
+        let full = std::fs::read(&path).expect("read");
+        let first_len = u32::from_le_bytes(full[12..16].try_into().expect("4 bytes"));
+        assert!(first_len as usize <= 1 + 50 + 8, "{first_len}");
+
+        // Tear every byte of the last frame: the ops before it, exactly.
+        let mut at = HEADER_LEN as usize;
+        let mut last_start = at;
+        while at < full.len() {
+            last_start = at;
+            at += 4 + u32::from_le_bytes(full[at..at + 4].try_into().expect("4 bytes")) as usize;
+        }
+        for cut in last_start..full.len() {
+            std::fs::write(&path, &full[..cut]).expect("tear");
+            assert_eq!(
+                ops_in_file_order(&dir),
+                expected[..prefix],
+                "cut at byte {cut}"
             );
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    #[test]
+    fn batch_counts_the_body_cannot_hold_are_typed_corruption() {
+        let dir = temp_dir("count");
+        let path = dir.join(history_file_name(0, 0));
+        drop(HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open"));
+        let header = std::fs::read(&path).expect("read");
+        // One op: Δseq +1, then edge (1, 2, 1, Δts +3).
+        let one_op: &[u8] = &[2, 1, 2, 1, 6];
+        let cases: [(u64, Vec<u8>, &str); 3] = [
+            (MAX_BATCH_EDGES + 1, Vec::new(), "exceeds limit"),
+            (MAX_BATCH_EDGES, vec![0; 64], "unexpected end"),
+            (2, [one_op, &[2, 0x81, 1, 1, 1]].concat(), "unexpected end"),
+        ];
+        for (count, ops, expected) in cases {
+            let mut body = vec![TAG_INSERT_BATCH];
+            put_varint(&mut body, count);
+            body.extend_from_slice(&ops);
+            let mut bytes = header.clone();
+            bytes.extend_from_slice(&(body.len() as u32 + 8).to_le_bytes());
+            bytes.extend_from_slice(&body);
+            bytes.extend_from_slice(&framing::frame_checksum(&body).to_le_bytes());
+            std::fs::write(&path, &bytes).expect("write");
+            match read_history(&dir) {
+                Err(JournalError::Corrupt {
+                    record: 0, detail, ..
+                }) => {
+                    assert!(detail.contains(expected), "count {count}: {detail}");
+                }
+                other => panic!("count {count}: expected Corrupt, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
     /// The whole history file for a fixed record sequence, byte for byte, at
-    /// format version 2: a refactor of the log code must not move a byte.
-    /// The checksums were cross-checked against an independent
-    /// implementation of the frame checksum.
+    /// format version 3: a refactor of the log code must not move a byte.
+    /// The bytes and checksums were cross-checked against an independent
+    /// implementation of the varint layout and the frame checksum.
     #[test]
     fn history_file_bytes_match_the_golden_encoding() {
         const GOLDEN: &[&str] = &[
             "4849474753484953", // magic "HIGGSHIS"
-            "02000000",         // version 2
-            "31000000",         // len 49
+            "03000000",         // version 3
+            "0e000000",         // len 14
             "01",               // tag insert
-            "0700000000000000", // seq 7
-            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "6f6b771359870a5f", // checksum
-            "61000000",         // len 97
+            "0e",               // Δseq +7
+            "01020308",         // edge (1, 2, 3, Δts +4)
+            "aa209334b5e24fb3", // checksum
+            "15000000",         // len 21
             "02",               // tag insert-batch
-            "0200000000000000", // count 2
-            "0800000000000000", // seq 8
-            "0500000000000000060000000000000007000000000000000800000000000000", // edge (5, 6, 7, 8)
-            "0900000000000000", // seq 9
-            "09000000000000000a000000000000000b000000000000000c00000000000000", // edge (9, 10, 11, 12)
-            "615faa00178cd636",                                                 // checksum
-            "31000000",                                                         // len 49
-            "03",                                                               // tag delete
-            "0a00000000000000",                                                 // seq 10
-            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "34bc394eee694497",                                                 // checksum
+            "02",               // count 2
+            "12",               // Δseq +9
+            "05060710",         // edge (5, 6, 7, Δts +8)
+            "01",               // Δseq −1
+            "ac020a0105",       // edge (300, 10, 1, Δts −3)
+            "42dc8d72911c9544", // checksum
+            "0e000000",         // len 14
+            "03",               // tag delete
+            "14",               // Δseq +10
+            "01020308",         // edge (1, 2, 3, Δts +4)
+            "0345fb4db42b44f9", // checksum
         ];
         let dir = temp_dir("golden");
         let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
         log.append_insert(7, &StreamEdge::new(1, 2, 3, 4))
             .expect("insert");
         log.append_insert_batch(
-            &[StreamEdge::new(5, 6, 7, 8), StreamEdge::new(9, 10, 11, 12)],
-            &[8, 9],
+            &[StreamEdge::new(5, 6, 7, 8), StreamEdge::new(300, 10, 1, 5)],
+            &[9, 8],
         )
         .expect("batch");
         log.append_delete(10, &StreamEdge::new(1, 2, 3, 4))

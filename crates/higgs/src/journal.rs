@@ -42,16 +42,35 @@
 //! ```
 //!
 //! where `len` counts every byte after it; the checksum covers the tag and
-//! the payload (the record *body*). The payload is plain
-//! little-endian (tag 1 = insert: one edge; tag 2 = insert-batch: `u64`
-//! count + edges; tag 3 = delete: one edge; an edge is four LE `u64`s).
+//! the payload (the record *body*). The payload is written in varints
+//! ([`higgs_common::codec`]'s `put_varint`, LEB128):
 //!
-//! **Format version 2** checksums each body a word at a time (one multiply
-//! step per 8 bytes, tail bytes folded singly, a final avalanche; see the
-//! framing core's docs), so any change confined to one aligned 8-byte word of
-//! a body is always detected. Version 1 ran a byte-serial FNV-1a over every
-//! body byte; a version-1 journal is refused with a typed "unsupported
-//! journal format version" [`JournalError::Corrupt`].
+//! ```text
+//! tag 1 = insert:       edge
+//! tag 2 = insert-batch: count (varint) | edge{count}
+//! tag 3 = delete:       edge
+//! edge = src (varint) | dst (varint) | weight (varint) | Δts (zigzag varint)
+//! ```
+//!
+//! `Δts` is the wrapping difference from the previous edge's timestamp in
+//! the same record (from `0` for the first), zigzagged so a timestamp that
+//! steps back stays small. On a sorted stream of small ids an edge takes
+//! 4–8 bytes instead of 32. The worst case, ids and weight at or above
+//! 2^63 and a timestamp far from its predecessor, is 40 bytes, so a
+//! 512-edge batch stays near 20 KiB, far under the framing core's record
+//! bound. A batch count above [`MAX_BATCH_EDGES`] or above what the rest of
+//! the body could hold at 4 bytes per edge fails typed before anything is
+//! allocated for it.
+//!
+//! **Format version 3** introduced the varint payload; version 2 wrote every
+//! edge as four fixed little-endian `u64`s and the count as a `u64`.
+//! Version 2 also introduced the word-at-a-time body checksum both still use
+//! (one multiply step per 8 bytes, tail bytes folded singly, a final
+//! avalanche; see the framing core's docs), so any change confined to one
+//! aligned 8-byte word of a body is always detected; version 1 ran a
+//! byte-serial FNV-1a over every body byte. A version-1 or version-2 journal
+//! is refused with a typed "unsupported journal format version"
+//! [`JournalError::Corrupt`].
 //!
 //! # Torn tails vs. interior corruption
 //!
@@ -91,7 +110,7 @@
 use crate::config::JournalMode;
 use crate::framing::{self, LogFile, LogFormat, LogScan, MAX_BATCH_EDGES};
 use crate::tree::HiggsSummary;
-use higgs_common::codec::{put_edge, put_u64, CodecError, Reader};
+use higgs_common::codec::{put_edge_after, put_varint, CodecError, Reader};
 use higgs_common::StreamEdge;
 use std::fmt;
 use std::io::{Seek, SeekFrom};
@@ -102,8 +121,9 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"HIGGSJNL";
 
 /// Current journal format version. Bumped on any layout change; replay
 /// refuses any other version instead of guessing. Version 2 replaced the
-/// byte-serial FNV-1a record checksum with the word-at-a-time one.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+/// byte-serial FNV-1a record checksum with the word-at-a-time one; version 3
+/// replaced the fixed-width edges with varint ones.
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// The journal's header and diagnostics, as the framing core reads them.
 const FORMAT: LogFormat = LogFormat {
@@ -225,6 +245,9 @@ const TAG_INSERT: u8 = 1;
 const TAG_INSERT_BATCH: u8 = 2;
 const TAG_DELETE: u8 = 3;
 
+/// The fewest bytes one batch edge takes: four one-byte varints.
+const MIN_EDGE_BYTES: usize = 4;
+
 /// A borrowed view of one journalable mutation: what the shard writer hands
 /// to [`Journal::append_insert`] and friends without cloning batch payloads
 /// into an owned [`JournalRecord`] first.
@@ -243,17 +266,20 @@ impl RecordShape<'_> {
         match self {
             RecordShape::Insert(edge) => {
                 body.push(TAG_INSERT);
-                put_edge(body, edge);
+                put_edge_after(body, edge, 0);
             }
             RecordShape::InsertBatch(edges) => {
-                body.reserve(9 + 32 * edges.len());
                 body.push(TAG_INSERT_BATCH);
-                put_u64(body, edges.len() as u64);
-                edges.iter().for_each(|edge| put_edge(body, edge));
+                put_varint(body, edges.len() as u64);
+                let mut prev_ts = 0;
+                for edge in edges {
+                    put_edge_after(body, edge, prev_ts);
+                    prev_ts = edge.timestamp;
+                }
             }
             RecordShape::Delete(edge) => {
                 body.push(TAG_DELETE);
-                put_edge(body, edge);
+                put_edge_after(body, edge, 0);
             }
         }
     }
@@ -274,16 +300,20 @@ impl JournalRecord {
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Reader::new(body);
         let record = match dec.u8()? {
-            TAG_INSERT => JournalRecord::Insert(dec.edge()?),
+            TAG_INSERT => JournalRecord::Insert(dec.edge_after(0)?),
             TAG_INSERT_BATCH => {
-                let count = dec.count(MAX_BATCH_EDGES, "journal batch edge count")?;
+                let count =
+                    dec.varint_items(MAX_BATCH_EDGES, MIN_EDGE_BYTES, "journal batch edge count")?;
                 let mut edges = Vec::with_capacity(count);
+                let mut prev_ts = 0;
                 for _ in 0..count {
-                    edges.push(dec.edge()?);
+                    let edge = dec.edge_after(prev_ts)?;
+                    prev_ts = edge.timestamp;
+                    edges.push(edge);
                 }
                 JournalRecord::InsertBatch(edges)
             }
-            TAG_DELETE => JournalRecord::Delete(dec.edge()?),
+            TAG_DELETE => JournalRecord::Delete(dec.edge_after(0)?),
             other => {
                 return Err(CodecError::Invalid(format!(
                     "unknown journal record tag {other}"
@@ -672,23 +702,130 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    #[test]
-    fn version_1_journal_is_refused_typed() {
-        let dir = temp_dir("v1");
+    /// A journal stamped with an older format `version` is refused typed by
+    /// both replay and re-arm, and left as it was.
+    fn assert_old_version_refused(version: u32) {
+        let dir = temp_dir(&format!("v{version}"));
         write_records(&dir, 0, &sample_records());
         let path = dir.join(journal_file_name(0));
         let mut bytes = std::fs::read(&path).expect("read");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &bytes).expect("write");
         for err in [
-            replay(&dir, 0, 0).expect_err("replay refuses version 1"),
-            Journal::open(&dir, 0, JournalMode::Buffered, 0).expect_err("arm refuses version 1"),
+            replay(&dir, 0, 0).expect_err("replay refuses an old version"),
+            Journal::open(&dir, 0, JournalMode::Buffered, 0)
+                .expect_err("arm refuses an old version"),
         ] {
+            let expected = format!("unsupported journal format version {version}");
             assert!(
-                matches!(&err, JournalError::Corrupt { detail, .. }
-                    if detail.contains("unsupported journal format version 1")),
+                matches!(&err, JournalError::Corrupt { detail, .. } if detail.contains(&expected)),
                 "{err}"
             );
+        }
+        assert_eq!(std::fs::read(&path).expect("read"), bytes);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn version_1_journal_is_refused_typed() {
+        assert_old_version_refused(1);
+    }
+
+    /// Version 2 wrote fixed-width edges; its bodies would misparse as
+    /// varints, so the header refuses them before any record is read.
+    #[test]
+    fn version_2_journal_is_refused_typed() {
+        assert_old_version_refused(2);
+    }
+
+    /// Records at the edges of the varint encoding: all-ones ids, weights
+    /// and timestamps, timestamps that step back, one-edge and full-chunk
+    /// batches.
+    fn extreme_records() -> Vec<JournalRecord> {
+        let max = StreamEdge::new(u64::MAX, u64::MAX, u64::MAX, u64::MAX);
+        let chunk: Vec<StreamEdge> = (0..512u64)
+            .map(|i| {
+                let wild = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                StreamEdge::new(wild, i, 1 + wild % 3, wild >> (i % 64))
+            })
+            .collect();
+        vec![
+            JournalRecord::Insert(max),
+            JournalRecord::Delete(max),
+            JournalRecord::InsertBatch(vec![max]),
+            JournalRecord::InsertBatch(chunk),
+            JournalRecord::Insert(StreamEdge::new(0, 0, 0, 0)),
+            JournalRecord::InsertBatch(vec![
+                StreamEdge::new(7, 8, 1, 1_000),
+                max,
+                StreamEdge::new(9, 10, 1, 999),
+                StreamEdge::new(11, 12, u64::MAX, 0),
+            ]),
+        ]
+    }
+
+    #[test]
+    fn extreme_records_round_trip_and_tear_to_their_prefix() {
+        let dir = temp_dir("extreme");
+        let records = extreme_records();
+        write_records(&dir, 0, &records);
+        assert_eq!(replay(&dir, 0, 0).expect("replay"), records);
+        // Worst-case edges stay within 40 bytes each.
+        assert!(body_len(&records[2]) <= 1 + 1 + 40 + 8);
+        let path = dir.join(journal_file_name(0));
+        let full = std::fs::read(&path).expect("read journal");
+        let last = records.len() - 1;
+        let prefix_end = full.len() - (4 + body_len(&records[last]));
+        for cut in prefix_end..full.len() {
+            std::fs::write(&path, &full[..cut]).expect("truncate");
+            let replayed = replay(&dir, 0, 0).expect("a torn tail replays cleanly");
+            assert_eq!(replayed, records[..last], "cut at byte {cut}");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A journal holding one checksum-valid frame around `body`.
+    fn write_raw_record(dir: &Path, body: &[u8]) {
+        let path = dir.join(journal_file_name(0));
+        let _ = std::fs::remove_file(&path);
+        drop(Journal::open(dir, 0, JournalMode::Buffered, 0).expect("open"));
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.extend_from_slice(&(body.len() as u32 + 8).to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes.extend_from_slice(&framing::frame_checksum(body).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+    }
+
+    #[test]
+    fn batch_counts_the_body_cannot_hold_are_typed_corruption() {
+        let dir = temp_dir("count");
+        // A count over the batch limit, a count within it but beyond what
+        // the body's bytes could hold at four per edge, and a count the
+        // bytes could hold but whose second edge is cut short.
+        let mut one_edge = Vec::new();
+        put_edge_after(&mut one_edge, &StreamEdge::new(1, 2, 1, 3), 0);
+        let cases: [(u64, &[u8], &str); 3] = [
+            (MAX_BATCH_EDGES + 1, &[], "exceeds limit"),
+            (MAX_BATCH_EDGES, &[0; 64], "unexpected end"),
+            (
+                2,
+                &[one_edge.as_slice(), &[0x81, 1, 1, 1]].concat(),
+                "unexpected end",
+            ),
+        ];
+        for (count, edges, expected) in cases {
+            let mut body = vec![TAG_INSERT_BATCH];
+            put_varint(&mut body, count);
+            body.extend_from_slice(edges);
+            write_raw_record(&dir, &body);
+            match replay(&dir, 0, 0) {
+                Err(JournalError::Corrupt {
+                    record: 0, detail, ..
+                }) => {
+                    assert!(detail.contains(expected), "count {count}: {detail}");
+                }
+                other => panic!("count {count}: expected Corrupt, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -841,29 +978,29 @@ mod tests {
     }
 
     /// The whole journal file for a fixed record sequence, byte for byte, at
-    /// format version 2: a refactor of the log code must not move a byte.
-    /// The checksums were cross-checked against an independent
-    /// implementation of the frame checksum.
+    /// format version 3: a refactor of the log code must not move a byte.
+    /// The bytes and checksums were cross-checked against an independent
+    /// implementation of the varint layout and the frame checksum.
     #[test]
     fn journal_file_bytes_match_the_golden_encoding() {
         const GOLDEN: &[&str] = &[
             "48494747534a4e4c", // magic "HIGGSJNL"
-            "02000000",         // version 2
+            "03000000",         // version 3
             "efcdab8967452301", // covering stamp
-            "29000000",         // len 41
+            "0d000000",         // len 13
             "01",               // tag insert
-            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "47b229984fa3203b", // checksum
-            "51000000",         // len 81
+            "01020308",         // edge (1, 2, 3, Δts +4)
+            "56ba42227f927f4b", // checksum
+            "13000000",         // len 19
             "02",               // tag insert-batch
-            "0200000000000000", // count 2
-            "0500000000000000060000000000000007000000000000000800000000000000", // edge (5, 6, 7, 8)
-            "09000000000000000a000000000000000b000000000000000c00000000000000", // edge (9, 10, 11, 12)
-            "1dfb4a5dd8bd36a0",                                                 // checksum
-            "29000000",                                                         // len 41
-            "03",                                                               // tag delete
-            "0100000000000000020000000000000003000000000000000400000000000000", // edge (1, 2, 3, 4)
-            "d63321073c38d8b0",                                                 // checksum
+            "02",               // count 2
+            "05060710",         // edge (5, 6, 7, Δts +8)
+            "ac020a0105",       // edge (300, 10, 1, Δts −3)
+            "6cd1bc779c5e9203", // checksum
+            "0d000000",         // len 13
+            "03",               // tag delete
+            "01020308",         // edge (1, 2, 3, Δts +4)
+            "691d5a618c7e7413", // checksum
         ];
         let dir = temp_dir("golden");
         let mut journal =
@@ -872,7 +1009,7 @@ mod tests {
             .append_insert(&StreamEdge::new(1, 2, 3, 4))
             .expect("insert");
         journal
-            .append_insert_batch(&[StreamEdge::new(5, 6, 7, 8), StreamEdge::new(9, 10, 11, 12)])
+            .append_insert_batch(&[StreamEdge::new(5, 6, 7, 8), StreamEdge::new(300, 10, 1, 5)])
             .expect("batch");
         journal
             .append_delete(&StreamEdge::new(1, 2, 3, 4))

@@ -22,7 +22,7 @@
 //! | `feature-gate-pairing` | every `#[cfg(feature = "X")]`-gated item in library code has a `not(feature = "X")` twin (or `cfg!(feature = "X")` runtime dispatch) in the same file, so a default build never loses a symbol |
 //! | `bench-baseline-sync` | every Criterion bench id covered by the CI perf gate appears in its committed `BENCH_*.json` baseline and vice versa, and every committed baseline is wired into CI |
 //! | `error-variant-coverage` | every variant of the configured error enums is constructed somewhere outside its definition (and outside its `impl ... for` blocks) and named in at least one test |
-//! | `durability-io-panic` | `unwrap()` / `expect(` on non-lock calls are forbidden in the declared durability modules (journal/snapshot I/O) outside `#[cfg(test)]` code — a disk fault must surface as a typed error, not a dead writer thread |
+//! | `durability-io-panic` | `unwrap()` / `expect(` on non-lock calls are forbidden in the declared durability modules (journal/snapshot I/O and the codec that decodes their bytes) outside `#[cfg(test)]` code — a disk fault must surface as a typed error, not a dead writer thread |
 //!
 //! Diagnostics are reported as `file:line: [rule] message`, and `--json`
 //! additionally writes a machine-readable report for CI annotation.
@@ -159,6 +159,7 @@ impl LintConfig {
                 ("crates/higgs/src/replica.rs".into(), "ReplicaError".into()),
             ],
             durability_paths: vec![
+                "crates/common/src/codec.rs".into(),
                 "crates/higgs/src/framing.rs".into(),
                 "crates/higgs/src/journal.rs".into(),
                 "crates/higgs/src/snapshot.rs".into(),
